@@ -28,6 +28,7 @@ from .feti import (
     build_interface_problem,
     direct_saddle_solve,
     galerkin_mode_matrices,
+    mode_weights,
     pcpg_solve,
     recover_primal,
 )
@@ -186,11 +187,10 @@ def energy(
             g_modes = galerkin_mode_matrices(problem)
         ops = build_block_operators(problem, solution.phi1, solution.phi2, g_modes)
     U1, U2, lam = solution.u1, solution.u2, solution.lam
-    quad = 0.0
-    for j, K in enumerate(ops.K1_modes):
-        quad += float(np.sum(ops.H1[j] * (U1 @ (K @ U1.T))))
-    for j, K in enumerate(ops.K2_modes):
-        quad += float(np.sum(ops.H2[j] * (U2 @ (K @ U2.T))))
+    quad = sum(  # u . (Khat u) from the block values, without assembling Khat
+        float(np.sum(U[:, m.rows] * np.einsum("lmp,mp->lp", V, U[:, m.indices])))
+        for U, m, V in ((U1, ops.modes1, ops.V1), (U2, ops.modes2, ops.V2))
+    )
     loads = float(ops.fw @ (U1 @ ops.f1)) + float(ops.fw @ (U2 @ ops.f2))
     gap = (ops.C2.T @ U2.T).T - (ops.C1.T @ U1.T).T
     coupling = float(np.sum(ops.W * (lam @ gap.T)))
@@ -280,7 +280,7 @@ def _factor_update(
     P = G_own.shape[1]
     Q_own = np.stack([U_own @ (K @ U_own.T) for K in K_own])
     Q_other = np.stack([U_other @ (K @ U_other.T) for K in K_other])
-    T_other = np.einsum("la,jab,mb->jlm", phi_other, G_other, phi_other)
+    T_other = mode_weights(phi_other, G_other)
     gram_other = phi_other @ phi_other.T
     S = np.einsum("jlm,jlm->lm", Q_other, T_other)
     A = np.einsum("jlm,jab->lamb", Q_own * gram_other[None, :, :], G_own)
@@ -517,9 +517,9 @@ def arr_run(
         sol = _append_random_factor(problem, sol, rng)
         pi_prev = None
         n_sweeps = 0
+        ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)
         for sweep in range(1, max_sweeps + 1):
             n_sweeps = sweep
-            ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)
             pi_before = energy(problem, sol, ops=ops)
             info: dict = {}
             upd = deterministic_update(
@@ -551,7 +551,9 @@ def arr_run(
             pi_phi1 = energy(problem, sol, g_modes=g_modes)
             sol.phi2[:] = stochastic_update_phi2(problem, sol, g_modes)
             sol = normalize_factors(sol)
-            pi_after = energy(problem, sol, g_modes=g_modes)
+            # the next sweep starts from these factors: its operators are these
+            ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)
+            pi_after = energy(problem, sol, ops=ops)
             trace.sweeps.append(
                 SweepRecord(
                     rank=r,

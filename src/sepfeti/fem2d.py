@@ -9,7 +9,8 @@ matrices and rigid-body modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,19 +276,99 @@ def rigid_body_modes(mesh: Mesh, ncomp: int) -> np.ndarray:
     return Q
 
 
+@dataclass(frozen=True, eq=False)
+class SparsePattern:
+    """A square CSR sparsity pattern."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with ``values`` on this pattern, sharing their memory."""
+        A = sp.csr_matrix((values, self.indices, self.indptr), shape=(self.n, self.n))
+        A.data = values  # the constructor copies a row of a larger array
+        return A
+
+
+@dataclass(frozen=True, eq=False)
+class ModeStack(SparsePattern):
+    """J stiffness modes stored once: mode j is ``matrix(data[j])``.
+
+    A weighted sum of the modes is a product with the (J, nnz) ``data``.
+    """
+
+    data: np.ndarray
+
+    @classmethod
+    def from_modes(cls, modes: list[sp.spmatrix]) -> "ModeStack":
+        """Stack modes assembled on one pattern, without the entries that are
+        zero in every mode (on structured meshes, up to a quarter of them)."""
+        csr = [sp.csr_matrix(K) for K in modes]
+        for K in csr:
+            K.sum_duplicates()
+            if not (
+                K.shape == csr[0].shape
+                and np.array_equal(K.indptr, csr[0].indptr)
+                and np.array_equal(K.indices, csr[0].indices)
+            ):
+                raise ValueError("stiffness modes must share one sparsity pattern")
+        stack = cls(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
+        live = np.flatnonzero(stack.data.any(axis=0))
+        return stack._entries(live, stack.rows, stack.indices, stack.n)
+
+    def contract(self, weights: np.ndarray) -> np.ndarray:
+        """Values of the sums weighted by the rows of ``weights`` (k, J)."""
+        return weights @ self.data
+
+    @cached_property
+    def views(self) -> list[sp.csr_matrix]:
+        return [self.matrix(row) for row in self.data]
+
+    def restrict(self, keep: np.ndarray) -> "ModeStack":
+        """Entry (a, b) of the result is entry (keep[a], keep[b])."""
+        new = np.full(self.n, -1, dtype=np.intp)
+        new[keep] = np.arange(keep.size)
+        rows, cols = new[self.rows], new[self.indices]
+        sel = np.flatnonzero((rows >= 0) & (cols >= 0))
+        return self._entries(sel[np.lexsort((cols[sel], rows[sel]))], rows, cols, keep.size)
+
+    def _entries(self, sel, rows, cols, n: int) -> "ModeStack":
+        """The entries ``sel``, in row-major order of their new ``rows`` and
+        ``cols``, on an n x n pattern."""
+        indptr = np.append(0, np.cumsum(np.bincount(rows[sel], minlength=n)))
+        return ModeStack(
+            indptr.astype(self.indptr.dtype),
+            cols[sel].astype(self.indices.dtype),
+            self.data.take(sel, axis=1),
+        )
+
+
 @dataclass
 class SubdomainProblem:
     """One sub-domain's discrete operators, after optional Dirichlet elimination."""
 
     mesh: Mesh
     ncomp: int
-    K_modes: list[sp.csr_matrix]
+    modes: ModeStack
     f: np.ndarray
     C: sp.csr_matrix                   # (n_free_dofs, M_I)
     R: np.ndarray                      # (n_free_dofs, n_rigid) orthonormal, possibly 0 cols
     floating: bool
     free_dofs: np.ndarray              # original dof ids kept (identity before elimination)
     dirichlet_dofs: np.ndarray
+
+    @property
+    def K_modes(self) -> list[sp.csr_matrix]:
+        return self.modes.views
 
     @property
     def n_dofs(self) -> int:
@@ -309,7 +390,7 @@ def make_subdomain_problem(
     return SubdomainProblem(
         mesh=mesh,
         ncomp=ncomp,
-        K_modes=K_modes,
+        modes=ModeStack.from_modes(K_modes),
         f=f,
         C=C,
         R=rigid_body_modes(mesh, ncomp),
@@ -343,12 +424,11 @@ def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainPr
     keep = np.setdiff1d(np.arange(n, dtype=np.intp), drop)
     if keep.size == 0:
         raise ValueError("Dirichlet elimination would remove every dof")
-    K_modes = [K[keep][:, keep].tocsr() for K in problem.K_modes]
     C = problem.C[keep].tocsr()
     return SubdomainProblem(
         mesh=problem.mesh,
         ncomp=problem.ncomp,
-        K_modes=K_modes,
+        modes=problem.modes.restrict(keep),
         f=problem.f[keep],
         C=C,
         R=np.zeros((keep.size, 0)),
@@ -431,16 +511,3 @@ def build_interface_extractors(
         return sp.csr_matrix((data, (rows, cols)), shape=(n, m_i))
 
     return extractor(mesh1, ids1), extractor(mesh2, ids2), coords
-
-
-def export_mesh(mesh: Mesh) -> str:
-    """Plain-text mesh dump: nodes, triangles, then edge tags."""
-    lines = [f"# nodes {mesh.n_nodes}"]
-    lines += [f"{x!r} {y!r}" for x, y in mesh.nodes]
-    lines.append(f"# triangles {mesh.triangles.shape[0]}")
-    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
-    for tag in sorted(mesh.edge_tags):
-        edges = mesh.edge_tags[tag]
-        lines.append(f"# tag {tag} {len(edges)}")
-        lines += [f"{a} {b}" for a, b in edges]
-    return "\n".join(lines) + "\n"

@@ -6,8 +6,13 @@ blocks are expectation-weighted sums of the sub-domain stiffness modes:
 
     Khat_i(l, l') = sum_j H_i[j, l, l'] K_{i,j},   Chat_i = W (x) C_i.
 
-Blocks are never assembled; every operator is applied matrix-free from the
-small weight matrices and the shared sparse modes. The interface problem
+Each sub-domain stores its modes once, as a (J, nnz) data array on one
+sparsity pattern (``fem2d.ModeStack``), so the values of all blocks of
+``Khat_i`` come from one (r*r, J) x (J, nnz) product (``block_values``) and
+``kron_sum`` arranges them as one CSR matrix. The block operators apply it
+with one sparse product; the block-Jacobi diagonal blocks, the interface
+preconditioner, the energy and the direct saddle solve use the same
+values. The interface problem
 
     [ F_I      -R2I ] [lambda]   [ d]
     [ -R2I^T     0  ] [alpha ] = [-e]
@@ -23,6 +28,7 @@ factors follow by back-substitution
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,12 +36,60 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fem2d import ModeStack
 from .pc_basis import family, triple_moment_matrix, univariate_triple_tensor
 from .problems import CoupledProblem
 
 
 class SolverError(RuntimeError):
-    """Iterative solve failed to reach its tolerance."""
+    """A solve failed: no convergence, a breakdown or a singular system."""
+
+
+def block_values(modes, H: np.ndarray) -> np.ndarray:
+    """Values V[l, l'] of the blocks sum_j H[j, l, l'] K_j on the pattern of
+    ``modes`` (a ``ModeStack`` or ``MergedModes``), from one product."""
+    J, r, _ = H.shape
+    return modes.contract(H.reshape(J, r * r).T).reshape(r, r, -1)
+
+
+def kron_sum(modes, V: np.ndarray) -> sp.csr_matrix:
+    """sum_j H[j] (x) K_j as one CSR matrix, from its ``block_values`` V.
+
+    Row (l, i) holds row i of the pattern once per block column l', with
+    the values V[l, l'] and the columns shifted by l' n.
+    """
+    r, n, nnz, rows = V.shape[0], modes.n, modes.indices.size, modes.rows
+    start, length = modes.indptr[rows], np.diff(modes.indptr)[rows]
+    shift = np.arange(r)[:, None]
+    # position of entry p of block (l, l') within block row l
+    pos = (r * start + np.arange(nnz) - start + shift * length).ravel()
+    data = np.empty((r, r * nnz))
+    data[:, pos] = V.reshape(r, r * nnz)
+    indices = np.empty(r * nnz, dtype=np.int64)
+    indices[pos] = (shift * n + modes.indices).ravel()
+    indptr = np.append((shift * r * nnz + r * modes.indptr[:-1]).ravel(), r * r * nnz)
+    return sp.csr_matrix((data.ravel(), np.tile(indices, r), indptr), shape=(r * n, r * n))
+
+
+def mode_weights(phi: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """T[j, l, m] = phi[l] . G[j] phi[m] for (r, P) factors and (J, P, P) G,
+    as two matrix products."""
+    J, P, _ = G.shape
+    return phi @ (G.reshape(J * P, P) @ phi.T).reshape(J, P, phi.shape[0])
+
+
+def factor_solve(A: sp.spmatrix, b: np.ndarray, what: str) -> np.ndarray:
+    """Sparse LU solve of a structurally symmetric system (saddle systems
+    included), with an ordering of A + A^T; a singular factor or a
+    non-finite solution raises ``SolverError``."""
+    try:
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise SolverError(f"{what} is singular: {err}") from err
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{what} has a non-finite solution (singular system)")
+    return x
 
 
 def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -63,11 +117,12 @@ def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class BlockOperators:
-    """Weight matrices plus shared sparse modes for the block saddle system.
+    """Weight matrices plus the stacked sparse modes of the block saddle system.
 
     ``H1[j]``/``H2[j]`` are the (r, r) expectation weights of stiffness mode
-    j; ``W`` weights the coupling blocks; ``fw`` weights the load. Dense
-    block assembly is reserved for tiny direct solves and tests.
+    j; ``W`` weights the coupling blocks; ``fw`` weights the load. The
+    block values ``V1``/``V2`` and the assembled ``K1hat``/``K2hat`` are
+    built on first use.
     """
 
     rank: int
@@ -75,15 +130,13 @@ class BlockOperators:
     H2: np.ndarray
     W: np.ndarray
     fw: np.ndarray
-    K1_modes: list[sp.csr_matrix]
-    K2_modes: list[sp.csr_matrix]
+    modes1: ModeStack
+    modes2: ModeStack
     C1: sp.csr_matrix
     C2: sp.csr_matrix
     f1: np.ndarray
     f2: np.ndarray
     R2: np.ndarray | None
-    _jac1: list | None = field(default=None, repr=False)
-    _jac2: list | None = field(default=None, repr=False)
 
     @property
     def M1(self) -> int:
@@ -109,17 +162,27 @@ class BlockOperators:
     def fhat2(self) -> np.ndarray:
         return self.fw[:, None] * self.f2[None, :]
 
+    @cached_property
+    def V1(self) -> np.ndarray:
+        return block_values(self.modes1, self.H1)
+
+    @cached_property
+    def V2(self) -> np.ndarray:
+        return block_values(self.modes2, self.H2)
+
+    @cached_property
+    def K1hat(self) -> sp.csr_matrix:
+        return kron_sum(self.modes1, self.V1)
+
+    @cached_property
+    def K2hat(self) -> sp.csr_matrix:
+        return kron_sum(self.modes2, self.V2)
+
     def apply_K1(self, U: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(U)
-        for j, K in enumerate(self.K1_modes):
-            out += (K @ (self.H1[j] @ U).T).T
-        return out
+        return (self.K1hat @ U.ravel()).reshape(U.shape)
 
     def apply_K2(self, U: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(U)
-        for j, K in enumerate(self.K2_modes):
-            out += (K @ (self.H2[j] @ U).T).T
-        return out
+        return (self.K2hat @ U.ravel()).reshape(U.shape)
 
     def apply_C1(self, lam: np.ndarray) -> np.ndarray:
         return (self.C1 @ (self.W @ lam).T).T
@@ -139,34 +202,19 @@ class BlockOperators:
             return U
         return U - (U @ self.R2) @ self.R2.T
 
+    @cached_property
     def jacobi1(self) -> list:
-        if self._jac1 is None:
-            self._jac1 = [
-                spla.splu(
-                    sum(
-                        self.H1[j][l, l] * K for j, K in enumerate(self.K1_modes)
-                    ).tocsc()
-                )
-                for l in range(self.rank)
-            ]
-        return self._jac1
+        return [spla.splu(self.modes1.matrix(v).tocsc()) for v in self.V1.diagonal().T]
 
+    @cached_property
     def jacobi2(self) -> list:
         """Diagonal-block solvers; floating blocks are bordered by R2 so the
         factorization stays nonsingular and acts as the block pseudo-inverse."""
-        if self._jac2 is None:
-            self._jac2 = []
-            for l in range(self.rank):
-                D = sum(self.H2[j][l, l] * K for j, K in enumerate(self.K2_modes))
-                if self.R2 is None:
-                    self._jac2.append(("plain", spla.splu(D.tocsc())))
-                else:
-                    B = sp.bmat(
-                        [[D, sp.csc_matrix(self.R2)], [sp.csc_matrix(self.R2).T, None]],
-                        format="csc",
-                    )
-                    self._jac2.append(("bordered", spla.splu(B)))
-        return self._jac2
+        blocks = [self.modes2.matrix(v) for v in self.V2.diagonal().T]
+        if self.R2 is None:
+            return [spla.splu(D.tocsc()) for D in blocks]
+        R2 = sp.csc_matrix(self.R2)
+        return [spla.splu(sp.bmat([[D, R2], [R2.T, None]], format="csc")) for D in blocks]
 
 
 def build_block_operators(
@@ -195,8 +243,8 @@ def build_block_operators(
     G1, G2 = g_modes
     W1 = phi1 @ phi1.T
     W2 = phi2 @ phi2.T
-    H1 = np.einsum("la,jab,mb->jlm", phi1, G1, phi1) * W2[None]
-    H2 = np.einsum("la,jab,mb->jlm", phi2, G2, phi2) * W1[None]
+    H1 = mode_weights(phi1, G1) * W2[None]
+    H2 = mode_weights(phi2, G2) * W1[None]
     s2 = problem.sub[1]
     return BlockOperators(
         rank=phi1.shape[0],
@@ -204,8 +252,8 @@ def build_block_operators(
         H2=H2,
         W=W1 * W2,
         fw=phi1[:, 0] * phi2[:, 0],
-        K1_modes=problem.sub[0].K_modes,
-        K2_modes=s2.K_modes,
+        modes1=problem.sub[0].modes,
+        modes2=s2.modes,
         C1=problem.sub[0].C,
         C2=s2.C,
         f1=problem.sub[0].f,
@@ -271,7 +319,7 @@ def apply_K1_inverse(
     ops: BlockOperators, B: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
 ) -> np.ndarray:
     """Solve Khat_1 X = B by CG with a block-Jacobi (diagonal-block) preconditioner."""
-    solvers = ops.jacobi1()
+    solvers = ops.jacobi1
 
     def precond(R: np.ndarray) -> np.ndarray:
         return np.stack([solvers[l].solve(R[l]) for l in range(ops.rank)])
@@ -302,19 +350,13 @@ def apply_K2_pseudoinverse(
                 f"|R2hat^T b| = {defect:.3e} violates the solvability condition"
             )
         B = ops.project_null2(B)
-    solvers = ops.jacobi2()
+    solvers = ops.jacobi2
+    pad = np.zeros(ops.R2.shape[1] if ops.floating else 0)
 
     def precond(R: np.ndarray) -> np.ndarray:
-        out = np.empty_like(R)
-        for l in range(ops.rank):
-            kind, lu = solvers[l]
-            if kind == "plain":
-                out[l] = lu.solve(R[l])
-            else:
-                out[l] = lu.solve(np.concatenate([R[l], np.zeros(ops.R2.shape[1])]))[
-                    : ops.M2
-                ]
-        return out
+        return np.stack(
+            [lu.solve(np.concatenate([row, pad]))[: ops.M2] for row, lu in zip(R, solvers)]
+        )
 
     if max_iter is None:
         max_iter = 200 * ops.rank + 200
@@ -409,6 +451,17 @@ class InterfaceProblem:
         return self._solve_SR(g)
 
 
+def _interface_modes(modes: ModeStack, C: sp.spmatrix) -> ModeStack:
+    """The modes' interface blocks C^T K_j C, for an extractor C with one
+    entry per column: principal sub-matrices scaled by those entries."""
+    Cc = sp.csc_matrix(C)
+    if not np.all(np.diff(Cc.indptr) == 1):
+        raise ValueError("each interface extractor column must pick one dof")
+    KI = modes.restrict(Cc.indices)
+    scale = Cc.data[KI.rows] * Cc.data[KI.indices]
+    return ModeStack(KI.indptr, KI.indices, KI.data * scale)
+
+
 def build_preconditioner(
     ops: BlockOperators, kind: str = "stiffness"
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -423,16 +476,15 @@ def build_preconditioner(
     if kind != "stiffness":
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
-    A1 = np.einsum("ab,jbc,cd->jad", ops.W, ops.H1, ops.W)
-    A2 = np.einsum("ab,jbc,cd->jad", ops.W, ops.H2, ops.W)
-    KI1 = np.stack([(ops.C1.T @ K @ ops.C1).toarray() for K in ops.K1_modes])
-    KI2 = np.stack([(ops.C2.T @ K @ ops.C2).toarray() for K in ops.K2_modes])
+    # the interface blocks KI_j = C_i^T K_j C_i are symmetric, so
+    # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A)
+    KI = (_interface_modes(ops.modes1, ops.C1), _interface_modes(ops.modes2, ops.C2))
+    SI = sum(kron_sum(K, block_values(K, H)) for K, H in zip(KI, (ops.H1, ops.H2)))
+    W = ops.W
 
     def apply(lam: np.ndarray) -> np.ndarray:
-        A = Winv2 @ lam
-        B = np.einsum("jlk,km,jmn->ln", A1, A, KI1, optimize=True)
-        B += np.einsum("jlk,km,jmn->ln", A2, A, KI2, optimize=True)
-        return Winv2 @ B
+        A = W @ (Winv2 @ lam)
+        return Winv2 @ (W @ (SI @ A.ravel()).reshape(A.shape))
 
     return apply
 
@@ -523,7 +575,8 @@ def direct_saddle_solve(
     """Assemble and factor the whole block saddle system (small cases only).
 
     The continuity rows pin the floating side's rigid modes, so the system is
-    nonsingular without extra unknowns; alpha is read off as R2hat^T u2.
+    nonsingular without extra unknowns; alpha is read off as R2hat^T u2. A
+    singular system (a zero stochastic factor, say) raises ``SolverError``.
     """
     r = ops.rank
     n = r * (ops.M1 + ops.M2 + ops.M_I)
@@ -532,15 +585,14 @@ def direct_saddle_solve(
             f"direct saddle solve of size {n} exceeds the cap {_DIRECT_SIZE_CAP}; "
             "use the interface iteration"
         )
-    K1 = sum(sp.kron(sp.csr_matrix(ops.H1[j]), K) for j, K in enumerate(ops.K1_modes))
-    K2 = sum(sp.kron(sp.csr_matrix(ops.H2[j]), K) for j, K in enumerate(ops.K2_modes))
     C1 = sp.kron(sp.csr_matrix(ops.W), ops.C1)
     C2 = sp.kron(sp.csr_matrix(ops.W), ops.C2)
     A = sp.bmat(
-        [[K1, None, -C1], [None, K2, C2], [-C1.T, C2.T, None]], format="csc"
+        [[ops.K1hat, None, -C1], [None, ops.K2hat, C2], [-C1.T, C2.T, None]],
+        format="csc",
     )
     b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
-    x = spla.spsolve(A, b)
+    x = factor_solve(A, b, "block saddle system")
     n1, n2 = r * ops.M1, r * ops.M2
     u1 = x[:n1].reshape(r, ops.M1)
     u2 = x[n1 : n1 + n2].reshape(r, ops.M2)

@@ -144,16 +144,6 @@ def build_index_set(d: int, p: int) -> MultiIndexSet:
     return MultiIndexSet(d=d, p=p, indices=indices)
 
 
-def eval_multivariate(
-    fam: OrthoPolyFamily, idx_set: MultiIndexSet, point: np.ndarray
-) -> np.ndarray:
-    """Tensor-product basis values at one point: entry k = prod_j psi_{i_j}(x_j)."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (idx_set.d,):
-        raise ValueError(f"point has shape {point.shape}, expected ({idx_set.d},)")
-    return eval_multivariate_batch(fam, idx_set, point[None, :])[0]
-
-
 def eval_multivariate_batch(
     fam: OrthoPolyFamily, idx_set: MultiIndexSet, points: np.ndarray
 ) -> np.ndarray:
@@ -206,21 +196,6 @@ def univariate_triple_tensor(
     return TripleTensor(family=fam, values=values)
 
 
-def multivariate_triple_moment(
-    idx_a: np.ndarray, idx_b: np.ndarray, idx_c: np.ndarray, tensor: TripleTensor
-) -> float:
-    """E[psi_a psi_b psi_c] for multivariate indices: product of univariate entries."""
-    idx_a = np.asarray(idx_a, dtype=np.intp)
-    idx_b = np.asarray(idx_b, dtype=np.intp)
-    idx_c = np.asarray(idx_c, dtype=np.intp)
-    if not (idx_a.shape == idx_b.shape == idx_c.shape):
-        raise ValueError("multi-indices must share one dimension count")
-    A, B, C = tensor.caps
-    if idx_a.max(initial=0) > A or idx_b.max(initial=0) > B or idx_c.max(initial=0) > C:
-        raise SizeError("multi-index degree exceeds triple tensor caps")
-    return float(np.prod(tensor.values[idx_a, idx_b, idx_c]))
-
-
 def triple_moment_matrix(
     tensor: TripleTensor, idx_mode: np.ndarray, idx_set: MultiIndexSet
 ) -> np.ndarray:
@@ -240,37 +215,3 @@ def triple_moment_matrix(
     for k in range(idx_set.d):
         out *= tensor.values[idx_mode[k]][np.ix_(cols[:, k], cols[:, k])]
     return out
-
-
-def projection_coefficients(
-    u, idx_set: MultiIndexSet, fam: OrthoPolyFamily, quad_order: int
-) -> np.ndarray:
-    """Orthonormal PC coefficients E[u psi_i] by tensor-grid Gauss quadrature.
-
-    Parameters
-    ----------
-    u : callable
-        Accepts an (n, d) array of points and returns n values; a scalar
-        callable over a single d-vector also works.
-    idx_set : MultiIndexSet
-        Target basis.
-    fam : OrthoPolyFamily
-        Family matching the measure of u's argument.
-    quad_order : int
-        Nodes per dimension; exactness is the caller's responsibility.
-    """
-    nodes, weights = fam.gauss_rule(quad_order)
-    grids = np.meshgrid(*([nodes] * idx_set.d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * idx_set.d), indexing="ij")
-    w = np.ones(points.shape[0])
-    for g in wgrids:
-        w *= g.ravel()
-    try:
-        vals = np.asarray(u(points), dtype=float)
-        if vals.shape != (points.shape[0],):
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(u(pt)) for pt in points])
-    basis = eval_multivariate_batch(fam, idx_set, points)  # (n, P)
-    return basis.T @ (w * vals)

@@ -17,13 +17,14 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem2d, pc_basis, random_field
-from .fem2d import Mesh, SubdomainProblem
+from .fem2d import Mesh, ModeStack, SparsePattern, SubdomainProblem
 from .pc_basis import MultiIndexSet, build_index_set
 from .random_field import AFFINE_UNIFORM, LOGNORMAL_SHIFTED, RandomFieldPC
 
@@ -357,33 +358,30 @@ def build_from_config(config: dict[str, Any]) -> CoupledProblem:
     return build_example_I(config)
 
 
-def swap_subdomains(problem: CoupledProblem) -> CoupledProblem:
-    """Exchange the two sub-domain roles.
+@dataclass(frozen=True, eq=False)
+class MergedModes(SparsePattern):
+    """Stiffness modes of the merged problem, kept as the sub-domains' stacks.
 
-    The interface constraint orientation flips, so any multiplier of the
-    swapped problem is the negative of the original's.
+    Nothing is copied: ``positions[i]`` places each stored entry of side i's
+    reduced stack in the merged pattern, and ``columns[i]`` gives the merged
+    mode of each of side i's modes (both mean modes are merged mode 0).
     """
-    cfg = copy.deepcopy(problem.config)
-    for group, pairs in (
-        ("mesh", [("h1", "h2")]),
-        ("field", [("d1", "d2"), ("sigma1", "sigma2"), ("lc1", "lc2")]),
-        ("pc", [("p1", "p2")]),
-    ):
-        for a, b in pairs:
-            cfg[group][a], cfg[group][b] = cfg[group][b], cfg[group][a]
-    if len(cfg["geometry"]["rects"]) == 2:
-        cfg["geometry"]["rects"] = cfg["geometry"]["rects"][::-1]
-    return CoupledProblem(
-        kind=problem.kind,
-        ncomp=problem.ncomp,
-        sub=problem.sub[::-1],
-        sub_full=problem.sub_full[::-1],
-        dirichlet_nodes=problem.dirichlet_nodes[::-1],
-        fields=problem.fields[::-1],
-        idx_solution=problem.idx_solution[::-1],
-        interface_coords=problem.interface_coords,
-        config=cfg,
-    )
+
+    sides: tuple[ModeStack, ModeStack]
+    positions: tuple[np.ndarray, np.ndarray]
+    columns: tuple[np.ndarray, np.ndarray]
+    n_modes: int
+
+    def contract(self, weights: np.ndarray) -> np.ndarray:
+        """Rows of ``weights`` (k, n_modes) applied to the merged modes."""
+        out = np.zeros((self.indices.size, weights.shape[0]))
+        for stack, pos, cols in zip(self.sides, self.positions, self.columns):
+            out[pos] += stack.data.T @ weights[:, cols].T  # scatter whole rows
+        return np.ascontiguousarray(out.T)
+
+    @cached_property
+    def views(self) -> list[sp.csr_matrix]:
+        return [self.matrix(row) for row in self.contract(np.eye(self.n_modes))]
 
 
 @dataclass(frozen=True)
@@ -391,8 +389,9 @@ class MonolithicProblem:
     """Single-domain view of a coupled problem on the merged mesh.
 
     ``field_indices`` are multi-indices over the combined germ (d1 + d2
-    entries); ``K_modes`` align with its rows. ``restrict1``/``restrict2``
-    map a sub-domain's free dofs into the monolithic free-dof vector.
+    entries); the merged modes in ``modes`` align with its rows.
+    ``restrict1``/``restrict2`` map a sub-domain's free dofs into the
+    monolithic free-dof vector.
     """
 
     nodes: np.ndarray
@@ -401,12 +400,16 @@ class MonolithicProblem:
     d1: int
     d2: int
     field_indices: np.ndarray
-    K_modes: list[sp.csr_matrix]
+    modes: MergedModes
     f: np.ndarray
     free_glob: np.ndarray
     restrict1: np.ndarray
     restrict2: np.ndarray
     node_maps: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def K_modes(self) -> list[sp.csr_matrix]:
+        return self.modes.views
 
     @property
     def n_free(self) -> int:
@@ -431,6 +434,7 @@ class MonolithicProblem:
 
 
 def _dof_expand(nodes: np.ndarray, ncomp: int) -> np.ndarray:
+    nodes = np.asarray(nodes, dtype=np.intp)
     if ncomp == 1:
         return nodes
     return np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
@@ -439,9 +443,10 @@ def _dof_expand(nodes: np.ndarray, ncomp: int) -> np.ndarray:
 def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     """Merge the two sub-domains into one conforming problem.
 
-    Stiffness modes of each sub-domain are scattered into merged numbering
-    and tagged with their multi-index embedded into the combined germ
-    (the other germ's block padded with zeros); the two mean modes combine.
+    Stiffness modes of each sub-domain are placed on the merged pattern
+    (``MergedModes``, no copy) and tagged with their multi-index embedded
+    into the combined germ (the other germ's block padded with zeros); the
+    two mean modes combine.
     """
     m1, m2 = problem.sub_full[0].mesh, problem.sub_full[1].mesh
     ncomp = problem.ncomp
@@ -459,50 +464,27 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     dmap2 = _dof_expand(local2glob2, ncomp)
     n_dofs = ncomp * n_nodes
 
-    def scatter(K: sp.spmatrix, dmap: np.ndarray) -> sp.csr_matrix:
-        K = K.tocoo()
-        return sp.csr_matrix(
-            (K.data, (dmap[K.row], dmap[K.col])), shape=(n_dofs, n_dofs)
-        )
-
     d1, d2 = problem.fields[0].n_dims, problem.fields[1].n_dims
     idx1 = problem.fields[0].idx_set.indices
     idx2 = problem.fields[1].idx_set.indices
-    rows = [np.zeros(d1 + d2, dtype=idx1.dtype)]
-    modes = [
-        scatter(problem.sub_full[0].K_modes[0], dmap1)
-        + scatter(problem.sub_full[1].K_modes[0], dmap2)
-    ]
-    for j in range(1, idx1.shape[0]):
-        rows.append(np.concatenate([idx1[j], np.zeros(d2, dtype=idx1.dtype)]))
-        modes.append(scatter(problem.sub_full[0].K_modes[j], dmap1))
-    for j in range(1, idx2.shape[0]):
-        rows.append(np.concatenate([np.zeros(d1, dtype=idx2.dtype), idx2[j]]))
-        modes.append(scatter(problem.sub_full[1].K_modes[j], dmap2))
-    field_indices = np.vstack(rows)
+    field_indices = np.vstack(
+        [
+            np.pad(idx1, ((0, 0), (0, d2))),
+            np.pad(idx2[1:], ((0, 0), (d1, 0))),
+        ]
+    )
 
     f = np.zeros(n_dofs)
     np.add.at(f, dmap1, problem.sub_full[0].f)
     np.add.at(f, dmap2, problem.sub_full[1].f)
 
-    fixed = np.unique(
-        np.concatenate(
-            [
-                _dof_expand(np.asarray(problem.dirichlet_nodes[0], dtype=np.intp), ncomp)
-                if problem.dirichlet_nodes[0].size
-                else np.array([], dtype=np.intp),
-                dmap2[
-                    _dof_expand(
-                        np.asarray(problem.dirichlet_nodes[1], dtype=np.intp), ncomp
-                    )
-                ]
-                if problem.dirichlet_nodes[1].size
-                else np.array([], dtype=np.intp),
-            ]
-        )
+    fixed = np.concatenate(
+        [
+            _dof_expand(problem.dirichlet_nodes[0], ncomp),
+            dmap2[_dof_expand(problem.dirichlet_nodes[1], ncomp)],
+        ]
     )
     free_glob = np.setdiff1d(np.arange(n_dofs), fixed)
-    K_red = [K[free_glob][:, free_glob].tocsr() for K in modes]
     f_red = f[free_glob]
 
     def restriction(sub: SubdomainProblem, dmap: np.ndarray) -> np.ndarray:
@@ -512,6 +494,26 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
             raise AssertionError("sub-domain free dof missing from merged system")
         return pos
 
+    restrict = tuple(map(restriction, problem.sub, (dmap1, dmap2)))
+    # each side's free dofs are exactly its dofs that stay free when merged,
+    # so the merged free-dof modes are the reduced stacks scattered
+    n_free = free_glob.size
+    keys = [
+        res[stack.rows].astype(np.int64) * n_free + res[stack.indices]
+        for stack, res in zip((s.modes for s in problem.sub), restrict)
+    ]
+    merged = np.unique(np.concatenate(keys))
+    rows, cols = np.divmod(merged, n_free)
+    J1 = idx1.shape[0]
+    modes = MergedModes(
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_free))]),
+        indices=cols,
+        sides=(problem.sub[0].modes, problem.sub[1].modes),
+        positions=(np.searchsorted(merged, keys[0]), np.searchsorted(merged, keys[1])),
+        columns=(np.arange(J1), np.append(0, J1 + np.arange(idx2.shape[0] - 1))),
+        n_modes=field_indices.shape[0],
+    )
+
     return MonolithicProblem(
         nodes=nodes,
         ncomp=ncomp,
@@ -519,10 +521,10 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
         d1=d1,
         d2=d2,
         field_indices=field_indices,
-        K_modes=K_red,
+        modes=modes,
         f=f_red,
         free_glob=free_glob,
-        restrict1=restriction(problem.sub[0], dmap1),
-        restrict2=restriction(problem.sub[1], dmap2),
+        restrict1=restrict[0],
+        restrict2=restrict[1],
         node_maps=(local2glob1, local2glob2),
     )

@@ -8,7 +8,6 @@ germs and an affine Young's modulus driven by uniform germs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -106,14 +105,6 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     return KLBasis(eigenvalues=tau, modes=modes, mass=mass_matrix(mesh))
 
 
-def kl_to_json(kl: KLBasis) -> str:
-    """Debug export: {"tau": [...], "modes": [[...], ...]}."""
-    return json.dumps(
-        {"tau": kl.eigenvalues.tolist(), "modes": kl.modes.tolist()},
-        sort_keys=True,
-    )
-
-
 @dataclass(frozen=True)
 class RandomFieldPC:
     """Polynomial-chaos coefficient fields kappa_i(x) plus a constant shift.
@@ -195,11 +186,3 @@ def sample_field_batch(pc_field: RandomFieldPC, xi: np.ndarray) -> np.ndarray:
         )
     psi = eval_multivariate_batch(family(pc_field.family_kind), pc_field.idx_set, xi)
     return pc_field.shift + psi @ pc_field.coeff_fields
-
-
-def sample_field(pc_field: RandomFieldPC, xi: np.ndarray) -> np.ndarray:
-    """Nodal field values for a single germ vector xi of length d."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError("xi must be a vector; use sample_field_batch for batches")
-    return sample_field_batch(pc_field, xi[None, :])[0]

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .feti import SolverError, _pcg
+from .feti import SolverError, _pcg, block_values, factor_solve, kron_sum
 from .pc_basis import (
     LEGENDRE,
     MultiIndexSet,
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _SG_SIZE_GUARD = 200_000
+_MC_CHUNK = 32  # samples whose sparse-matrix values are formed at once
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,16 @@ def _combined_weights(
     )
 
 
-def _sg_solve_core(
-    K_modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
+def _sg_solve_core(modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """CG solve of sum_j G_j (x) K_j u = e0 (x) f with a mean-mode block
     preconditioner; returns the (P, M) coefficient block."""
     P = G.shape[1]
-    lu = spla.splu(K_modes[0].tocsc())
+    A = kron_sum(modes, block_values(modes, G))
+    mean = modes.matrix(modes.contract(np.eye(1, G.shape[0]))[0])
+    lu = spla.splu(mean.tocsc())
 
     def apply_A(U: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(U)
-        for j, K in enumerate(K_modes):
-            out += G[j] @ (K @ U.T).T
-        return out
+        return (A @ U.ravel()).reshape(U.shape)
 
     def apply_M(R: np.ndarray) -> np.ndarray:
         return lu.solve(R.T).T
@@ -147,7 +145,7 @@ def solve_monolithic_sg(
     _guard(mono.n_free * len(idx), mono.n_free, len(idx))
     fam = family(mono.family_kind)
     G = _combined_weights(fam, mono.field_indices, idx)
-    coeffs = _sg_solve_core(mono.K_modes, G, mono.f)
+    coeffs = _sg_solve_core(mono.modes, G, mono.f)
     return MonolithicSGSolution(idx_set=idx, coeffs=coeffs)
 
 
@@ -158,7 +156,8 @@ def solve_coupled_sg(
 
     Solves for the coefficients of both sub-domain solutions and the
     interface multiplier in the combined basis; the identity Gram makes the
-    coupling blocks I (x) C_i. Sparse direct solve with a finiteness check.
+    coupling blocks I (x) C_i. Sparse direct solve; a singular system or a
+    non-finite solution raises ``SolverError``.
     """
     s1, s2 = problem.sub
     if p is None:
@@ -174,19 +173,15 @@ def solve_coupled_sg(
     rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
     G1 = _combined_weights(fam, rows1, idx)
     G2 = _combined_weights(fam, rows2, idx)
-    A11 = sum(sp.kron(sp.csr_matrix(G1[j]), K) for j, K in enumerate(s1.K_modes))
-    A22 = sum(sp.kron(sp.csr_matrix(G2[j]), K) for j, K in enumerate(s2.K_modes))
     B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
     B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
-    A = sp.bmat(
-        [[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc"
-    )
+    A11 = kron_sum(s1.modes, block_values(s1.modes, G1))
+    A22 = kron_sum(s2.modes, block_values(s2.modes, G2))
+    A = sp.bmat([[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc")
     rhs = np.zeros(n_unknowns)
     rhs[: s1.n_dofs] = s1.f
     rhs[P * s1.n_dofs : P * s1.n_dofs + s2.n_dofs] = s2.f
-    x = spla.spsolve(A, rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("combined-basis saddle solve broke down (singular system)")
+    x = factor_solve(A, rhs, "combined-basis saddle system")
     n1 = P * s1.n_dofs
     n2 = P * s2.n_dofs
     return CoupledSGSolution(
@@ -242,34 +237,6 @@ class MCAccumulator:
         )
 
 
-def _aligned_mode_data(K_modes) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Union sparsity pattern and per-mode data rows scattered onto it."""
-
-    def keys_of(A: sp.csc_matrix) -> np.ndarray:
-        cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-        return cols.astype(np.int64) * A.shape[0] + A.indices
-
-    cleaned = []
-    for K in K_modes:
-        A = K.tocsc(copy=True)
-        A.eliminate_zeros()
-        A.sort_indices()
-        cleaned.append(A)
-    pattern = sum(abs(A) for A in cleaned).tocsc()
-    pattern.sort_indices()
-    pattern_keys = keys_of(pattern)
-    rows = np.zeros((len(cleaned), pattern.nnz))
-    for j, A in enumerate(cleaned):
-        keys = keys_of(A)
-        pos = np.searchsorted(pattern_keys, keys)
-        if (pos >= pattern_keys.size).any() or not np.array_equal(
-            pattern_keys[pos], keys
-        ):
-            raise AssertionError("stiffness mode pattern escaped the union pattern")
-        rows[j, pos] = A.data
-    return pattern, rows
-
-
 def monte_carlo_reference(
     problem: CoupledProblem,
     n_samples: int,
@@ -278,8 +245,8 @@ def monte_carlo_reference(
 ) -> MCAccumulator:
     """Per-sample deterministic solves of the merged problem.
 
-    Each seeded germ sample weights the precomputed stiffness modes on a
-    shared sparsity pattern (no re-assembly), and the resulting sparse system
+    Each seeded germ sample weights the two sub-domains' stacked stiffness
+    modes onto the merged pattern (no re-assembly), and the resulting sparse system
     is factored and solved. Mean and second moment accumulate over samples;
     values at ``probe_dofs`` (free-dof indices) are stored for density
     estimation.
@@ -300,15 +267,19 @@ def monte_carlo_reference(
     else:
         xi = rng.standard_normal((n_samples, d))
     Psi = eval_multivariate_batch(fam, fidx, xi)
-    pattern, mode_data = _aligned_mode_data(mono.K_modes)
-    data = Psi @ mode_data
     mean = np.zeros(mono.n_free)
     m2 = np.zeros(mono.n_free)
     probes = np.empty((n_samples, len(probe_dofs)))
     probe_idx = np.asarray(probe_dofs, dtype=int)
+    # sample values are formed in the column-major order of the pattern
+    pattern = mono.modes.matrix(np.arange(mono.modes.indices.size, dtype=float)).tocsc()
+    rank = np.argsort(pattern.data)
+    modes = replace(mono.modes, positions=tuple(rank[p] for p in mono.modes.positions))
     for n in range(n_samples):
+        if n % _MC_CHUNK == 0:
+            values = modes.contract(Psi[n : n + _MC_CHUNK])
         A = sp.csc_matrix(
-            (data[n], pattern.indices, pattern.indptr), shape=pattern.shape
+            (values[n % _MC_CHUNK], pattern.indices, pattern.indptr), shape=pattern.shape
         )
         try:
             lu = spla.splu(A)

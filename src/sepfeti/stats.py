@@ -59,25 +59,6 @@ def separated_variance(solution: SeparatedSolution) -> tuple[np.ndarray, np.ndar
     return out[0], out[1]
 
 
-def sample_separated(
-    problem: CoupledProblem,
-    solution: SeparatedSolution,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sub-domain fields at a single germ realization (xi1, xi2)."""
-    xi1 = np.asarray(xi1, dtype=float).ravel()
-    xi2 = np.asarray(xi2, dtype=float).ravel()
-    dims = (problem.fields[0].n_dims, problem.fields[1].n_dims)
-    if (xi1.size, xi2.size) != dims:
-        raise ValueError(
-            f"germ dimensions ({xi1.size}, {xi2.size}) do not match the "
-            f"problem's ({dims[0]}, {dims[1]})"
-        )
-    u1, u2, _ = arr.evaluate_separated(problem, solution, xi1[None, :], xi2[None, :])
-    return u1[0], u2[0]
-
-
 def probe_dofs(problem: CoupledProblem) -> tuple[int, np.ndarray]:
     """Locate the configured probe point: (sub-domain index, reduced dof positions).
 

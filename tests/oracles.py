@@ -1,0 +1,153 @@
+"""Oracles the suite checks the library against.
+
+No library code calls these, so they live with the tests: pointwise basis
+evaluation, multivariate triple moments and quadrature projection for the
+PC basis, single-sample field and solution evaluation, the sub-domain swap
+used by the symmetry tests, and plain-text dumps of a mesh and a KL basis.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import numpy as np
+
+from sepfeti import arr, fem2d, problems, random_field
+from sepfeti import pc_basis as pcb
+
+
+def eval_multivariate(
+    fam: pcb.OrthoPolyFamily, idx_set: pcb.MultiIndexSet, point: np.ndarray
+) -> np.ndarray:
+    """Tensor-product basis values at one point: entry k = prod_j psi_{i_j}(x_j)."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != (idx_set.d,):
+        raise ValueError(f"point has shape {point.shape}, expected ({idx_set.d},)")
+    return pcb.eval_multivariate_batch(fam, idx_set, point[None, :])[0]
+
+
+def multivariate_triple_moment(
+    idx_a: np.ndarray, idx_b: np.ndarray, idx_c: np.ndarray, tensor: pcb.TripleTensor
+) -> float:
+    """E[psi_a psi_b psi_c] for multivariate indices: product of univariate entries."""
+    idx_a = np.asarray(idx_a, dtype=np.intp)
+    idx_b = np.asarray(idx_b, dtype=np.intp)
+    idx_c = np.asarray(idx_c, dtype=np.intp)
+    if not (idx_a.shape == idx_b.shape == idx_c.shape):
+        raise ValueError("multi-indices must share one dimension count")
+    A, B, C = tensor.caps
+    if idx_a.max(initial=0) > A or idx_b.max(initial=0) > B or idx_c.max(initial=0) > C:
+        raise pcb.SizeError("multi-index degree exceeds triple tensor caps")
+    return float(np.prod(tensor.values[idx_a, idx_b, idx_c]))
+
+
+def projection_coefficients(
+    u, idx_set: pcb.MultiIndexSet, fam: pcb.OrthoPolyFamily, quad_order: int
+) -> np.ndarray:
+    """Orthonormal PC coefficients E[u psi_i] by tensor-grid Gauss quadrature.
+
+    Parameters
+    ----------
+    u : callable
+        Accepts an (n, d) array of points and returns n values; a scalar
+        callable over a single d-vector also works.
+    idx_set : MultiIndexSet
+        Target basis.
+    fam : OrthoPolyFamily
+        Family matching the measure of u's argument.
+    quad_order : int
+        Nodes per dimension; exactness is the caller's responsibility.
+    """
+    nodes, weights = fam.gauss_rule(quad_order)
+    grids = np.meshgrid(*([nodes] * idx_set.d), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*([weights] * idx_set.d), indexing="ij")
+    w = np.ones(points.shape[0])
+    for g in wgrids:
+        w *= g.ravel()
+    try:
+        vals = np.asarray(u(points), dtype=float)
+        if vals.shape != (points.shape[0],):
+            raise TypeError
+    except TypeError:
+        vals = np.array([float(u(pt)) for pt in points])
+    basis = pcb.eval_multivariate_batch(fam, idx_set, points)  # (n, P)
+    return basis.T @ (w * vals)
+
+
+def swap_subdomains(problem: problems.CoupledProblem) -> problems.CoupledProblem:
+    """Exchange the two sub-domain roles.
+
+    The interface constraint orientation flips, so any multiplier of the
+    swapped problem is the negative of the original's.
+    """
+    cfg = copy.deepcopy(problem.config)
+    for group, pairs in (
+        ("mesh", [("h1", "h2")]),
+        ("field", [("d1", "d2"), ("sigma1", "sigma2"), ("lc1", "lc2")]),
+        ("pc", [("p1", "p2")]),
+    ):
+        for a, b in pairs:
+            cfg[group][a], cfg[group][b] = cfg[group][b], cfg[group][a]
+    if len(cfg["geometry"]["rects"]) == 2:
+        cfg["geometry"]["rects"] = cfg["geometry"]["rects"][::-1]
+    return problems.CoupledProblem(
+        kind=problem.kind,
+        ncomp=problem.ncomp,
+        sub=problem.sub[::-1],
+        sub_full=problem.sub_full[::-1],
+        dirichlet_nodes=problem.dirichlet_nodes[::-1],
+        fields=problem.fields[::-1],
+        idx_solution=problem.idx_solution[::-1],
+        interface_coords=problem.interface_coords,
+        config=cfg,
+    )
+
+
+def sample_field(pc_field: random_field.RandomFieldPC, xi: np.ndarray) -> np.ndarray:
+    """Nodal field values for a single germ vector xi of length d."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1:
+        raise ValueError("xi must be a vector; use sample_field_batch for batches")
+    return random_field.sample_field_batch(pc_field, xi[None, :])[0]
+
+
+def sample_separated(
+    problem: problems.CoupledProblem,
+    solution: arr.SeparatedSolution,
+    xi1: np.ndarray,
+    xi2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sub-domain fields at a single germ realization (xi1, xi2)."""
+    xi1 = np.asarray(xi1, dtype=float).ravel()
+    xi2 = np.asarray(xi2, dtype=float).ravel()
+    dims = (problem.fields[0].n_dims, problem.fields[1].n_dims)
+    if (xi1.size, xi2.size) != dims:
+        raise ValueError(
+            f"germ dimensions ({xi1.size}, {xi2.size}) do not match the "
+            f"problem's ({dims[0]}, {dims[1]})"
+        )
+    u1, u2, _ = arr.evaluate_separated(problem, solution, xi1[None, :], xi2[None, :])
+    return u1[0], u2[0]
+
+
+def export_mesh(mesh: fem2d.Mesh) -> str:
+    """Plain-text mesh dump: nodes, triangles, then edge tags."""
+    lines = [f"# nodes {mesh.n_nodes}"]
+    lines += [f"{x!r} {y!r}" for x, y in mesh.nodes]
+    lines.append(f"# triangles {mesh.triangles.shape[0]}")
+    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
+    for tag in sorted(mesh.edge_tags):
+        edges = mesh.edge_tags[tag]
+        lines.append(f"# tag {tag} {len(edges)}")
+        lines += [f"{a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+def kl_to_json(kl: random_field.KLBasis) -> str:
+    """Debug export: {"tau": [...], "modes": [[...], ...]}."""
+    return json.dumps(
+        {"tau": kl.eigenvalues.tolist(), "modes": kl.modes.tolist()},
+        sort_keys=True,
+    )

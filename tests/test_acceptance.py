@@ -113,12 +113,12 @@ def unit_factors(problem, rank, seed):
 def dense_saddle_multiplier(ops):
     """Oracle: assemble the full block saddle system densely and solve it."""
     K1 = sum(
-        np.kron(ops.H1[j], ops.K1_modes[j].toarray())
-        for j in range(len(ops.K1_modes))
+        np.kron(ops.H1[j], ops.modes1.views[j].toarray())
+        for j in range(len(ops.modes1.views))
     )
     K2 = sum(
-        np.kron(ops.H2[j], ops.K2_modes[j].toarray())
-        for j in range(len(ops.K2_modes))
+        np.kron(ops.H2[j], ops.modes2.views[j].toarray())
+        for j in range(len(ops.modes2.views))
     )
     C1 = np.kron(ops.W, ops.C1.toarray())
     C2 = np.kron(ops.W, ops.C2.toarray())

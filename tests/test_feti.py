@@ -45,8 +45,8 @@ def dense_blockC(W, C):
 
 def dense_saddle(ops):
     """Oracle: assemble and solve the full block saddle system densely."""
-    K1 = dense_blockK(ops.H1, ops.K1_modes)
-    K2 = dense_blockK(ops.H2, ops.K2_modes)
+    K1 = dense_blockK(ops.H1, ops.modes1.views)
+    K2 = dense_blockK(ops.H2, ops.modes2.views)
     C1 = dense_blockC(ops.W, ops.C1)
     C2 = dense_blockC(ops.W, ops.C2)
     n1, n2 = K1.shape[0], K2.shape[0]
@@ -117,7 +117,7 @@ def test_weights_match_quadrature_oracle():
 
 def test_block_symmetry():
     _, ops, _ = lshape_ops(rank=3, seed=5)
-    K1 = dense_blockK(ops.H1, ops.K1_modes)
+    K1 = dense_blockK(ops.H1, ops.modes1.views)
     np.testing.assert_allclose(K1, K1.T, atol=1e-12 * np.abs(K1).max())
 
 
@@ -137,14 +137,14 @@ def test_K1_inverse_dense_oracle():
     _, ops, _ = lshape_ops(rank=2, seed=8)
     rng = np.random.default_rng(8)
     b = rng.standard_normal((2, ops.M1))
-    dense = np.linalg.solve(dense_blockK(ops.H1, ops.K1_modes), b.ravel())
+    dense = np.linalg.solve(dense_blockK(ops.H1, ops.modes1.views), b.ravel())
     y = feti.apply_K1_inverse(ops, b)
     np.testing.assert_allclose(y.ravel(), dense, atol=1e-9 * np.abs(dense).max())
 
 
 def test_K2_null_space_annihilated():
     _, ops, _ = beam_ops(rank=2, seed=9)
-    K2 = dense_blockK(ops.H2, ops.K2_modes)
+    K2 = dense_blockK(ops.H2, ops.modes2.views)
     R2hat = np.kron(np.eye(2), ops.R2)
     norm = np.abs(K2).max()
     assert np.abs(K2 @ R2hat).max() < 1e-10 * norm
@@ -158,7 +158,7 @@ def test_K2_pseudoinverse_definition_and_svd_oracle():
     resid = ops.apply_K2(y) - b
     assert np.abs(resid).max() < 1e-9 * np.abs(b).max()
     assert np.abs(y @ ops.R2).max() < 1e-9 * np.abs(y).max()
-    K2 = dense_blockK(ops.H2, ops.K2_modes)
+    K2 = dense_blockK(ops.H2, ops.modes2.views)
     y_svd = (np.linalg.pinv(K2, rcond=1e-10) @ b.ravel()).reshape(2, -1)
     np.testing.assert_allclose(y, y_svd, atol=1e-8 * np.abs(y_svd).max())
 

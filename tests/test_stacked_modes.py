@@ -1,0 +1,212 @@
+"""Stacked stiffness modes against per-mode references.
+
+Every operator built from a sub-domain's ``ModeStack`` (one pattern, one
+(J, nnz) data array) is checked against the same operator built mode by
+mode from separately assembled CSR matrices: the modes themselves, the
+Kronecker sums sum_j H_j (x) K_j, the block-Jacobi diagonal blocks, the
+energy, the interface preconditioner, the merged monolithic modes and the
+Monte-Carlo oracle. Both desk problems are covered; the beam's second sub-domain floats.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from sepfeti import arr, fem2d, feti, pc_basis, problems, reference
+
+PROFILES = ["lshape-desk", "beam-desk"]
+
+
+@pytest.fixture(scope="module", params=PROFILES)
+def problem(request):
+    return problems.build_from_config(problems.profile_config(request.param))
+
+
+def per_mode_assembly(prob, side):
+    """Reduced stiffness modes assembled one by one, as CSR matrices."""
+    full = prob.sub_full[side]
+    modes = problems._assemble_modes(
+        full.mesh, prob.fields[side], prob.kind, prob.config["field"]["nu"]
+    )
+    keep = prob.sub[side].free_dofs
+    return [K[keep][:, keep].tocsr() for K in modes]
+
+
+def random_ops(prob, rank, seed):
+    rng = np.random.default_rng(seed)
+    phi1 = rng.standard_normal((rank, len(prob.idx_solution[0])))
+    phi2 = rng.standard_normal((rank, len(prob.idx_solution[1])))
+    return feti.build_block_operators(prob, phi1, phi2)
+
+
+def kron_reference(H, modes):
+    return sum(sp.kron(sp.csr_matrix(H[j]), K) for j, K in enumerate(modes))
+
+
+def rel_diff(A, B) -> float:
+    A, B = np.asarray(A), np.asarray(B)
+    return float(np.abs(A - B).max() / np.abs(B).max())
+
+
+def test_stacked_views_equal_per_mode_assembly(problem):
+    for side in range(2):
+        sub = problem.sub[side]
+        expected = per_mode_assembly(problem, side)
+        assert len(sub.K_modes) == len(expected)
+        for K, ref in zip(sub.K_modes, expected):
+            np.testing.assert_array_equal(K.toarray(), ref.toarray())
+            assert np.shares_memory(K.data, sub.modes.data)
+
+
+def test_mode_stack_rejects_mismatched_patterns():
+    A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="pattern"):
+        fem2d.ModeStack.from_modes([A, B])
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_kron_sum_equals_kronecker_reference(problem, rank):
+    ops = random_ops(problem, rank, seed=rank)
+    for Khat, H, side in ((ops.K1hat, ops.H1, 0), (ops.K2hat, ops.H2, 1)):
+        ref = kron_reference(H, per_mode_assembly(problem, side))
+        assert Khat.has_canonical_format
+        assert rel_diff(Khat.toarray(), ref.toarray()) < 1e-13
+
+
+def test_jacobi_blocks_equal_per_mode_sums(problem):
+    ops = random_ops(problem, 3, seed=7)
+    rng = np.random.default_rng(7)
+    sides = ((ops.modes1, ops.V1, ops.H1, 0), (ops.modes2, ops.V2, ops.H2, 1))
+    for modes, V, H, side in sides:
+        per_mode = per_mode_assembly(problem, side)
+        for l in range(3):
+            ref = sum(H[j, l, l] * K for j, K in enumerate(per_mode))
+            assert rel_diff(modes.matrix(V[l, l]).toarray(), ref.toarray()) < 1e-13
+    for l, lu in enumerate(ops.jacobi1):
+        ref = sum(ops.H1[j, l, l] * K for j, K in enumerate(per_mode_assembly(problem, 0)))
+        b = rng.standard_normal(ops.M1)
+        x_ref = np.linalg.solve(ref.toarray(), b)
+        assert rel_diff(lu.solve(b), x_ref) < 1e-10
+
+
+def test_interface_blocks_equal_per_mode_triple_products(problem):
+    ops = random_ops(problem, 2, seed=11)
+    for modes, C, side in ((ops.modes1, ops.C1, 0), (ops.modes2, ops.C2, 1)):
+        per_mode = per_mode_assembly(problem, side)
+        for sign in (1.0, -1.0):
+            KI = feti._interface_modes(modes, sign * C)
+            for got, K in zip(KI.views, per_mode):
+                ref = (sign * C).T @ K @ (sign * C)
+                np.testing.assert_allclose(got.toarray(), ref.toarray(), rtol=0, atol=0)
+
+
+def test_energy_quadratic_form_equals_assembled_blocks(problem):
+    ops = random_ops(problem, 3, seed=17)
+    rng = np.random.default_rng(17)
+    sol = arr.SeparatedSolution(
+        u1=rng.standard_normal((3, ops.M1)),
+        u2=rng.standard_normal((3, ops.M2)),
+        lam=np.zeros((3, ops.M_I)),
+        phi1=np.zeros((3, len(problem.idx_solution[0]))),
+        phi2=np.zeros((3, len(problem.idx_solution[1]))),
+    )
+    quad = 0.0
+    for U, H, side in ((sol.u1, ops.H1, 0), (sol.u2, ops.H2, 1)):
+        K = kron_reference(H, per_mode_assembly(problem, side))
+        quad += U.ravel() @ (K @ U.ravel())
+    loads = ops.fw @ (sol.u1 @ ops.f1) + ops.fw @ (sol.u2 @ ops.f2)
+    assert arr.energy(problem, sol, ops=ops) == pytest.approx(0.5 * quad - loads, rel=1e-12)
+
+
+def test_preconditioner_equals_per_mode_reference(problem):
+    ops = random_ops(problem, 3, seed=13)
+    Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
+    terms = []
+    for H, C, side in ((ops.H1, ops.C1, 0), (ops.H2, ops.C2, 1)):
+        A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
+        KI = np.stack([(C.T @ K @ C).toarray() for K in per_mode_assembly(problem, side)])
+        terms.append((A, KI))
+
+    def reference_apply(lam):
+        A = Winv2 @ lam
+        B = sum(np.einsum("jlk,km,jmn->ln", Aj, A, KI) for Aj, KI in terms)
+        return Winv2 @ B
+
+    precond = feti.build_preconditioner(ops)
+    lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
+    assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12
+
+
+def test_merged_modes_equal_scattered_sub_domain_modes(problem):
+    mono = problems.as_monolithic(problem)
+    n = mono.n_free
+    restrict = (mono.restrict1, mono.restrict2)
+
+    def scatter(K, side):
+        K = K.tocoo()
+        pos = restrict[side]
+        return sp.csr_matrix((K.data, (pos[K.row], pos[K.col])), shape=(n, n))
+
+    K1, K2 = (per_mode_assembly(problem, side) for side in range(2))
+    expected = [scatter(K1[0], 0) + scatter(K2[0], 1)]
+    expected += [scatter(K, 0) for K in K1[1:]]
+    expected += [scatter(K, 1) for K in K2[1:]]
+    assert len(mono.K_modes) == len(expected)
+    for got, ref in zip(mono.K_modes, expected):
+        np.testing.assert_array_equal(got.toarray(), ref.toarray())
+
+
+def test_monte_carlo_matches_per_sample_solves(problem):
+    n_samples, seed = 6, 5
+    acc = reference.monte_carlo_reference(problem, n_samples, seed=seed)
+    mono = problems.as_monolithic(problem)
+    d1 = problem.fields[0].n_dims
+    d = mono.d1 + mono.d2
+    rng = np.random.default_rng(seed)
+    if problem.family_kind == pc_basis.LEGENDRE:
+        xi = rng.uniform(-1.0, 1.0, (n_samples, d))
+    else:
+        xi = rng.standard_normal((n_samples, d))
+    fam = pc_basis.family(problem.family_kind)
+    psi = [
+        pc_basis.eval_multivariate_batch(fam, problem.fields[0].idx_set, xi[:, :d1]),
+        pc_basis.eval_multivariate_batch(fam, problem.fields[1].idx_set, xi[:, d1:]),
+    ]
+    n = mono.n_free
+    restrict = (mono.restrict1, mono.restrict2)
+    solutions = []
+    for s in range(n_samples):
+        A = sp.csr_matrix((n, n))
+        for side in range(2):
+            K = sum(w * K for w, K in zip(psi[side][s], problem.sub[side].K_modes))
+            P = sp.csr_matrix(
+                (np.ones(K.shape[0]), (restrict[side], np.arange(K.shape[0]))),
+                shape=(n, K.shape[0]),
+            )
+            A = A + P @ K @ P.T
+        solutions.append(spla.spsolve(A.tocsc(), mono.f))
+    U = np.array(solutions)
+    assert rel_diff(acc.mean, U.mean(axis=0)) < 1e-12
+    assert rel_diff(acc.std, U.std(axis=0)) < 1e-12
+
+
+def test_direct_saddle_solve_rejects_zero_factor():
+    prob = problems.build_from_config(problems.profile_config("lshape-desk"))
+    rng = np.random.default_rng(3)
+    phi1 = rng.standard_normal((2, len(prob.idx_solution[0])))
+    phi2 = rng.standard_normal((2, len(prob.idx_solution[1])))
+    phi1[1] = 0.0
+    ops = feti.build_block_operators(prob, phi1, phi2)
+    with pytest.raises(feti.SolverError, match="singular"):
+        feti.direct_saddle_solve(ops)
+
+
+def test_factor_solve_rejects_non_finite_solution():
+    A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(feti.SolverError, match="non-finite"):
+        feti.factor_solve(A, np.array([1.0, np.nan]), "test system")
