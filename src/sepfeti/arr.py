@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .fem2d import ModeStack
 from .feti import (
     SolverError,
     build_block_operators,
@@ -256,12 +257,20 @@ def deterministic_update(
     )
 
 
+def _quadratic_forms(modes: ModeStack, U: np.ndarray) -> np.ndarray:
+    """Q[j, l, m] = U[l] . K_j U[m] for every mode, as one product of the
+    stacked mode values with the entrywise factor products."""
+    r = U.shape[0]
+    pairs = U[:, modes.rows][:, None, :] * U[None, :, modes.indices]
+    return (pairs.reshape(r * r, -1) @ modes.data.T).T.reshape(-1, r, r)
+
+
 def _factor_update(
-    K_own: list,
+    modes_own: ModeStack,
     U_own: np.ndarray,
     G_own: np.ndarray,
     f_own: np.ndarray,
-    K_other: list,
+    modes_other: ModeStack,
     U_other: np.ndarray,
     G_other: np.ndarray,
     phi_other: np.ndarray,
@@ -277,16 +286,19 @@ def _factor_update(
     vanishes identically in the unknowns.
     """
     r = U_own.shape[0]
-    P = G_own.shape[1]
-    Q_own = np.stack([U_own @ (K @ U_own.T) for K in K_own])
-    Q_other = np.stack([U_other @ (K @ U_other.T) for K in K_other])
+    J, P, _ = G_own.shape
+    Q_own = _quadratic_forms(modes_own, U_own)
+    Q_other = _quadratic_forms(modes_other, U_other)
     T_other = mode_weights(phi_other, G_other)
     gram_other = phi_other @ phi_other.T
     S = np.einsum("jlm,jlm->lm", Q_other, T_other)
-    A = np.einsum("jlm,jab->lamb", Q_own * gram_other[None, :, :], G_own)
+    # A[l, m, a, b] = sum_j Q_own[j, l, m] gram_other[l, m] G_own[j, a, b]
+    A = ((Q_own * gram_other).reshape(J, r * r).T @ G_own.reshape(J, P * P)).reshape(
+        r, r, P, P
+    )
     diag = np.arange(P)
-    A[:, diag, :, diag] += S
-    A = A.reshape(r * P, r * P)
+    A[:, :, diag, diag] += S[:, :, None]
+    A = A.transpose(0, 2, 1, 3).reshape(r * P, r * P)
     b = np.zeros((r, P))
     b[:, 0] = (U_own @ f_own + U_other @ f_other) * phi_other[:, 0]
     try:
@@ -309,8 +321,8 @@ def stochastic_update_phi1(
         g_modes = galerkin_mode_matrices(problem)
     s1, s2 = problem.sub
     return _factor_update(
-        s1.K_modes, solution.u1, g_modes[0], s1.f,
-        s2.K_modes, solution.u2, g_modes[1], solution.phi2, s2.f,
+        s1.modes, solution.u1, g_modes[0], s1.f,
+        s2.modes, solution.u2, g_modes[1], solution.phi2, s2.f,
     )
 
 
@@ -324,8 +336,8 @@ def stochastic_update_phi2(
         g_modes = galerkin_mode_matrices(problem)
     s1, s2 = problem.sub
     return _factor_update(
-        s2.K_modes, solution.u2, g_modes[1], s2.f,
-        s1.K_modes, solution.u1, g_modes[0], solution.phi1, s1.f,
+        s2.modes, solution.u2, g_modes[1], s2.f,
+        s1.modes, solution.u1, g_modes[0], solution.phi1, s1.f,
     )
 
 
@@ -428,15 +440,13 @@ def residual_norm(
         KU = np.stack([np.asarray((K @ U.T).T) for K in sub.K_modes])
         J, r, M = KU.shape
         KU = KU.reshape(J * r, M)
-        Psi = eval_multivariate_batch(fam, problem.fields[i].idx_set, xi[i])
-        react = signs[i] * (sub.C @ lam_vals.T).T
         sq = np.empty(n)
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
-            Z = (Psi[start:stop, :, None] * c[start:stop, None, :]).reshape(
-                stop - start, J * r
-            )
-            R = sub.f[None, :] + react[start:stop] - Z @ KU
+            Psi = eval_multivariate_batch(fam, problem.fields[i].idx_set, xi[i][start:stop])
+            Z = (Psi[:, :, None] * c[start:stop, None, :]).reshape(stop - start, J * r)
+            react = signs[i] * (sub.C @ lam_vals[start:stop].T).T
+            R = sub.f[None, :] + react - Z @ KU
             sq[start:stop] = np.einsum("nm,nm->n", R, R)
         m = float(sq.mean())
         if m == 0.0:

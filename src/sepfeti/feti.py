@@ -10,9 +10,8 @@ Each sub-domain stores its modes once, as a (J, nnz) data array on one
 sparsity pattern (``fem2d.ModeStack``), so the values of all blocks of
 ``Khat_i`` come from one (r*r, J) x (J, nnz) product (``block_values``) and
 ``kron_sum`` arranges them as one CSR matrix. The block operators apply it
-with one sparse product; the block-Jacobi diagonal blocks, the interface
-preconditioner, the energy and the direct saddle solve use the same
-values. The interface problem
+with one sparse product; the interface preconditioner, the energy and the
+direct saddle solve use the same values. The interface problem
 
     [ F_I      -R2I ] [lambda]   [ d]
     [ -R2I^T     0  ] [alpha ] = [-e]
@@ -23,6 +22,13 @@ factors follow by back-substitution
 
     u1 = Khat_1^{-1}(f1 + Chat_1 lambda),
     u2 = Khat_2^{+}(f2 - Chat_2 lambda) + R2hat alpha.
+
+As in classical FETI, the local solves use sub-domain factorizations
+computed once per deterministic update: ``Khat_1`` and ``Khat_2``, the latter
+with its rigid-body dofs pinned when sub-domain 2 floats (a generalized
+inverse; projecting its solutions onto the complement of R2hat = I (x) R2
+gives the pseudo-inverse), so that every interface iteration applies F_I
+with triangular solves.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem2d import ModeStack
-from .pc_basis import family, triple_moment_matrix, univariate_triple_tensor
+from .pc_basis import family, triple_moment_stack
 from .problems import CoupledProblem
 
 
@@ -78,18 +84,27 @@ def mode_weights(phi: np.ndarray, G: np.ndarray) -> np.ndarray:
     return phi @ (G.reshape(J * P, P) @ phi.T).reshape(J, P, phi.shape[0])
 
 
-def factor_solve(A: sp.spmatrix, b: np.ndarray, what: str) -> np.ndarray:
-    """Sparse LU solve of a structurally symmetric system (saddle systems
-    included), with an ordering of A + A^T; a singular factor or a
-    non-finite solution raises ``SolverError``."""
+def factorize(A: sp.spmatrix, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Sparse LU factor of a structurally symmetric system (saddle systems
+    included), with an ordering of A + A^T, returned as its solve; a
+    singular factor or a non-finite solution raises ``SolverError``."""
     try:
         lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:
         raise SolverError(f"{what} is singular: {err}") from err
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError(f"{what} has a non-finite solution (singular system)")
-    return x
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"{what} has a non-finite solution (singular system)")
+        return x
+
+    return solve
+
+
+def factor_solve(A: sp.spmatrix, b: np.ndarray, what: str) -> np.ndarray:
+    """One solve with ``factorize``."""
+    return factorize(A, what)(b)
 
 
 def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -100,19 +115,11 @@ def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndar
     the solution index set of the same germ.
     """
     fam = family(problem.family_kind)
-    out = []
-    for side in range(2):
-        idx_sol = problem.idx_solution[side]
-        idx_field = problem.fields[side].idx_set
-        tensor = univariate_triple_tensor(fam, idx_field.p, idx_sol.p, idx_sol.p)
-        G = np.stack(
-            [
-                triple_moment_matrix(tensor, row, idx_sol)
-                for row in idx_field.indices
-            ]
-        )
-        out.append(G)
-    return out[0], out[1]
+    G1, G2 = (
+        triple_moment_stack(fam, fld.idx_set.indices, idx)
+        for fld, idx in zip(problem.fields, problem.idx_solution)
+    )
+    return G1, G2
 
 
 @dataclass
@@ -121,8 +128,8 @@ class BlockOperators:
 
     ``H1[j]``/``H2[j]`` are the (r, r) expectation weights of stiffness mode
     j; ``W`` weights the coupling blocks; ``fw`` weights the load. The
-    block values ``V1``/``V2`` and the assembled ``K1hat``/``K2hat`` are
-    built on first use.
+    block values ``V1``/``V2``, the assembled ``K1hat``/``K2hat`` and their
+    factorizations are built on first use.
     """
 
     rank: int
@@ -203,18 +210,30 @@ class BlockOperators:
         return U - (U @ self.R2) @ self.R2.T
 
     @cached_property
-    def jacobi1(self) -> list:
-        return [spla.splu(self.modes1.matrix(v).tocsc()) for v in self.V1.diagonal().T]
+    def K1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        return factorize(self.K1hat, "first-block operator")
 
     @cached_property
-    def jacobi2(self) -> list:
-        """Diagonal-block solvers; floating blocks are bordered by R2 so the
-        factorization stays nonsingular and acts as the block pseudo-inverse."""
-        blocks = [self.modes2.matrix(v) for v in self.V2.diagonal().T]
+    def K2_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Solve with Khat_2, or with a generalized inverse of it when the
+        side floats: in every block, the dofs on which R2 is best
+        conditioned are pinned to zero. Khat_2 without the pinned dofs is
+        nonsingular, and its solution, zero at the pins, satisfies
+        Khat_2 x = b for every b in the range of Khat_2. Bordering Khat_2
+        with I (x) R2 instead would add dense columns to the factor."""
         if self.R2 is None:
-            return [spla.splu(D.tocsc()) for D in blocks]
-        R2 = sp.csc_matrix(self.R2)
-        return [spla.splu(sp.bmat([[D, R2], [R2.T, None]], format="csc")) for D in blocks]
+            return factorize(self.K2hat, "second-block operator")
+        pins = scipy.linalg.qr(self.R2.T, pivoting=True)[2][: self.R2.shape[1]]
+        free = np.setdiff1d(np.arange(self.M2), pins)
+        keep = (np.arange(self.rank)[:, None] * self.M2 + free).ravel()
+        solve = factorize(self.K2hat[keep][:, keep], "pinned second-block operator")
+
+        def pinned(b: np.ndarray) -> np.ndarray:
+            x = np.zeros_like(b)
+            x[keep] = solve(b[keep])
+            return x
+
+        return pinned
 
 
 def build_block_operators(
@@ -262,79 +281,13 @@ def build_block_operators(
     )
 
 
-def _pcg(
-    apply_A: Callable[[np.ndarray], np.ndarray],
-    B: np.ndarray,
-    apply_M: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    max_iter: int,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-    what: str = "block solve",
-) -> np.ndarray:
-    """Preconditioned CG on block vectors, optionally inside a subspace."""
-    bnorm = np.linalg.norm(B)
-    if bnorm == 0.0:
-        return np.zeros_like(B)
-    X = np.zeros_like(B)
-    R = B.copy()
-    if project is not None:
-        R = project(R)
-    Z = apply_M(R)
-    if project is not None:
-        Z = project(Z)
-    P = Z.copy()
-    rz = float((R * Z).sum())
-    for _ in range(max_iter):
-        rel = np.linalg.norm(R) / bnorm
-        if rel < tol:
-            return X
-        Q = apply_A(P)
-        denom = float((P * Q).sum())
-        if denom <= 0.0:
-            raise SolverError(
-                f"{what}: conjugate gradient broke down "
-                f"(curvature {denom:.3e}, residual {rel:.3e})"
-            )
-        a = rz / denom
-        X += a * P
-        R -= a * Q
-        if project is not None:
-            R = project(R)
-        Z = apply_M(R)
-        if project is not None:
-            Z = project(Z)
-        rz_new = float((R * Z).sum())
-        P = Z + (rz_new / rz) * P
-        rz = rz_new
-    rel = np.linalg.norm(R) / bnorm
-    if rel < tol:
-        return X
-    raise SolverError(
-        f"{what}: no convergence in {max_iter} iterations "
-        f"(relative residual {rel:.3e}, target {tol:.1e})"
-    )
-
-
-def apply_K1_inverse(
-    ops: BlockOperators, B: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
-) -> np.ndarray:
-    """Solve Khat_1 X = B by CG with a block-Jacobi (diagonal-block) preconditioner."""
-    solvers = ops.jacobi1
-
-    def precond(R: np.ndarray) -> np.ndarray:
-        return np.stack([solvers[l].solve(R[l]) for l in range(ops.rank)])
-
-    if max_iter is None:
-        max_iter = 200 * ops.rank + 200
-    return _pcg(ops.apply_K1, B, precond, tol, max_iter, what="first-block inverse")
+def apply_K1_inverse(ops: BlockOperators, B: np.ndarray) -> np.ndarray:
+    """Solve Khat_1 X = B with the cached factorization."""
+    return ops.K1_solve(B.ravel()).reshape(B.shape)
 
 
 def apply_K2_pseudoinverse(
-    ops: BlockOperators,
-    B: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-    check: bool = True,
+    ops: BlockOperators, B: np.ndarray, check: bool = True
 ) -> np.ndarray:
     """Particular solution of Khat_2 Y = B with no rigid-body content.
 
@@ -350,20 +303,7 @@ def apply_K2_pseudoinverse(
                 f"|R2hat^T b| = {defect:.3e} violates the solvability condition"
             )
         B = ops.project_null2(B)
-    solvers = ops.jacobi2
-    pad = np.zeros(ops.R2.shape[1] if ops.floating else 0)
-
-    def precond(R: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [lu.solve(np.concatenate([row, pad]))[: ops.M2] for row, lu in zip(R, solvers)]
-        )
-
-    if max_iter is None:
-        max_iter = 200 * ops.rank + 200
-    project = ops.project_null2 if ops.floating else None
-    return _pcg(
-        ops.apply_K2, B, precond, tol, max_iter, project, "second-block pseudo-inverse"
-    )
+    return ops.project_null2(ops.K2_solve(B.ravel()).reshape(B.shape))
 
 
 @dataclass
@@ -398,7 +338,6 @@ class InterfaceProblem:
     ops: BlockOperators
     null: NullSpaceBlocks | None
     precond: Callable[[np.ndarray], np.ndarray]
-    cg_tol: float
     d: np.ndarray = field(init=False)
     e: np.ndarray | None = field(init=False)
     _SR: tuple | None = field(init=False, default=None, repr=False)
@@ -416,8 +355,8 @@ class InterfaceProblem:
             self.e = ops.fhat2 @ self.null.R2
         else:
             self.e = None
-        y2 = apply_K2_pseudoinverse(ops, ops.fhat2, tol=self.cg_tol, check=False)
-        y1 = apply_K1_inverse(ops, ops.fhat1, tol=self.cg_tol)
+        y2 = apply_K2_pseudoinverse(ops, ops.fhat2, check=False)
+        y1 = apply_K1_inverse(ops, ops.fhat1)
         self.d = ops.apply_C2T(y2) - ops.apply_C1T(y1)
 
     def _solve_SR(self, A: np.ndarray) -> np.ndarray:
@@ -425,8 +364,8 @@ class InterfaceProblem:
 
     def apply_F(self, lam: np.ndarray) -> np.ndarray:
         ops = self.ops
-        y1 = apply_K1_inverse(ops, ops.apply_C1(lam), tol=self.cg_tol)
-        y2 = apply_K2_pseudoinverse(ops, ops.apply_C2(lam), tol=self.cg_tol, check=False)
+        y1 = apply_K1_inverse(ops, ops.apply_C1(lam))
+        y2 = apply_K2_pseudoinverse(ops, ops.apply_C2(lam), check=False)
         return ops.apply_C1T(y1) + ops.apply_C2T(y2)
 
     def apply_P(self, lam: np.ndarray) -> np.ndarray:
@@ -490,7 +429,7 @@ def build_preconditioner(
 
 
 def build_interface_problem(
-    ops: BlockOperators, preconditioner: str = "stiffness", cg_tol: float = 1e-12
+    ops: BlockOperators, preconditioner: str = "stiffness"
 ) -> InterfaceProblem:
     null = (
         NullSpaceBlocks(R2=ops.R2, C2I=(ops.C2.T @ ops.R2)) if ops.floating else None
@@ -499,7 +438,6 @@ def build_interface_problem(
         ops=ops,
         null=null,
         precond=build_preconditioner(ops, preconditioner),
-        cg_tol=cg_tol,
     )
 
 
@@ -556,10 +494,8 @@ def recover_primal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Back-substitute the converged multiplier into the primal factors."""
     ops = ip.ops
-    u1 = apply_K1_inverse(ops, ops.fhat1 + ops.apply_C1(lam), tol=ip.cg_tol)
-    u2 = apply_K2_pseudoinverse(
-        ops, ops.fhat2 - ops.apply_C2(lam), tol=ip.cg_tol, check=False
-    )
+    u1 = apply_K1_inverse(ops, ops.fhat1 + ops.apply_C1(lam))
+    u2 = apply_K2_pseudoinverse(ops, ops.fhat2 - ops.apply_C2(lam), check=False)
     alpha = ip.alpha_from(lam)
     if ops.floating:
         u2 = u2 + alpha @ ops.R2.T

@@ -196,22 +196,35 @@ def univariate_triple_tensor(
     return TripleTensor(family=fam, values=values)
 
 
-def triple_moment_matrix(
-    tensor: TripleTensor, idx_mode: np.ndarray, idx_set: MultiIndexSet
-) -> np.ndarray:
-    """Matrix G_j with G_j[a, b] = E[psi_j psi_a psi_b] over one index set.
+# entries of one gathered (rows, P, P) chunk of a triple-moment stack
+_GATHER_ENTRIES = 1 << 18
 
-    This is the Galerkin building block: for a coefficient-field mode j of
-    degree up to 2p it couples all pairs of order-p basis functions.
+
+def triple_moment_stack(
+    fam: OrthoPolyFamily, idx_modes: np.ndarray, idx_set: MultiIndexSet
+) -> np.ndarray:
+    """Matrices G[j][a, b] = E[psi_{m_j} psi_a psi_b] over one index set.
+
+    Row m_j of ``idx_modes`` is a coefficient-field multi-index of total
+    degree up to twice the order of ``idx_set``: the Galerkin building
+    blocks that couple all pairs of basis functions. The (J, P, P) result is
+    filled in place, a chunk of rows at a time, as a product of one gather
+    per dimension from the univariate triple tensor.
     """
-    idx_mode = np.asarray(idx_mode, dtype=np.intp)
-    if idx_mode.shape != (idx_set.d,):
+    idx_modes = np.asarray(idx_modes, dtype=np.intp)
+    if idx_modes.ndim != 2 or idx_modes.shape[1] != idx_set.d:
         raise ValueError("mode index dimension mismatch")
-    A, B, C = tensor.caps
-    if idx_mode.max(initial=0) > A or idx_set.p > min(B, C):
-        raise SizeError("requested degrees exceed triple tensor caps")
-    out = np.ones((len(idx_set), len(idx_set)))
-    cols = idx_set.indices
-    for k in range(idx_set.d):
-        out *= tensor.values[idx_mode[k]][np.ix_(cols[:, k], cols[:, k])]
+    p_modes = int(idx_modes.sum(axis=1).max(initial=0))
+    tensor = univariate_triple_tensor(fam, p_modes, idx_set.p, idx_set.p).values
+    P = len(idx_set)
+    # per dimension, the tensor slices on the basis pairs: (p_modes + 1, P, P)
+    pairs = [tensor[:, c][:, :, c] for c in idx_set.indices.T]
+    out = np.empty((idx_modes.shape[0], P, P))
+    step = max(1, _GATHER_ENTRIES // (P * P))
+    for start in range(0, out.shape[0], step):
+        rows = idx_modes[start : start + step]
+        block = out[start : start + step]
+        np.take(pairs[0], rows[:, 0], axis=0, out=block)
+        for k in range(1, idx_set.d):
+            block *= pairs[k][rows[:, k]]
     return out

@@ -12,20 +12,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .feti import SolverError, _pcg, block_values, factor_solve, kron_sum
+from .feti import SolverError, block_values, factor_solve, kron_sum
 from .pc_basis import (
     LEGENDRE,
     MultiIndexSet,
     build_index_set,
     eval_multivariate_batch,
     family,
-    triple_moment_matrix,
-    univariate_triple_tensor,
+    triple_moment_stack,
 )
 from .problems import ConfigError, CoupledProblem, as_monolithic
 
@@ -89,14 +89,47 @@ class CoupledSGSolution:
     lam: np.ndarray
 
 
-def _combined_weights(
-    fam, field_rows: np.ndarray, idx_set: MultiIndexSet
+def _pcg(
+    apply_A: Callable[[np.ndarray], np.ndarray],
+    B: np.ndarray,
+    apply_M: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int,
+    what: str,
 ) -> np.ndarray:
-    """Stack of G_j[a, b] = E[psi_j psi_a psi_b] over combined multi-indices."""
-    field_p = int(field_rows.sum(axis=1).max(initial=0))
-    tensor = univariate_triple_tensor(fam, field_p, idx_set.p, idx_set.p)
-    return np.stack(
-        [triple_moment_matrix(tensor, row, idx_set) for row in field_rows]
+    """Preconditioned CG on block vectors."""
+    bnorm = np.linalg.norm(B)
+    if bnorm == 0.0:
+        return np.zeros_like(B)
+    X = np.zeros_like(B)
+    R = B.copy()
+    Z = apply_M(R)
+    P = Z.copy()
+    rz = float((R * Z).sum())
+    for _ in range(max_iter):
+        rel = np.linalg.norm(R) / bnorm
+        if rel < tol:
+            return X
+        Q = apply_A(P)
+        denom = float((P * Q).sum())
+        if denom <= 0.0:
+            raise SolverError(
+                f"{what}: conjugate gradient broke down "
+                f"(curvature {denom:.3e}, residual {rel:.3e})"
+            )
+        a = rz / denom
+        X += a * P
+        R -= a * Q
+        Z = apply_M(R)
+        rz_new = float((R * Z).sum())
+        P = Z + (rz_new / rz) * P
+        rz = rz_new
+    rel = np.linalg.norm(R) / bnorm
+    if rel < tol:
+        return X
+    raise SolverError(
+        f"{what}: no convergence in {max_iter} iterations "
+        f"(relative residual {rel:.3e}, target {tol:.1e})"
     )
 
 
@@ -144,7 +177,7 @@ def solve_monolithic_sg(
     idx = build_index_set(mono.d1 + mono.d2, p)
     _guard(mono.n_free * len(idx), mono.n_free, len(idx))
     fam = family(mono.family_kind)
-    G = _combined_weights(fam, mono.field_indices, idx)
+    G = triple_moment_stack(fam, mono.field_indices, idx)
     coeffs = _sg_solve_core(mono.modes, G, mono.f)
     return MonolithicSGSolution(idx_set=idx, coeffs=coeffs)
 
@@ -171,8 +204,8 @@ def solve_coupled_sg(
     d1 = problem.fields[0].n_dims
     rows1 = np.pad(problem.fields[0].idx_set.indices, ((0, 0), (0, d - d1)))
     rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
-    G1 = _combined_weights(fam, rows1, idx)
-    G2 = _combined_weights(fam, rows2, idx)
+    G1 = triple_moment_stack(fam, rows1, idx)
+    G2 = triple_moment_stack(fam, rows2, idx)
     B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
     B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
     A11 = kron_sum(s1.modes, block_values(s1.modes, G1))

@@ -219,13 +219,29 @@ def test_triple_moment_matrix_matches_elementwise():
     idx = pcb.build_index_set(2, 2)
     tensor = pcb.univariate_triple_tensor(fam, 4, 2, 2)
     j = np.array([2, 1])
-    mat = pcb.triple_moment_matrix(tensor, j, idx)
+    mat = pcb.triple_moment_stack(fam, j[None], idx)[0]
     for a in range(len(idx)):
         for b in range(len(idx)):
             expected = oracles.multivariate_triple_moment(
                 j, idx.indices[a], idx.indices[b], tensor
             )
             assert mat[a, b] == pytest.approx(expected, abs=1e-13)
+
+
+def test_triple_moment_stack_chunks_equal_one_gather(monkeypatch):
+    fam = pcb.LEGENDRE_UNIFORM
+    idx = pcb.build_index_set(3, 2)
+    modes = pcb.build_index_set(3, 4).indices
+    whole = pcb.triple_moment_stack(fam, modes, idx)
+    monkeypatch.setattr(pcb, "_GATHER_ENTRIES", 3 * len(idx) ** 2)
+    chunked = pcb.triple_moment_stack(fam, modes, idx)
+    np.testing.assert_array_equal(chunked, whole)
+    tensor = pcb.univariate_triple_tensor(fam, 4, 2, 2).values
+    for j, m in enumerate(modes):
+        expected = np.ones((len(idx), len(idx)))
+        for k, c in enumerate(idx.indices.T):
+            expected *= tensor[m[k]][np.ix_(c, c)]
+        np.testing.assert_array_equal(whole[j], expected)
 
 
 # ---------------------------------------------------------------------------

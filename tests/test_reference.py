@@ -28,10 +28,7 @@ def test_sg_core_matches_dense_kronecker():
     K1 = sp.csr_matrix(0.3 * np.array([[1.0, 0.2], [0.2, 1.0]]))
     f = np.array([1.0, 2.0])
     rows = np.array([[0], [1]])
-    tensor = pc_basis.univariate_triple_tensor(fam, 1, 3, 3)
-    G = np.stack(
-        [pc_basis.triple_moment_matrix(tensor, row, idx) for row in rows]
-    )
+    G = pc_basis.triple_moment_stack(fam, rows, idx)
     dense = np.kron(G[0], K0.toarray()) + np.kron(G[1], K1.toarray())
     b = np.zeros(2 * len(idx))
     b[:2] = f

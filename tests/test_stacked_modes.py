@@ -3,9 +3,10 @@
 Every operator built from a sub-domain's ``ModeStack`` (one pattern, one
 (J, nnz) data array) is checked against the same operator built mode by
 mode from separately assembled CSR matrices: the modes themselves, the
-Kronecker sums sum_j H_j (x) K_j, the block-Jacobi diagonal blocks, the
-energy, the interface preconditioner, the merged monolithic modes and the
-Monte-Carlo oracle. Both desk problems are covered; the beam's second sub-domain floats.
+Kronecker sums sum_j H_j (x) K_j, the factored local solves, the energy,
+the stochastic-factor updates, the interface preconditioner, the merged
+monolithic modes and the Monte-Carlo oracle. Both desk problems are
+covered; the beam's second sub-domain floats.
 """
 
 from __future__ import annotations
@@ -78,20 +79,40 @@ def test_kron_sum_equals_kronecker_reference(problem, rank):
         assert rel_diff(Khat.toarray(), ref.toarray()) < 1e-13
 
 
-def test_jacobi_blocks_equal_per_mode_sums(problem):
+def test_factored_local_solves_equal_dense_kronecker_solves(problem):
     ops = random_ops(problem, 3, seed=7)
     rng = np.random.default_rng(7)
-    sides = ((ops.modes1, ops.V1, ops.H1, 0), (ops.modes2, ops.V2, ops.H2, 1))
-    for modes, V, H, side in sides:
-        per_mode = per_mode_assembly(problem, side)
-        for l in range(3):
-            ref = sum(H[j, l, l] * K for j, K in enumerate(per_mode))
-            assert rel_diff(modes.matrix(V[l, l]).toarray(), ref.toarray()) < 1e-13
-    for l, lu in enumerate(ops.jacobi1):
-        ref = sum(ops.H1[j, l, l] * K for j, K in enumerate(per_mode_assembly(problem, 0)))
-        b = rng.standard_normal(ops.M1)
-        x_ref = np.linalg.solve(ref.toarray(), b)
-        assert rel_diff(lu.solve(b), x_ref) < 1e-10
+    K1 = kron_reference(ops.H1, per_mode_assembly(problem, 0)).toarray()
+    K2 = kron_reference(ops.H2, per_mode_assembly(problem, 1)).toarray()
+    b1 = rng.standard_normal((3, ops.M1))
+    x1 = np.linalg.solve(K1, b1.ravel())
+    assert rel_diff(feti.apply_K1_inverse(ops, b1).ravel(), x1) < 1e-10
+    b2 = ops.project_null2(rng.standard_normal((3, ops.M2))).ravel()
+    if ops.floating:
+        # the solution without rigid-body content: K2 bordered by I (x) R2
+        R2hat = np.kron(np.eye(3), ops.R2)
+        k = R2hat.shape[1]
+        bordered = np.block([[K2, R2hat], [R2hat.T, np.zeros((k, k))]])
+        x2 = np.linalg.solve(bordered, np.append(b2, np.zeros(k)))[: b2.size]
+    else:
+        R2hat = np.zeros((b2.size, 0))
+        x2 = np.linalg.solve(K2, b2)
+    got = feti.apply_K2_pseudoinverse(ops, b2.reshape(3, ops.M2)).ravel()
+    assert rel_diff(got, x2) < 1e-10
+    assert rel_diff(K2 @ got, b2) < 1e-10
+    assert np.abs(R2hat.T @ got).max(initial=0.0) < 1e-12 * np.abs(got).max()
+
+
+def test_pcpg_update_rejects_zero_factor():
+    prob = problems.build_from_config(problems.profile_config("lshape-desk"))
+    rng = np.random.default_rng(3)
+    phi1 = rng.standard_normal((2, len(prob.idx_solution[0])))
+    phi2 = rng.standard_normal((2, len(prob.idx_solution[1])))
+    phi1[1] = 0.0
+    sol = arr.SeparatedSolution.zeros(prob, rank=2)
+    sol.phi1[:], sol.phi2[:] = phi1, phi2
+    with pytest.raises(feti.SolverError, match="singular"):
+        arr.deterministic_update(prob, sol, method="pcpg")
 
 
 def test_interface_blocks_equal_per_mode_triple_products(problem):
@@ -121,6 +142,38 @@ def test_energy_quadratic_form_equals_assembled_blocks(problem):
         quad += U.ravel() @ (K @ U.ravel())
     loads = ops.fw @ (sol.u1 @ ops.f1) + ops.fw @ (sol.u2 @ ops.f2)
     assert arr.energy(problem, sol, ops=ops) == pytest.approx(0.5 * quad - loads, rel=1e-12)
+
+
+def test_stochastic_updates_equal_per_mode_reference(problem):
+    r = 3
+    rng = np.random.default_rng(19)
+    sol = arr.SeparatedSolution(
+        u1=rng.standard_normal((r, problem.sub[0].n_dofs)),
+        u2=rng.standard_normal((r, problem.sub[1].n_dofs)),
+        lam=np.zeros((r, problem.sub[0].n_interface)),
+        phi1=rng.standard_normal((r, len(problem.idx_solution[0]))),
+        phi2=rng.standard_normal((r, len(problem.idx_solution[1]))),
+    )
+    G = feti.galerkin_mode_matrices(problem)
+    K = [per_mode_assembly(problem, side) for side in range(2)]
+    U, f = (sol.u1, sol.u2), tuple(s.f for s in problem.sub)
+
+    def reference(own, phi_other):
+        other = 1 - own
+        P = G[own].shape[1]
+        Q_own = np.stack([U[own] @ (Kj @ U[own].T) for Kj in K[own]])
+        Q_other = np.stack([U[other] @ (Kj @ U[other].T) for Kj in K[other]])
+        T_other = np.einsum("la,jab,mb->jlm", phi_other, G[other], phi_other)
+        gram = phi_other @ phi_other.T
+        A = np.einsum("jlm,lm,jab->lamb", Q_own, gram, G[own])
+        diag = np.arange(P)
+        A[:, diag, :, diag] += np.einsum("jlm,jlm->lm", Q_other, T_other)
+        b = np.zeros((r, P))
+        b[:, 0] = (U[own] @ f[own] + U[other] @ f[other]) * phi_other[:, 0]
+        return np.linalg.solve(A.reshape(r * P, r * P), b.ravel()).reshape(r, P)
+
+    assert rel_diff(arr.stochastic_update_phi1(problem, sol, G), reference(0, sol.phi2)) < 1e-10
+    assert rel_diff(arr.stochastic_update_phi2(problem, sol, G), reference(1, sol.phi1)) < 1e-10
 
 
 def test_preconditioner_equals_per_mode_reference(problem):
