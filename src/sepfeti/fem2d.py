@@ -2,8 +2,9 @@
 
 Provides meshes whose interface nodes are bit-identical across neighbouring
 sub-domain meshes (coordinates are computed from one global integer lattice),
-per-PC-mode stiffness assembly for scalar diffusion and plane-strain
-elasticity, consistent loads, Dirichlet elimination, interface extraction
+stiffness assembly for scalar diffusion and plane-strain elasticity (all PC
+modes of a coefficient at once, as one product with a fixed per-element
+operator), consistent loads, Dirichlet elimination, interface extraction
 matrices and rigid-body modes.
 """
 
@@ -131,25 +132,65 @@ def _centroid_values(mesh: Mesh, nodal: np.ndarray | float) -> np.ndarray:
     return nodal[mesh.triangles].mean(axis=1)
 
 
-def assemble_diffusion_mode(mesh: Mesh, coeff_mode: np.ndarray | float) -> sp.csr_matrix:
-    """Stiffness K[m,n] = integral of kappa_j grad N_m . grad N_n.
+def _nodal_modes(mesh: Mesh, modes: np.ndarray | float) -> np.ndarray:
+    """Coefficient modes as a (J, n_nodes) array; a scalar or a single nodal
+    field is one mode."""
+    modes = np.asarray(modes, dtype=float)
+    if modes.ndim == 0:
+        modes = np.full(mesh.n_nodes, float(modes))
+    modes = np.atleast_2d(modes)
+    if modes.ndim != 2 or modes.shape[1] != mesh.n_nodes:
+        raise ValueError("nodal field length must match node count")
+    return modes
 
-    The coefficient mode is interpolated at each triangle centroid
-    (one-point rule), making assembly linear in the nodal mode field.
+
+def _stack_modes(
+    mesh: Mesh, modes: np.ndarray | float, ke: np.ndarray, dofs: np.ndarray, n: int
+) -> ModeStack:
+    """Stiffness modes sum_e c_j(centroid of e) ke[e] for every coefficient
+    mode c_j, in one product.
+
+    ``ke`` (T, k, k) holds the element matrices for a unit coefficient and
+    ``dofs`` (T, k) their dofs among n. The centroid value is the mean of the
+    three vertex values, so mode j's entries are ``c_j @ N`` for one fixed
+    sparse (n_nodes, nnz) operator N. Entries that are zero in every mode
+    (on structured meshes, up to a quarter of them) are dropped.
+    """
+    coeffs = _nodal_modes(mesh, modes)
+    T, k = dofs.shape
+    keys = np.repeat(dofs, k, axis=1).astype(np.int64) * n + np.tile(dofs, (1, k))
+    keys, entry = np.unique(keys, return_inverse=True)
+    # each element entry ke[e, a, b] / 3, once per vertex of e
+    N = sp.csr_matrix(
+        (
+            np.tile(ke.reshape(T, k * k) / 3.0, (1, 3)).ravel(),
+            (
+                np.repeat(mesh.triangles, k * k, axis=1).ravel(),
+                np.tile(entry.reshape(T, k * k), (1, 3)).ravel(),
+            ),
+        ),
+        shape=(mesh.n_nodes, keys.size),
+    )
+    data = coeffs @ N
+    live = np.flatnonzero(data.any(axis=0))
+    rows, cols = np.divmod(keys[live], n)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    return ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1))
+
+
+def assemble_diffusion_mode(mesh: Mesh, coeff_modes: np.ndarray | float) -> ModeStack:
+    """Stiffness modes K_j[m,n] = integral of kappa_j grad N_m . grad N_n.
+
+    ``coeff_modes`` holds one nodal field kappa_j per row (a scalar or a
+    single field is one mode). Each is interpolated at the triangle
+    centroids (one-point rule), making assembly linear in the nodal field.
     """
     b, c, area = _triangle_geometry(mesh)
-    kc = _centroid_values(mesh, coeff_mode)
-    # element matrices (T,3,3)
-    ke = (kc / (4.0 * area))[:, None, None] * (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    )
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    K = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    ).tocsr()
-    K.sum_duplicates()
-    return K
+    # element matrices (T,3,3) for a unit coefficient
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area
+    )[:, None, None]
+    return _stack_modes(mesh, coeff_modes, ke, mesh.triangles, mesh.n_nodes)
 
 
 def _plane_strain_d(nu: float) -> np.ndarray:
@@ -166,12 +207,12 @@ def _plane_strain_d(nu: float) -> np.ndarray:
 
 
 def assemble_elasticity_mode(
-    mesh: Mesh, modulus_mode: np.ndarray | float, nu: float
-) -> sp.csr_matrix:
-    """Plane-strain CST stiffness for one Young's-modulus PC mode field."""
+    mesh: Mesh, modulus_modes: np.ndarray | float, nu: float
+) -> ModeStack:
+    """Plane-strain CST stiffness modes, one per Young's-modulus mode field
+    (a row of ``modulus_modes``; a scalar or a single field is one mode)."""
     D = _plane_strain_d(nu)
     b, c, area = _triangle_geometry(mesh)
-    ec = _centroid_values(mesh, modulus_mode)
     T = mesh.triangles.shape[0]
     B = np.zeros((T, 3, 6))
     inv2a = 1.0 / (2.0 * area)
@@ -180,16 +221,11 @@ def assemble_elasticity_mode(
         B[:, 1, 2 * i + 1] = c[:, i] * inv2a
         B[:, 2, 2 * i] = c[:, i] * inv2a
         B[:, 2, 2 * i + 1] = b[:, i] * inv2a
-    ke = (ec * area)[:, None, None] * np.einsum("tki,kl,tlj->tij", B, D, B)
+    ke = area[:, None, None] * np.einsum("tki,kl,tlj->tij", B, D, B)
     dofs = np.empty((T, 6), dtype=np.intp)
     dofs[:, 0::2] = 2 * mesh.triangles
     dofs[:, 1::2] = 2 * mesh.triangles + 1
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    n = 2 * mesh.n_nodes
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    return K
+    return _stack_modes(mesh, modulus_modes, ke, dofs, 2 * mesh.n_nodes)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -308,23 +344,6 @@ class ModeStack(SparsePattern):
 
     data: np.ndarray
 
-    @classmethod
-    def from_modes(cls, modes: list[sp.spmatrix]) -> "ModeStack":
-        """Stack modes assembled on one pattern, without the entries that are
-        zero in every mode (on structured meshes, up to a quarter of them)."""
-        csr = [sp.csr_matrix(K) for K in modes]
-        for K in csr:
-            K.sum_duplicates()
-            if not (
-                K.shape == csr[0].shape
-                and np.array_equal(K.indptr, csr[0].indptr)
-                and np.array_equal(K.indices, csr[0].indices)
-            ):
-                raise ValueError("stiffness modes must share one sparsity pattern")
-        stack = cls(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
-        live = np.flatnonzero(stack.data.any(axis=0))
-        return stack._entries(live, stack.rows, stack.indices, stack.n)
-
     def contract(self, weights: np.ndarray) -> np.ndarray:
         """Values of the sums weighted by the rows of ``weights`` (k, J)."""
         return weights @ self.data
@@ -382,7 +401,7 @@ class SubdomainProblem:
 def make_subdomain_problem(
     mesh: Mesh,
     ncomp: int,
-    K_modes: list[sp.csr_matrix],
+    modes: ModeStack,
     f: np.ndarray,
     C: sp.csr_matrix,
 ) -> SubdomainProblem:
@@ -390,7 +409,7 @@ def make_subdomain_problem(
     return SubdomainProblem(
         mesh=mesh,
         ncomp=ncomp,
-        modes=ModeStack.from_modes(K_modes),
+        modes=modes,
         f=f,
         C=C,
         R=rigid_body_modes(mesh, ncomp),

@@ -234,17 +234,14 @@ def _build_field(
 
 def _assemble_modes(
     mesh: Mesh, pc_field: RandomFieldPC, kind: str, nu: float | None
-) -> list[sp.csr_matrix]:
-    """One stiffness mode per field coefficient; the constant shift is folded
-    into the mean (index-0) mode since psi_0 = 1."""
-    modes = []
-    for j, coeff in enumerate(pc_field.coeff_fields):
-        values = coeff + pc_field.shift if j == 0 else coeff
-        if kind == KIND_DIFFUSION:
-            modes.append(fem2d.assemble_diffusion_mode(mesh, values))
-        else:
-            modes.append(fem2d.assemble_elasticity_mode(mesh, values, nu))
-    return modes
+) -> ModeStack:
+    """One stiffness mode per field coefficient, all in one call; the constant
+    shift is folded into the mean (index-0) mode since psi_0 = 1."""
+    coeffs = pc_field.coeff_fields.copy()
+    coeffs[0] += pc_field.shift
+    if kind == KIND_DIFFUSION:
+        return fem2d.assemble_diffusion_mode(mesh, coeffs)
+    return fem2d.assemble_elasticity_mode(mesh, coeffs, nu)
 
 
 def _dirichlet_coord_exclusions(

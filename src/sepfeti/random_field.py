@@ -147,8 +147,15 @@ def lognormal_pc_coefficients(
     sg = np.sqrt(kl.eigenvalues)[:, None] * kl.modes  # (d, n)
     mean_field = np.exp(mean_log + kl.pointwise_variance() / 2.0)
     idx = idx_set.indices
-    # prod_j sg[j]^{i_j} for every multi-index, all nodes at once
-    powers = np.prod(sg[None, :, :] ** idx[:, :, None], axis=1)
+    # prod_j sg[j]^{i_j} for every multi-index, all nodes at once, from a
+    # table of the integer powers sg^k, k <= order
+    table = np.empty((order + 1,) + sg.shape)
+    table[0] = 1.0
+    for k in range(1, order + 1):
+        table[k] = table[k - 1] * sg
+    powers = np.ones((idx.shape[0], sg.shape[1]))
+    for j in range(kl.n_modes):
+        powers *= table[idx[:, j], j]
     inv_sqrt_fact = np.array(
         [1.0 / math.sqrt(math.prod(math.factorial(k) for k in row)) for row in idx]
     )

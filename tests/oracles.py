@@ -3,7 +3,9 @@
 No library code calls these, so they live with the tests: pointwise basis
 evaluation, multivariate triple moments and quadrature projection for the
 PC basis, single-sample field and solution evaluation, the sub-domain swap
-used by the symmetry tests, and plain-text dumps of a mesh and a KL basis.
+used by the symmetry tests, plain-text dumps of a mesh and a KL basis, and
+stiffness modes assembled one at a time (a COO assembly per mode, stacked
+on their shared pattern) to check the one-product assembly against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import copy
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
 from sepfeti import arr, fem2d, problems, random_field
 from sepfeti import pc_basis as pcb
@@ -151,3 +154,68 @@ def kl_to_json(kl: random_field.KLBasis) -> str:
         {"tau": kl.eigenvalues.tolist(), "modes": kl.modes.tolist()},
         sort_keys=True,
     )
+
+
+def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
+    """Stack modes assembled on one pattern, without the entries that are
+    zero in every mode (on structured meshes, up to a quarter of them)."""
+    csr = [sp.csr_matrix(K) for K in modes]
+    for K in csr:
+        K.sum_duplicates()
+        if not (
+            K.shape == csr[0].shape
+            and np.array_equal(K.indptr, csr[0].indptr)
+            and np.array_equal(K.indices, csr[0].indices)
+        ):
+            raise ValueError("stiffness modes must share one sparsity pattern")
+    stack = fem2d.ModeStack(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
+    live = np.flatnonzero(stack.data.any(axis=0))
+    return stack._entries(live, stack.rows, stack.indices, stack.n)
+
+
+def coo_diffusion_mode(mesh: fem2d.Mesh, coeff_mode: np.ndarray | float) -> sp.csr_matrix:
+    """Stiffness K[m,n] = integral of kappa_j grad N_m . grad N_n.
+
+    The coefficient mode is interpolated at each triangle centroid
+    (one-point rule), making assembly linear in the nodal mode field.
+    """
+    b, c, area = fem2d._triangle_geometry(mesh)
+    kc = fem2d._centroid_values(mesh, coeff_mode)
+    # element matrices (T,3,3)
+    ke = (kc / (4.0 * area))[:, None, None] * (
+        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    )
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    K = sp.coo_matrix(
+        (ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
+    ).tocsr()
+    K.sum_duplicates()
+    return K
+
+
+def coo_elasticity_mode(
+    mesh: fem2d.Mesh, modulus_mode: np.ndarray | float, nu: float
+) -> sp.csr_matrix:
+    """Plane-strain CST stiffness for one Young's-modulus PC mode field."""
+    D = fem2d._plane_strain_d(nu)
+    b, c, area = fem2d._triangle_geometry(mesh)
+    ec = fem2d._centroid_values(mesh, modulus_mode)
+    T = mesh.triangles.shape[0]
+    B = np.zeros((T, 3, 6))
+    inv2a = 1.0 / (2.0 * area)
+    for i in range(3):
+        B[:, 0, 2 * i] = b[:, i] * inv2a
+        B[:, 1, 2 * i + 1] = c[:, i] * inv2a
+        B[:, 2, 2 * i] = c[:, i] * inv2a
+        B[:, 2, 2 * i + 1] = b[:, i] * inv2a
+    ke = (ec * area)[:, None, None] * np.einsum("tki,kl,tlj->tij", B, D, B)
+    dofs = np.empty((T, 6), dtype=np.intp)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    n = 2 * mesh.n_nodes
+    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return K

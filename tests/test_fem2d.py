@@ -70,14 +70,14 @@ def test_nonconforming_interface_rejected():
 
 def test_constant_null_space_pure_neumann():
     mesh = unit_square(0.25)
-    K = fem2d.assemble_diffusion_mode(mesh, 1.0)
+    K = fem2d.assemble_diffusion_mode(mesh, 1.0).views[0]
     assert np.abs(K @ np.ones(mesh.n_nodes)).max() < 1e-12
 
 
 def test_linear_exactness_dirichlet_strip():
     # u = x is reproduced exactly by linear triangles for -u'' = 0
     mesh = unit_square(0.25)
-    K = fem2d.assemble_diffusion_mode(mesh, 1.0)
+    K = fem2d.assemble_diffusion_mode(mesh, 1.0).views[0]
     x = mesh.nodes[:, 0]
     left = mesh.nodes_on_side("left")
     right = mesh.nodes_on_side("right")
@@ -90,8 +90,8 @@ def test_linear_exactness_dirichlet_strip():
 
 def test_coefficient_linearity():
     mesh = unit_square(0.5)
-    K1 = fem2d.assemble_diffusion_mode(mesh, 1.0)
-    K2 = fem2d.assemble_diffusion_mode(mesh, 2.0)
+    K1 = fem2d.assemble_diffusion_mode(mesh, 1.0).views[0]
+    K2 = fem2d.assemble_diffusion_mode(mesh, 2.0).views[0]
     np.testing.assert_allclose(K2.toarray(), 2.0 * K1.toarray(), atol=1e-14)
 
 
@@ -99,7 +99,7 @@ def test_mode_symmetry():
     mesh = unit_square(0.25)
     rng = np.random.default_rng(0)
     field = rng.uniform(0.5, 2.0, mesh.n_nodes)
-    K = fem2d.assemble_diffusion_mode(mesh, field)
+    K = fem2d.assemble_diffusion_mode(mesh, field).views[0]
     assert abs(K - K.T).max() < 1e-12 * abs(K).max()
 
 
@@ -109,7 +109,7 @@ def test_mode_symmetry():
 
 def test_rigid_modes_in_null_space():
     mesh = unit_square(0.25)
-    K = fem2d.assemble_elasticity_mode(mesh, 100.0, 0.3)
+    K = fem2d.assemble_elasticity_mode(mesh, 100.0, 0.3).views[0]
     R = fem2d.rigid_body_modes(mesh, ncomp=2)
     norm = abs(K).max()
     assert np.abs(K @ R).max() < 1e-10 * norm
@@ -118,10 +118,10 @@ def test_rigid_modes_in_null_space():
 
 def test_rigid_mode_counts_via_svd():
     mesh = unit_square(0.5)
-    K = fem2d.assemble_elasticity_mode(mesh, 1.0, 0.3).toarray()
+    K = fem2d.assemble_elasticity_mode(mesh, 1.0, 0.3).views[0].toarray()
     svals = np.linalg.svd(K, compute_uv=False)
     assert (svals < 1e-10 * svals[0]).sum() == 3
-    Kd = fem2d.assemble_diffusion_mode(mesh, 1.0).toarray()
+    Kd = fem2d.assemble_diffusion_mode(mesh, 1.0).views[0].toarray()
     svals = np.linalg.svd(Kd, compute_uv=False)
     assert (svals < 1e-10 * svals[0]).sum() == 1
     assert fem2d.rigid_body_modes(mesh, 1).shape == (mesh.n_nodes, 1)
@@ -132,7 +132,7 @@ def test_uniaxial_patch_hand_stress():
     # energy must match the hand-computed plane-strain stress state.
     mesh = unit_square(0.25)
     E, nu, eps = 200.0, 0.3, 1e-3
-    K = fem2d.assemble_elasticity_mode(mesh, E, nu)
+    K = fem2d.assemble_elasticity_mode(mesh, E, nu).views[0]
     u = np.zeros(2 * mesh.n_nodes)
     u[0::2] = eps * mesh.nodes[:, 0]
     r = K @ u
@@ -203,13 +203,13 @@ def _two_square_problems(h=0.5, ncomp=1):
     m2 = fem2d.build_rect_mesh((1.0, 2.0), (0.0, 1.0), h)
     C1, C2, _ = fem2d.build_interface_extractors(m1, m2, ncomp=ncomp)
     if ncomp == 1:
-        K1 = [fem2d.assemble_diffusion_mode(m1, 1.0)]
-        K2 = [fem2d.assemble_diffusion_mode(m2, 1.0)]
+        K1 = fem2d.assemble_diffusion_mode(m1, 1.0)
+        K2 = fem2d.assemble_diffusion_mode(m2, 1.0)
         f1 = fem2d.assemble_load(m1, body=1.0)
         f2 = fem2d.assemble_load(m2, body=1.0)
     else:
-        K1 = [fem2d.assemble_elasticity_mode(m1, 1.0, 0.3)]
-        K2 = [fem2d.assemble_elasticity_mode(m2, 1.0, 0.3)]
+        K1 = fem2d.assemble_elasticity_mode(m1, 1.0, 0.3)
+        K2 = fem2d.assemble_elasticity_mode(m2, 1.0, 0.3)
         f1 = np.zeros(2 * m1.n_nodes)
         f2 = np.zeros(2 * m2.n_nodes)
     p1 = fem2d.make_subdomain_problem(m1, ncomp, K1, f1, C1)
@@ -245,7 +245,7 @@ def test_monolithic_restriction_is_continuous():
     A = sp.lil_matrix((n_glob, n_glob))
     b = np.zeros(n_glob)
     for mesh, local2glob in ((m1, np.arange(n1)), (m2, merge2)):
-        K = fem2d.assemble_diffusion_mode(mesh, 1.0).tocoo()
+        K = fem2d.assemble_diffusion_mode(mesh, 1.0).views[0].tocoo()
         gl = np.array([remap[g] for g in local2glob])
         A = A + sp.coo_matrix(
             (K.data, (gl[K.row], gl[K.col])), shape=(n_glob, n_glob)
@@ -286,7 +286,7 @@ def test_apply_dirichlet_all_dofs_rejected():
 
 def test_unit_square_laplace_pd_after_dirichlet():
     mesh = unit_square(0.25)
-    K = [fem2d.assemble_diffusion_mode(mesh, 1.0)]
+    K = fem2d.assemble_diffusion_mode(mesh, 1.0)
     f = fem2d.assemble_load(mesh, body=1.0)
     C = sp.csr_matrix((mesh.n_nodes, 0))
     prob = fem2d.make_subdomain_problem(mesh, 1, K, f, C)

@@ -143,6 +143,20 @@ def test_lognormal_mean_coefficient_pointwise():
     assert pc.kind == "lognormal-shifted"
 
 
+def test_lognormal_power_table_matches_float_powers():
+    # the integer-power table against the float powers it replaced
+    kl, _ = make_kl(sigma=0.5, corr_len=1.0 / 3.0, d=6)
+    pc = random_field.lognormal_pc_coefficients(kl, mean_log=1.0, shift=0.28, order=6)
+    idx = pc.idx_set.indices
+    sg = np.sqrt(kl.eigenvalues)[:, None] * kl.modes
+    powers = np.prod(sg[None, :, :] ** idx[:, :, None], axis=1)
+    fact = np.array([math.prod(math.factorial(k) for k in row) for row in idx])
+    mean_field = np.exp(1.0 + kl.pointwise_variance() / 2.0)
+    expected = mean_field * powers / np.sqrt(fact)[:, None]
+    assert len(pc.idx_set) == 924
+    np.testing.assert_allclose(pc.coeff_fields, expected, rtol=1e-14, atol=0)
+
+
 def test_lognormal_zero_field():
     kl, _ = make_kl(sigma=0.0, d=3, h=0.5)
     pc = random_field.lognormal_pc_coefficients(kl, mean_log=0.7, shift=0.0, order=4)

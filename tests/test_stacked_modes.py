@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from sepfeti import arr, fem2d, feti, pc_basis, problems, reference
 
 PROFILES = ["lshape-desk", "beam-desk"]
@@ -27,14 +28,23 @@ def problem(request):
     return problems.build_from_config(problems.profile_config(request.param))
 
 
+def assemble(prob, mesh, coeffs):
+    """The problem's stiffness modes on ``mesh`` for the nodal fields ``coeffs``."""
+    if prob.kind == problems.KIND_DIFFUSION:
+        return fem2d.assemble_diffusion_mode(mesh, coeffs)
+    return fem2d.assemble_elasticity_mode(mesh, coeffs, prob.config["field"]["nu"])
+
+
 def per_mode_assembly(prob, side):
-    """Reduced stiffness modes assembled one by one, as CSR matrices."""
-    full = prob.sub_full[side]
-    modes = problems._assemble_modes(
-        full.mesh, prob.fields[side], prob.kind, prob.config["field"]["nu"]
-    )
+    """Reduced stiffness modes assembled one per call, as CSR matrices."""
+    mesh = prob.sub_full[side].mesh
+    field = prob.fields[side]
     keep = prob.sub[side].free_dofs
-    return [K[keep][:, keep].tocsr() for K in modes]
+    modes = []
+    for j, coeff in enumerate(field.coeff_fields):
+        K = assemble(prob, mesh, coeff + field.shift if j == 0 else coeff).views[0]
+        modes.append(K[keep][:, keep].tocsr())
+    return modes
 
 
 def random_ops(prob, rank, seed):
@@ -67,7 +77,34 @@ def test_mode_stack_rejects_mismatched_patterns():
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="pattern"):
-        fem2d.ModeStack.from_modes([A, B])
+        oracles.mode_stack_from_modes([A, B])
+
+
+def test_stacked_assembly_equals_per_mode_coo_assembly(problem):
+    coo_mode = (
+        oracles.coo_diffusion_mode
+        if problem.kind == problems.KIND_DIFFUSION
+        else lambda mesh, c: oracles.coo_elasticity_mode(mesh, c, problem.config["field"]["nu"])
+    )
+    rng = np.random.default_rng(23)
+    for side in range(2):
+        mesh = problem.sub_full[side].mesh
+        coeffs = rng.standard_normal((5, mesh.n_nodes))
+        stack = assemble(problem, mesh, coeffs)
+        ref = oracles.mode_stack_from_modes([coo_mode(mesh, c) for c in coeffs])
+        np.testing.assert_array_equal(stack.indptr, ref.indptr)
+        np.testing.assert_array_equal(stack.indices, ref.indices)
+        for got, expected in zip(stack.data, ref.data):
+            assert rel_diff(got, expected) < 1e-14
+        # one mode per call gives the rows of the stacked call bit for bit
+        for c, K in zip(coeffs, stack.views):
+            one = assemble(problem, mesh, c)
+            np.testing.assert_array_equal(one.views[0].toarray(), K.toarray())
+        # a scalar is one constant mode
+        np.testing.assert_array_equal(
+            assemble(problem, mesh, 2.0).data,
+            assemble(problem, mesh, np.full(mesh.n_nodes, 2.0)).data,
+        )
 
 
 @pytest.mark.parametrize("rank", [1, 3])
