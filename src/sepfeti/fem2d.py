@@ -49,7 +49,6 @@ class Mesh:
     rect: tuple[float, float, float, float]   # (x0, x1, y0, y1)
     nx: int
     ny: int
-    side_edges: dict[str, np.ndarray] = field(default_factory=dict)
     edge_tags: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -105,8 +104,6 @@ def build_rect_mesh(
         nx=nx,
         ny=ny,
     )
-    for side in _SIDES:
-        mesh.side_edges[side] = mesh.side_edge_list(side)
     _triangle_geometry(mesh)  # validates positive areas
     return mesh
 

@@ -325,11 +325,6 @@ class PcpgTrace:
     def n_iters(self) -> int:
         return len(self.residuals)
 
-    def to_csv(self) -> str:
-        lines = ["iter,relative_residual"]
-        lines += [f"{k},{r!r}" for k, r in enumerate(self.residuals, start=1)]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class InterfaceProblem:

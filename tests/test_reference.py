@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from sepfeti import pc_basis, problems, reference
+from sepfeti import feti, pc_basis, problems, reference
 
 
 def desk_problem(example="lshape", **field_over):
@@ -115,20 +115,75 @@ def test_mc_merge_and_se_scaling():
     prob = desk_problem()
     a = reference.monte_carlo_reference(prob, n_samples=500, seed=21)
     b = reference.monte_carlo_reference(prob, n_samples=1500, seed=22)
-    m = a.merge(b)
+    m = oracles.merge_accumulators(a, b)
     assert m.n_samples == 2000
     np.testing.assert_allclose(
         m.mean, (500 * a.mean + 1500 * b.mean) / 2000, rtol=1e-12
     )
     c = reference.monte_carlo_reference(prob, n_samples=100, seed=23)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
+    left = oracles.merge_accumulators(oracles.merge_accumulators(a, b), c)
+    right = oracles.merge_accumulators(a, oracles.merge_accumulators(b, c))
     np.testing.assert_allclose(left.mean, right.mean, rtol=1e-13)
     np.testing.assert_allclose(left.second_moment, right.second_moment, rtol=1e-13)
 
     big = reference.monte_carlo_reference(prob, n_samples=2000, seed=24)
     ratio = np.linalg.norm(big.std_error_mean) / np.linalg.norm(a.std_error_mean)
     assert 0.3 < ratio < 0.75  # four times the samples halves the error
+
+
+@pytest.fixture(scope="module")
+def profile_problem():
+    """Built-in profiles by name, each built once for the module."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = problems.build_from_config(problems.profile_config(name))
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam"])
+def test_band_layout_holds_rcm_permuted_matrix(profile_problem, name):
+    pattern = problems.as_monolithic(profile_problem(name)).modes
+    perm, b, index = reference._band_layout(pattern)
+    n = pattern.n
+    values = np.random.default_rng(4).standard_normal(pattern.indices.size)
+    ab = np.zeros((3 * b + 1, n), order="F")
+    ab.ravel(order="F")[index] = values
+    permuted = pattern.matrix(values)[perm][:, perm]
+    rows, cols = permuted.nonzero()
+    assert b == np.abs(rows - cols).max()
+    # gbsv band storage: A[i, j] sits in row 2b + i - j of column j, which is
+    # the diagonal format with offset j - i = 2b - row
+    unpacked = sp.dia_matrix((ab, 2 * b - np.arange(3 * b + 1)), shape=(n, n))
+    np.testing.assert_array_equal(unpacked.toarray(), permuted.toarray())
+    assert np.count_nonzero(ab) == values.size  # nothing outside the matrix
+
+
+@pytest.mark.parametrize("name", ["beam", "lshape"])
+def test_mc_full_profiles_match_per_sample_solves(profile_problem, name):
+    problem = profile_problem(name)
+    acc = reference.monte_carlo_reference(problem, n_samples=6, seed=5)
+    U = oracles.per_sample_solutions(problem, 6, 5)
+    mean = U.mean(axis=0)
+    assert np.abs(acc.mean - mean).max() <= 1e-11 * np.abs(mean).max()
+
+
+def test_mc_singular_sample_raises():
+    prob = desk_problem()
+    zero = dataclasses.replace(
+        prob,
+        sub=tuple(
+            dataclasses.replace(
+                s, modes=dataclasses.replace(s.modes, data=np.zeros_like(s.modes.data))
+            )
+            for s in prob.sub
+        ),
+    )
+    with pytest.raises(feti.SolverError, match="singular"):
+        reference.monte_carlo_reference(zero, n_samples=3, seed=1)
 
 
 def test_mc_vs_sg_cross_oracle():

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import oracles
-from sepfeti import arr, fem2d, feti, pc_basis, problems, reference
+from sepfeti import arr, fem2d, feti, problems, reference
 
 PROFILES = ["lshape-desk", "beam-desk"]
 
@@ -254,33 +253,7 @@ def test_merged_modes_equal_scattered_sub_domain_modes(problem):
 def test_monte_carlo_matches_per_sample_solves(problem):
     n_samples, seed = 6, 5
     acc = reference.monte_carlo_reference(problem, n_samples, seed=seed)
-    mono = problems.as_monolithic(problem)
-    d1 = problem.fields[0].n_dims
-    d = mono.d1 + mono.d2
-    rng = np.random.default_rng(seed)
-    if problem.family_kind == pc_basis.LEGENDRE:
-        xi = rng.uniform(-1.0, 1.0, (n_samples, d))
-    else:
-        xi = rng.standard_normal((n_samples, d))
-    fam = pc_basis.family(problem.family_kind)
-    psi = [
-        pc_basis.eval_multivariate_batch(fam, problem.fields[0].idx_set, xi[:, :d1]),
-        pc_basis.eval_multivariate_batch(fam, problem.fields[1].idx_set, xi[:, d1:]),
-    ]
-    n = mono.n_free
-    restrict = (mono.restrict1, mono.restrict2)
-    solutions = []
-    for s in range(n_samples):
-        A = sp.csr_matrix((n, n))
-        for side in range(2):
-            K = sum(w * K for w, K in zip(psi[side][s], problem.sub[side].K_modes))
-            P = sp.csr_matrix(
-                (np.ones(K.shape[0]), (restrict[side], np.arange(K.shape[0]))),
-                shape=(n, K.shape[0]),
-            )
-            A = A + P @ K @ P.T
-        solutions.append(spla.spsolve(A.tocsc(), mono.f))
-    U = np.array(solutions)
+    U = oracles.per_sample_solutions(problem, n_samples, seed)
     assert rel_diff(acc.mean, U.mean(axis=0)) < 1e-12
     assert rel_diff(acc.std, U.std(axis=0)) < 1e-12
 
