@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .fem2d import ModeStack
+from .fem2d import ModeStack, extractor_entries
 from .feti import (
     SolverError,
     build_block_operators,
@@ -140,8 +140,6 @@ class SweepRecord:
     pi_before: float
     pi_u_new_lam_old: float
     pi_u_old_lam_new: float
-    pi_det: float
-    pi_phi1: float
     pi_after: float
     pcpg_iters: int
     interface_gap: float
@@ -228,9 +226,9 @@ def deterministic_update(
     """Solve the block saddle system for the spatial factors and multiplier.
 
     The stochastic factors stay frozen; only their expectation weights enter.
-    ``method`` is "direct" (sparse factorization of the full saddle system),
-    "pcpg" (interface iteration with primal back-substitution), or "auto"
-    (direct below a size threshold). ``info``, when given, receives the
+    ``method`` is "direct" (banded Cholesky of the multiplier-free primal
+    system), "pcpg" (interface iteration with primal back-substitution), or
+    "auto" (direct below a size threshold). ``info``, when given, receives the
     interface iteration count, the rigid-body amplitudes and the method used.
     """
     if ops is None:
@@ -437,6 +435,7 @@ def residual_norm(
         sub = problem.sub[i]
         fnorm = float(np.linalg.norm(sub.f))
         U = factors[i]
+        dofs, values = extractor_entries(sub.C)
         # One sparse product per mode is cheap next to the dense Z @ KU below,
         # which is where this function's time goes; forming KU from the
         # stacked mode data in one product needs a (J*r, nnz) intermediate
@@ -449,8 +448,10 @@ def residual_norm(
             stop = min(start + batch_size, n)
             Psi = eval_multivariate_batch(fam, problem.fields[i].idx_set, xi[i][start:stop])
             Z = (Psi[:, :, None] * c[start:stop, None, :]).reshape(stop - start, J * r)
-            react = signs[i] * (sub.C @ lam_vals[start:stop].T).T
-            R = sub.f[None, :] + react - Z @ KU
+            # f + C lam, C-ordered: an extractor row holds at most one entry
+            R = np.tile(sub.f, (stop - start, 1))
+            R[:, dofs] += signs[i] * (values * lam_vals[start:stop])
+            R -= Z @ KU
             sq[start:stop] = np.einsum("nm,nm->n", R, R)
         m = float(sq.mean())
         if m == 0.0:
@@ -560,9 +561,7 @@ def arr_run(
                 ops=ops,
             )
             sol = upd
-            pi_det = energy(problem, sol, ops=ops)
             sol.phi1[:] = stochastic_update_phi1(problem, sol, g_modes)
-            pi_phi1 = energy(problem, sol, g_modes=g_modes)
             sol.phi2[:] = stochastic_update_phi2(problem, sol, g_modes)
             sol = normalize_factors(sol)
             # the next sweep starts from these factors: its operators are these
@@ -575,8 +574,6 @@ def arr_run(
                     pi_before=pi_before,
                     pi_u_new_lam_old=pi_u_new,
                     pi_u_old_lam_new=pi_lam_new,
-                    pi_det=pi_det,
-                    pi_phi1=pi_phi1,
                     pi_after=pi_after,
                     pcpg_iters=info["pcpg_iters"],
                     interface_gap=interface_violation(problem, sol),

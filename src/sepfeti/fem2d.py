@@ -5,7 +5,8 @@ sub-domain meshes (coordinates are computed from one global integer lattice),
 stiffness assembly for scalar diffusion and plane-strain elasticity (all PC
 modes of a coefficient at once, as one product with a fixed per-element
 operator), consistent loads, Dirichlet elimination, interface extraction
-matrices and rigid-body modes.
+matrices and rigid-body modes, plus the bandwidth-reducing ordering of a
+sparsity pattern and the positions of its entries in LAPACK band storage.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 _SIDES = ("left", "right", "bottom", "top")
 
@@ -332,6 +334,32 @@ class SparsePattern:
         return A
 
 
+def band_ordering(
+    n: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reverse Cuthill-McKee ordering of the symmetric n x n pattern with
+    entries (rows, cols), repeats allowed.
+
+    Returns ``(perm, inv, b)``: row k of the permuted matrix is row
+    ``perm[k]`` of the original, ``inv`` is the inverse permutation and b
+    the half-bandwidth of the permuted pattern.
+    """
+    perm = reverse_cuthill_mckee(
+        sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)),
+        symmetric_mode=True,
+    )
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    return perm, inv, int(np.abs(inv[rows] - inv[cols]).max(initial=0))
+
+
+def band_index(i: np.ndarray, j: np.ndarray, ldab: int, diag: int) -> np.ndarray:
+    """Position of entry (i, j) in the flat Fortran-order view of a LAPACK
+    band array with ``ldab`` rows and the diagonal in row ``diag``: entry
+    (i, j) sits in row ``diag + i - j`` of column j."""
+    return ldab * j + diag + i - j
+
+
 @dataclass(frozen=True, eq=False)
 class ModeStack(SparsePattern):
     """J stiffness modes stored once: mode j is ``matrix(data[j])``.
@@ -527,3 +555,12 @@ def build_interface_extractors(
         return sp.csr_matrix((data, (rows, cols)), shape=(n, m_i))
 
     return extractor(mesh1, ids1), extractor(mesh2, ids2), coords
+
+
+def extractor_entries(C: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The dof and the value of each column of an interface extractor, which
+    must hold exactly one entry per column."""
+    Cc = sp.csc_matrix(C)
+    if not np.all(np.diff(Cc.indptr) == 1):
+        raise ValueError("each interface extractor column must pick one dof")
+    return Cc.indices, Cc.data

@@ -8,27 +8,39 @@ blocks are expectation-weighted sums of the sub-domain stiffness modes:
 
 Each sub-domain stores its modes once, as a (J, nnz) data array on one
 sparsity pattern (``fem2d.ModeStack``), so the values of all blocks of
-``Khat_i`` come from one (r*r, J) x (J, nnz) product (``block_values``) and
-``kron_sum`` arranges them as one CSR matrix. The block operators apply it
-with one sparse product; the interface preconditioner, the energy and the
-direct saddle solve use the same values. The interface problem
+``Khat_i`` come from one (r*r, J) x (J, nnz) product (``block_values``).
+The system is solved by one of two routes.
+
+The direct route (``direct_saddle_solve``) drops the multiplier. W is
+nonsingular whenever the saddle system is, so the continuity rows mean
+C1^T u1[l] = C2^T u2[l] for every factor l; identifying each side-2
+interface dof with its side-1 partner leaves a symmetric positive definite
+system in the n merged dofs and r factors. Its band, in a rank-interleaved
+reverse Cuthill-McKee ordering (half-bandwidth r (b + 1) - 1 for a merged
+pattern of half-bandwidth b), is filled straight from the block values and
+factored by one banded Cholesky; the multiplier follows from side 1's
+interface equilibrium. ``direct_saddle_solve`` gives n and the band width
+of each built-in profile.
+
+The iterative route solves the interface problem
 
     [ F_I      -R2I ] [lambda]   [ d]
     [ -R2I^T     0  ] [alpha ] = [-e]
 
-with F_I = Chat_1^T Khat_1^{-1} Chat_1 + Chat_2^T Khat_2^+ Chat_2 is solved
-by a projected preconditioned conjugate gradient iteration; the primal
-factors follow by back-substitution
+with F_I = Chat_1^T Khat_1^{-1} Chat_1 + Chat_2^T Khat_2^+ Chat_2 by a
+projected preconditioned conjugate gradient iteration; the primal factors
+follow by back-substitution
 
     u1 = Khat_1^{-1}(f1 + Chat_1 lambda),
     u2 = Khat_2^{+}(f2 - Chat_2 lambda) + R2hat alpha.
 
-As in classical FETI, the local solves use sub-domain factorizations
-computed once per deterministic update: ``Khat_1`` and ``Khat_2``, the latter
-with its rigid-body dofs pinned when sub-domain 2 floats (a generalized
-inverse; projecting its solutions onto the complement of R2hat = I (x) R2
-gives the pseudo-inverse), so that every interface iteration applies F_I
-with triangular solves.
+Its block operators are ``kron_sum`` CSR matrices applied with one sparse
+product each. As in classical FETI, the local solves use sub-domain
+factorizations computed once per deterministic update: ``Khat_1`` and
+``Khat_2``, the latter with its rigid-body dofs pinned when sub-domain 2
+floats (a generalized inverse; projecting its solutions onto the complement
+of R2hat = I (x) R2 gives the pseudo-inverse), so that every interface
+iteration applies F_I with triangular solves.
 """
 
 from __future__ import annotations
@@ -41,10 +53,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbsv
 
-from .fem2d import ModeStack
+from .fem2d import ModeStack, band_index, extractor_entries
 from .pc_basis import family, triple_moment_stack
-from .problems import CoupledProblem
+from .problems import CoupledProblem, PrimalLayout
 
 
 class SolverError(RuntimeError):
@@ -144,6 +157,7 @@ class BlockOperators:
     f1: np.ndarray
     f2: np.ndarray
     R2: np.ndarray | None
+    layout: PrimalLayout
 
     @property
     def M1(self) -> int:
@@ -278,6 +292,7 @@ def build_block_operators(
         f1=problem.sub[0].f,
         f2=s2.f,
         R2=s2.R if s2.floating else None,
+        layout=problem.primal_layout,
     )
 
 
@@ -388,11 +403,9 @@ class InterfaceProblem:
 def _interface_modes(modes: ModeStack, C: sp.spmatrix) -> ModeStack:
     """The modes' interface blocks C^T K_j C, for an extractor C with one
     entry per column: principal sub-matrices scaled by those entries."""
-    Cc = sp.csc_matrix(C)
-    if not np.all(np.diff(Cc.indptr) == 1):
-        raise ValueError("each interface extractor column must pick one dof")
-    KI = modes.restrict(Cc.indices)
-    scale = Cc.data[KI.rows] * Cc.data[KI.indices]
+    dofs, values = extractor_entries(C)
+    KI = modes.restrict(dofs)
+    scale = values[KI.rows] * values[KI.indices]
     return ModeStack(KI.indptr, KI.indices, KI.data * scale)
 
 
@@ -500,14 +513,53 @@ def recover_primal(
 _DIRECT_SIZE_CAP = 40_000
 
 
+def _primal_band(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
+    """The primal system of ``direct_saddle_solve`` in LAPACK upper band
+    storage, with its load.
+
+    Unknown (g, l), factor l of merged dof g, is number ``inv[g] r + l``, so
+    entry (a, b) of block (l, l') sits at (r inv[a] + l, r inv[b] + l') and
+    the half-bandwidth is kd = r (b + 1) - 1. Returns the Fortran-order
+    (kd + 1, n r) band array and the (n r, 1) load.
+    """
+    lay, r = ops.layout, ops.rank
+    kd = r * (lay.b + 1) - 1
+    ab = np.zeros((kd + 1, r * lay.n), order="F")
+    flat = ab.ravel(order="F")  # a view
+    l = np.arange(r)
+    up = np.triu_indices(r)
+    # no position repeats within one side; the sides meet on the interface
+    for V, ((e, i, j, w), (d, k, wd)) in zip((ops.V1, ops.V2), lay.upper):
+        rows, cols = r * i + l[:, None, None], r * j + l[None, :, None]
+        flat[band_index(rows, cols, kd + 1, kd)] += V[:, :, e] * w
+        rows, cols = r * k + up[0][:, None], r * k + up[1][:, None]
+        flat[band_index(rows, cols, kd + 1, kd)] += V[up][:, d] * wd
+    f = np.bincount(lay.dof2, weights=lay.scale2 * ops.f2, minlength=lay.n)
+    f[: ops.M1] += ops.f1
+    return ab, np.outer(f[lay.perm], ops.fw).reshape(-1, 1)
+
+
 def direct_saddle_solve(
     ops: BlockOperators,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble and factor the whole block saddle system (small cases only).
+    """Exact solve of the block saddle system through its multiplier-free
+    primal form: one banded Cholesky factorization (small cases only).
 
-    The continuity rows pin the floating side's rigid modes, so the system is
-    nonsingular without extra unknowns; alpha is read off as R2hat^T u2. A
-    singular system (a zero stochastic factor, say) raises ``SolverError``.
+    W is nonsingular whenever the saddle system is, so the continuity rows
+    say C1^T u1[l] = C2^T u2[l] for every factor l, and each side-2
+    interface dof is its side-1 partner scaled by c1_k / c2_k
+    (``problems.PrimalLayout``, built once per problem). What is left is
+    the symmetric positive definite system of the n merged dofs and r
+    factors, which ``_primal_band`` writes straight into LAPACK band storage
+    and ``pbsv`` factors: n r unknowns, half-bandwidth kd = r (b + 1) - 1,
+    (kd + 1) n r stored values and about n r kd^2 flops. Per built-in
+    profile, n and kd are 72 and 7r - 1 (``lshape-desk``), 240 and 14r - 1
+    (``beam-desk``), 1 100 and 26r - 1 (``beam``), 1 640 and 23r - 1
+    (``lshape``); at r = 10 on ``beam-desk`` that is a 140 x 2 400 band.
+    The multiplier follows from side 1's interface equilibrium,
+    W lambda = C1^T (Khat_1 u1 - fhat1) / c1^2 with c1 the extractor
+    entries, and alpha = R2hat^T u2. A singular system (a zero stochastic
+    factor, say) raises ``SolverError``.
     """
     r = ops.rank
     n = r * (ops.M1 + ops.M2 + ops.M_I)
@@ -516,17 +568,24 @@ def direct_saddle_solve(
             f"direct saddle solve of size {n} exceeds the cap {_DIRECT_SIZE_CAP}; "
             "use the interface iteration"
         )
-    C1 = sp.kron(sp.csr_matrix(ops.W), ops.C1)
-    C2 = sp.kron(sp.csr_matrix(ops.W), ops.C2)
-    A = sp.bmat(
-        [[ops.K1hat, None, -C1], [None, ops.K2hat, C2], [-C1.T, C2.T, None]],
-        format="csc",
-    )
-    b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
-    x = factor_solve(A, b, "block saddle system")
-    n1, n2 = r * ops.M1, r * ops.M2
-    u1 = x[:n1].reshape(r, ops.M1)
-    u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
-    lam = x[n1 + n2 :].reshape(r, ops.M_I)
+    lay = ops.layout
+    _, x, info = dpbsv(*_primal_band(ops), overwrite_ab=1, overwrite_b=1)
+    if info < 0:
+        raise RuntimeError(f"pbsv rejected its argument {-info}")
+    if info > 0:
+        raise SolverError(
+            f"block saddle system is singular: the leading minor of order {info} "
+            "of its primal form is not positive definite"
+        )
+    if not np.all(np.isfinite(x)):
+        raise SolverError("block saddle system has a non-finite solution (singular system)")
+    u = np.ascontiguousarray(x.reshape(lay.n, r)[lay.inv].T)
+    u1, u2 = u[:, : ops.M1], u[:, lay.dof2] * lay.scale2
+    # side 1's equilibrium at interface dof p1_k: (Khat_1 u1 - fhat1)[p1_k]
+    # = c1_k (W lambda)[k]
+    e, starts = lay.iface1
+    Ku = np.einsum("lme,me->le", ops.V1[:, :, e], u1[:, ops.modes1.indices[e]])
+    Wlam = (np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[lay.p1])) / lay.c1
+    lam = np.linalg.solve(ops.W, Wlam)
     alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
     return u1, u2, lam, alpha

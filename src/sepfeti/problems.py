@@ -213,6 +213,82 @@ class CoupledProblem:
     def config_json(self) -> str:
         return json.dumps(self.config, sort_keys=True)
 
+    @cached_property
+    def primal_layout(self) -> "PrimalLayout":
+        return primal_layout(self.sub[0], self.sub[1])
+
+
+@dataclass(frozen=True)
+class PrimalLayout:
+    """The two sub-domains merged along the interface, with one ordering of
+    the merged dofs: the rank-independent part of the multiplier-free
+    deterministic update (``feti.direct_saddle_solve``).
+
+    Continuity C1^T u1 = C2^T u2 ties side-2 interface dof p2_k to its side-1
+    partner p1_k as u2[p2_k] = (c1_k / c2_k) u1[p1_k], with c_k the extractor
+    entries. Side-1 dof i is merged dof i; side-2 dof j is merged dof
+    ``dof2[j]`` with the factor ``scale2[j]``. ``perm``/``inv`` are a reverse
+    Cuthill-McKee ordering of the merged pattern, b its half-bandwidth.
+    ``upper[s]`` picks side s's stored entries (a, b) that land on or above
+    the diagonal of the ordered merged pattern, as ``(strict, diag)``:
+    ``strict = (entries, inv of a, inv of b, scale)`` for the entries off
+    the diagonal and ``diag = (entries, inv of a, scale)`` for the rest.
+    ``iface1`` lists side 1's stored entries in the rows p1 and where each
+    row starts in that list.
+    """
+
+    n: int
+    b: int
+    perm: np.ndarray
+    inv: np.ndarray
+    dof2: np.ndarray
+    scale2: np.ndarray
+    p1: np.ndarray
+    c1: np.ndarray
+    upper: tuple[tuple, tuple]
+    iface1: tuple[np.ndarray, np.ndarray]
+
+
+def primal_layout(sub1: SubdomainProblem, sub2: SubdomainProblem) -> PrimalLayout:
+    """Merge map and ordering of the primal system of two sub-domains."""
+    p1, c1 = fem2d.extractor_entries(sub1.C)
+    p2, c2 = fem2d.extractor_entries(sub2.C)
+    M1, M2 = sub1.n_dofs, sub2.n_dofs
+    dof2 = np.full(M2, -1, dtype=np.intp)
+    dof2[p2] = p1
+    fresh = np.flatnonzero(dof2 < 0)
+    dof2[fresh] = M1 + np.arange(fresh.size)
+    scale2 = np.ones(M2)
+    scale2[p2] = c1 / c2
+    sides = (
+        (sub1.modes, np.arange(M1), np.ones(M1)),
+        (sub2.modes, dof2, scale2),
+    )
+    merged = [(dmap[m.rows], dmap[m.indices]) for m, dmap, _ in sides]
+    n = M1 + fresh.size
+    perm, inv, b = fem2d.band_ordering(
+        n, np.concatenate([i for i, _ in merged]), np.concatenate([j for _, j in merged])
+    )
+    upper = []
+    for (modes, _, s), (i, j) in zip(sides, merged):
+        i, j, w = inv[i], inv[j], s[modes.rows] * s[modes.indices]
+        strict, diag = np.flatnonzero(i < j), np.flatnonzero(i == j)
+        upper.append(((strict, i[strict], j[strict], w[strict]), (diag, i[diag], w[diag])))
+    lo, length = sub1.modes.indptr[p1], np.diff(sub1.modes.indptr)[p1]
+    starts = np.append(0, np.cumsum(length)[:-1])
+    return PrimalLayout(
+        n=n,
+        b=b,
+        perm=perm,
+        inv=inv,
+        dof2=dof2,
+        scale2=scale2,
+        p1=p1,
+        c1=c1,
+        upper=(upper[0], upper[1]),
+        iface1=(np.repeat(lo - starts, length) + np.arange(length.sum()), starts),
+    )
+
 
 def _build_field(
     mesh: Mesh, config: dict[str, Any], side: int

@@ -19,9 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .fem2d import SparsePattern
+from .fem2d import SparsePattern, band_index, band_ordering
 from .feti import SolverError, block_values, factor_solve, kron_sum
 from .pc_basis import (
     LEGENDRE,
@@ -267,15 +266,8 @@ def _band_layout(pattern: SparsePattern) -> tuple[np.ndarray, int, np.ndarray]:
     zeroed Fortran-order (3b + 1, n) array, so row 2b + i - j of column j as
     ``gbsv`` expects; the first b rows are left for the LU fill.
     """
-    n = pattern.n
-    perm = reverse_cuthill_mckee(
-        pattern.matrix(np.ones(pattern.indices.size)), symmetric_mode=True
-    )
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    i, j = inv[pattern.rows], inv[pattern.indices]
-    b = int(np.abs(i - j).max(initial=0))
-    return perm, b, (3 * b + 1) * j + 2 * b + i - j
+    perm, inv, b = band_ordering(pattern.n, pattern.rows, pattern.indices)
+    return perm, b, band_index(inv[pattern.rows], inv[pattern.indices], 3 * b + 1, 2 * b)
 
 
 def monte_carlo_reference(

@@ -6,9 +6,11 @@ PC basis, single-sample and batched field evaluation and single-sample
 solution evaluation, the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
-pairwise merge of two of its accumulators, and stiffness modes assembled one
+pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) to
-check the one-product assembly against.
+check the one-product assembly against, and the block saddle system
+assembled whole and factored by a sparse LU, which the banded primal route
+of ``feti.direct_saddle_solve`` is checked against.
 """
 
 from __future__ import annotations
@@ -298,3 +300,35 @@ def coo_elasticity_mode(
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
     return K
+
+
+def saddle_solve_superlu(
+    ops: feti.BlockOperators,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble and factor the whole block saddle system (small cases only).
+
+    The continuity rows pin the floating side's rigid modes, so the system is
+    nonsingular without extra unknowns; alpha is read off as R2hat^T u2. A
+    singular system (a zero stochastic factor, say) raises ``SolverError``.
+    """
+    r = ops.rank
+    n = r * (ops.M1 + ops.M2 + ops.M_I)
+    if n > feti._DIRECT_SIZE_CAP:
+        raise feti.SolverError(
+            f"direct saddle solve of size {n} exceeds the cap {feti._DIRECT_SIZE_CAP}; "
+            "use the interface iteration"
+        )
+    C1 = sp.kron(sp.csr_matrix(ops.W), ops.C1)
+    C2 = sp.kron(sp.csr_matrix(ops.W), ops.C2)
+    A = sp.bmat(
+        [[ops.K1hat, None, -C1], [None, ops.K2hat, C2], [-C1.T, C2.T, None]],
+        format="csc",
+    )
+    b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
+    x = feti.factor_solve(A, b, "block saddle system")
+    n1, n2 = r * ops.M1, r * ops.M2
+    u1 = x[:n1].reshape(r, ops.M1)
+    u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
+    lam = x[n1 + n2 :].reshape(r, ops.M_I)
+    alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
+    return u1, u2, lam, alpha
