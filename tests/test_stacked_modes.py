@@ -255,7 +255,10 @@ def test_monte_carlo_matches_per_sample_solves(problem):
     acc = reference.monte_carlo_reference(problem, n_samples, seed=seed)
     U = oracles.per_sample_solutions(problem, n_samples, seed)
     assert rel_diff(acc.mean, U.mean(axis=0)) < 1e-12
-    assert rel_diff(acc.std, U.std(axis=0)) < 1e-12
+    # the std on the solution's scale: ||std|| is only ~0.1 ||mean|| on the
+    # beam, and the two solvers agree to ~1e-12 of the solution per sample
+    std_err = np.linalg.norm(acc.std - U.std(axis=0)) / np.linalg.norm(U.mean(axis=0))
+    assert std_err < 1e-12
 
 
 def test_direct_saddle_solve_rejects_zero_factor():
