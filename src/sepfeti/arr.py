@@ -535,7 +535,8 @@ def arr_run(
         ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)
         for sweep in range(1, max_sweeps + 1):
             n_sweeps = sweep
-            pi_before = energy(problem, sol, ops=ops)
+            # a later sweep starts from the last one's factors and operators
+            pi_before = energy(problem, sol, ops=ops) if pi_prev is None else pi_prev
             info: dict = {}
             upd = deterministic_update(
                 problem,

@@ -212,7 +212,7 @@ def _cmd_mesh_export(args: argparse.Namespace) -> int:
     problem = _build_problem(args)
     subs = []
     for i in range(2):
-        mesh = problem.sub_full[i].mesh
+        mesh = problem.sub[i].mesh
         subs.append(
             {
                 "nodes": mesh.nodes.tolist(),

@@ -187,15 +187,15 @@ class CoupledProblem:
     """Two coupled sub-domain problems plus their stochastic metadata.
 
     ``sub`` holds the reduced (post-Dirichlet) problems used by the solvers;
-    ``sub_full`` keeps the unreduced assembly for monolithic merging and
-    reaction recovery. Factors of the separated representation for germ i
-    live in the span of ``idx_solution[i]``.
+    ``f_full`` keeps each sub-domain's load before Dirichlet elimination, for
+    monolithic merging and reaction recovery. Factors of the separated
+    representation for germ i live in the span of ``idx_solution[i]``.
     """
 
     kind: str
     ncomp: int
     sub: tuple[SubdomainProblem, SubdomainProblem]
-    sub_full: tuple[SubdomainProblem, SubdomainProblem]
+    f_full: tuple[np.ndarray, np.ndarray]
     dirichlet_nodes: tuple[np.ndarray, np.ndarray]
     fields: tuple[RandomFieldPC, RandomFieldPC]
     idx_solution: tuple[MultiIndexSet, MultiIndexSet]
@@ -354,12 +354,10 @@ def _finish(
     C1, C2, coords = fem2d.build_interface_extractors(
         meshes[0], meshes[1], ncomp=ncomp, exclude_nodes1=excl[0], exclude_nodes2=excl[1]
     )
-    full = []
     reduced = []
     for mesh, pc_field, f, C, dn in zip(meshes, fields, loads, (C1, C2), dirichlet):
         modes = _assemble_modes(mesh, pc_field, kind, nu)
         prob = fem2d.make_subdomain_problem(mesh, ncomp, modes, f, C)
-        full.append(prob)
         reduced.append(fem2d.apply_dirichlet(prob, dn) if dn.size else prob)
     idx = (
         build_index_set(fields[0].n_dims, int(config["pc"]["p1"])),
@@ -369,7 +367,7 @@ def _finish(
         kind=kind,
         ncomp=ncomp,
         sub=(reduced[0], reduced[1]),
-        sub_full=(full[0], full[1]),
+        f_full=(loads[0], loads[1]),
         dirichlet_nodes=(dirichlet[0], dirichlet[1]),
         fields=(fields[0], fields[1]),
         idx_solution=idx,
@@ -521,7 +519,7 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     into the combined germ (the other germ's block padded with zeros); the
     two mean modes combine.
     """
-    m1, m2 = problem.sub_full[0].mesh, problem.sub_full[1].mesh
+    m1, m2 = problem.sub[0].mesh, problem.sub[1].mesh
     ncomp = problem.ncomp
     ids1, ids2 = fem2d.interface_nodes(m1, m2)
     n1, n2 = m1.n_nodes, m2.n_nodes
@@ -548,8 +546,8 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     )
 
     f = np.zeros(n_dofs)
-    np.add.at(f, dmap1, problem.sub_full[0].f)
-    np.add.at(f, dmap2, problem.sub_full[1].f)
+    np.add.at(f, dmap1, problem.f_full[0])
+    np.add.at(f, dmap2, problem.f_full[1])
 
     fixed = np.concatenate(
         [

@@ -5,6 +5,9 @@ evaluation, multivariate triple moments and quadrature projection for the
 PC basis, single-sample and batched field evaluation and single-sample
 solution evaluation, the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
+Gaussian kernel by its broadcast formula and the KL eigenproblem solved
+for all n pairs by a dense solve, a sub-domain's unreduced mean stiffness
+and extractor (the problem keeps only the reduced ones), the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) to
@@ -19,6 +22,7 @@ import copy
 import json
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -105,7 +109,7 @@ def swap_subdomains(problem: problems.CoupledProblem) -> problems.CoupledProblem
         kind=problem.kind,
         ncomp=problem.ncomp,
         sub=problem.sub[::-1],
-        sub_full=problem.sub_full[::-1],
+        f_full=problem.f_full[::-1],
         dirichlet_nodes=problem.dirichlet_nodes[::-1],
         fields=problem.fields[::-1],
         idx_solution=problem.idx_solution[::-1],
@@ -235,6 +239,61 @@ def kl_to_json(kl: random_field.KLBasis) -> str:
         {"tau": kl.eigenvalues.tolist(), "modes": kl.modes.tolist()},
         sort_keys=True,
     )
+
+
+def broadcast_kernel_matrix(kernel: random_field.GaussianKernel, points: np.ndarray) -> np.ndarray:
+    """The kernel at all point pairs through an (n, n, 2) difference array."""
+    diff = points[:, None, :] - points[None, :, :]
+    sq = (diff**2).sum(axis=2)
+    return kernel.sigma**2 * np.exp(-sq / kernel.corr_len**2)
+
+
+def dense_kl(
+    kernel: random_field.GaussianKernel, mesh: fem2d.Mesh, n_modes: int
+) -> random_field.KLBasis:
+    """The KL eigenproblem (M C M) g = tau M g solved for all n pairs with
+    dense products, the ``n_modes`` largest kept under the library's
+    nonnegativity check and sign rule."""
+    M = fem2d.mass_matrix(mesh).toarray()
+    C = kernel.matrix(mesh.nodes)
+    A = M @ C @ M
+    A = 0.5 * (A + A.T)
+    tau, vecs = scipy.linalg.eigh(A, M)
+    tau = tau[::-1]
+    vecs = vecs[:, ::-1]
+    tol = 1e-12 * max(tau[0], 1.0) if tau.size else 0.0
+    n_ok = int((tau >= -tol).sum())
+    if n_modes > n_ok:
+        raise ValueError(
+            f"requested {n_modes} modes but only {n_ok} nonnegative eigenvalues"
+        )
+    tau = np.clip(tau[:n_modes], 0.0, None)
+    modes = vecs[:, :n_modes].T.copy()
+    if n_modes:
+        biggest = np.abs(modes).argmax(axis=1)
+        flip = modes[np.arange(n_modes), biggest] < 0.0
+        modes[flip] *= -1.0
+    return random_field.KLBasis(eigenvalues=tau, modes=modes, mass=fem2d.mass_matrix(mesh))
+
+
+def unreduced_mean_subdomain(
+    problem: problems.CoupledProblem, side: int
+) -> fem2d.SubdomainProblem:
+    """Sub-domain ``side`` before Dirichlet elimination, with its mean
+    stiffness mode only, its unreduced load and its unreduced extractor."""
+    meshes = [sub.mesh for sub in problem.sub]
+    excl = problems._dirichlet_coord_exclusions(meshes, list(problem.dirichlet_nodes))
+    C = fem2d.build_interface_extractors(
+        *meshes, ncomp=problem.ncomp, exclude_nodes1=excl[0], exclude_nodes2=excl[1]
+    )[side]
+    field = problem.fields[side]
+    mean = field.coeff_fields[0] + field.shift
+    mesh = meshes[side]
+    if problem.kind == problems.KIND_DIFFUSION:
+        modes = fem2d.assemble_diffusion_mode(mesh, mean)
+    else:
+        modes = fem2d.assemble_elasticity_mode(mesh, mean, problem.config["field"]["nu"])
+    return fem2d.make_subdomain_problem(mesh, problem.ncomp, modes, problem.f_full[side], C)
 
 
 def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:

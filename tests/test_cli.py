@@ -259,3 +259,18 @@ def test_compare_missing_file_exit_1(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def test_run_solver_error_exit_3(tmp_path, desk_config, capsys, monkeypatch):
+    from sepfeti import arr, feti
+
+    def fail(*args, **kwargs):
+        raise feti.SolverError("block saddle system is singular: test")
+
+    monkeypatch.setattr(arr, "arr_run", fail)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(desk_config), "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "singular" in err
+    assert not (out / "solution.json").exists()

@@ -71,7 +71,7 @@ def test_lshape_desk_counts():
     assert s1.n_interface == 4 and s2.n_interface == 4
     assert not s1.floating and not s2.floating
     # body load only on the first box (f=10 over area 2)
-    assert prob.sub_full[0].f.sum() == pytest.approx(20.0, rel=1e-12)
+    assert prob.f_full[0].sum() == pytest.approx(20.0, rel=1e-12)
     assert not s2.f.any()
 
 
@@ -137,7 +137,7 @@ def test_beam_desk_interface_dofs():
     prob = beam_desk()
     assert prob.sub[0].n_interface == 12  # 6 shared nodes x 2 components
     assert prob.interface_coords.shape == (6, 2)
-    total = prob.sub_full[0].f[1::2].sum() + prob.sub_full[1].f[1::2].sum()
+    total = prob.f_full[0][1::2].sum() + prob.f_full[1][1::2].sum()
     assert total == pytest.approx(-0.1 * 4.0, rel=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_beam_reaction_resultant():
     # clamp reaction balances the applied traction: R = (0, +0.1*length)
     prob = beam_desk(sigma1=0.0, sigma2=0.0)
     u1, _, lam = _dense_saddle_solve(prob)
-    full = prob.sub_full[0]
+    full = oracles.unreduced_mean_subdomain(prob, 0)
     u1_full = np.zeros(full.n_dofs)
     u1_full[prob.sub[0].free_dofs] = u1
     r = full.K_modes[0] @ u1_full - full.f

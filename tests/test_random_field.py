@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sepfeti import fem2d, pc_basis, random_field
+from sepfeti import fem2d, pc_basis, problems, random_field
 
 
 def unit_mesh(h=0.25):
@@ -75,12 +75,78 @@ def test_mode_count_limit():
         random_field.discretize_kl(kernel, mesh, mesh.n_nodes + 1)
 
 
+class SignedKernel(random_field.GaussianKernel):
+    """An indefinite "kernel": the identity with its last rows negated."""
+
+    def matrix(self, points):
+        signs = np.ones(len(points))
+        signs[-3:] = -1.0
+        return np.diag(signs)
+
+
+def test_negative_eigenvalue_guard_matches_dense_count():
+    mesh = unit_mesh(0.5)
+    kernel = SignedKernel(sigma=1.0, corr_len=1.0)
+    n_ok = mesh.n_nodes - 3
+    for route in (random_field.discretize_kl, oracles.dense_kl):
+        assert (route(kernel, mesh, n_ok).eigenvalues > 0.0).all()
+        with pytest.raises(ValueError, match="negative"):
+            route(kernel, mesh, n_ok + 1)
+
+
 def test_sign_convention_reproducible():
     kl1, _ = make_kl(d=5)
     kl2, _ = make_kl(d=5)
     np.testing.assert_array_equal(kl1.modes, kl2.modes)
     biggest = np.abs(kl1.modes).argmax(axis=1)
     assert (kl1.modes[np.arange(5), biggest] > 0).all()
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("profile", ["lshape-desk", "beam-desk", "lshape", "beam"])
+def test_leading_pairs_match_dense_solve(profile, side):
+    # every sub-domain mesh and KL truncation of the four profiles
+    cfg = problems.profile_config(profile)
+    rect = problems._two_rects(cfg)[side - 1]
+    mesh = fem2d.build_rect_mesh(*rect, float(cfg["mesh"][f"h{side}"]))
+    fld = cfg["field"]
+    kernel = random_field.GaussianKernel(
+        sigma=float(fld[f"sigma{side}"]), corr_len=float(fld[f"lc{side}"])
+    )
+    d = int(fld[f"d{side}"])
+    kl = random_field.discretize_kl(kernel, mesh, d)
+    ref = oracles.dense_kl(kernel, mesh, d)
+    tau1 = ref.eigenvalues[0]
+    assert np.abs(kl.eigenvalues - ref.eigenvalues).max() <= 1e-13 * tau1
+    # up to sign: the sign rule meets rounding-level ties on these meshes
+    sign = np.sign((kl.modes * ref.modes).sum(axis=1))
+    assert np.abs(kl.modes - sign[:, None] * ref.modes).max() <= 1e-10
+    gram = kl.modes @ (kl.mass @ kl.modes.T)
+    assert np.abs(gram - np.eye(d)).max() <= 1e-12
+
+
+def test_kernel_matrix_equals_broadcast_formula():
+    mesh = fem2d.build_rect_mesh((0.0, 2.0), (0.0, 1.0), 0.1)
+    kernel = random_field.GaussianKernel(sigma=0.5, corr_len=2.0 / 3.0)
+    np.testing.assert_array_equal(
+        kernel.matrix(mesh.nodes), oracles.broadcast_kernel_matrix(kernel, mesh.nodes)
+    )
+
+
+def test_zero_modes_is_empty():
+    kl, mesh = make_kl(d=0, h=0.5)
+    assert kl.eigenvalues.shape == (0,)
+    assert kl.modes.shape == (0, mesh.n_nodes)
+    assert kl.n_modes == 0
+
+
+def test_all_modes_match_dense_solve():
+    mesh = unit_mesh(0.25)
+    kernel = random_field.GaussianKernel(sigma=0.5, corr_len=2.0 / 3.0)
+    kl = random_field.discretize_kl(kernel, mesh, mesh.n_nodes)
+    ref = oracles.dense_kl(kernel, mesh, mesh.n_nodes)
+    assert kl.modes.shape == (mesh.n_nodes, mesh.n_nodes)
+    np.testing.assert_allclose(kl.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-13 * ref.eigenvalues[0])
 
 
 def test_kl_json_export():

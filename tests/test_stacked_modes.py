@@ -36,7 +36,7 @@ def assemble(prob, mesh, coeffs):
 
 def per_mode_assembly(prob, side):
     """Reduced stiffness modes assembled one per call, as CSR matrices."""
-    mesh = prob.sub_full[side].mesh
+    mesh = prob.sub[side].mesh
     field = prob.fields[side]
     keep = prob.sub[side].free_dofs
     modes = []
@@ -87,7 +87,7 @@ def test_stacked_assembly_equals_per_mode_coo_assembly(problem):
     )
     rng = np.random.default_rng(23)
     for side in range(2):
-        mesh = problem.sub_full[side].mesh
+        mesh = problem.sub[side].mesh
         coeffs = rng.standard_normal((5, mesh.n_nodes))
         stack = assemble(problem, mesh, coeffs)
         ref = oracles.mode_stack_from_modes([coo_mode(mesh, c) for c in coeffs])
