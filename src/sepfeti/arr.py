@@ -229,7 +229,7 @@ def deterministic_update(
     ``method`` is "direct" (banded Cholesky of the multiplier-free primal
     system), "pcpg" (interface iteration with primal back-substitution), or
     "auto" (direct below a size threshold). ``info``, when given, receives the
-    interface iteration count, the rigid-body amplitudes and the method used.
+    interface iteration count as ``pcpg_iters``.
     """
     if ops is None:
         if g_modes is None:
@@ -239,17 +239,17 @@ def deterministic_update(
         size = solution.rank * (ops.M1 + ops.M2 + ops.M_I)
         method = "direct" if size <= _AUTO_DIRECT_LIMIT else "pcpg"
     if method == "direct":
-        u1, u2, lam, alpha = direct_saddle_solve(ops)
+        u1, u2, lam, _ = direct_saddle_solve(ops)
         iters = 0
     elif method == "pcpg":
         ip = build_interface_problem(ops, preconditioner=preconditioner)
         lam, trace = pcpg_solve(ip, eps=pcpg_eps)
-        u1, u2, alpha = recover_primal(ip, lam)
+        u1, u2, _ = recover_primal(ip, lam)
         iters = trace.n_iters
     else:
         raise ValueError(f"unknown deterministic update method {method!r}")
     if info is not None:
-        info.update(pcpg_iters=iters, alpha=alpha, method=method)
+        info["pcpg_iters"] = iters
     return SeparatedSolution(
         u1=u1, u2=u2, lam=lam, phi1=solution.phi1.copy(), phi2=solution.phi2.copy()
     )
@@ -488,39 +488,27 @@ def arr_run(
     problem: CoupledProblem,
     eps: float | None = None,
     *,
-    tol_rank: float | None = None,
     r_max: int | None = None,
-    max_sweeps: int | None = None,
     seed: int | None = None,
     n_mc_residual: int | None = None,
-    det_method: str | None = None,
-    pcpg_eps: float | None = None,
-    preconditioner: str | None = None,
 ) -> tuple[SeparatedSolution, ArrTrace]:
     """Run the alternating rank-update algorithm to a residual target.
 
     Starting from rank one with seeded random unit-normalized stochastic
     factors, each sweep performs the deterministic update followed by the two
     stochastic factor updates and a normalization pass. Sweeps repeat until
-    the relative energy change drops below ``tol_rank`` (or the sweep cap);
-    the rank then grows by one warm-started random pair until the Monte-Carlo
-    residual estimate meets ``eps`` or ``r_max`` is reached. Parameters left
-    as None fall back to the problem's solver configuration.
+    the relative energy change drops below ``solver.sweep_tol`` (or the
+    ``solver.max_sweeps`` cap); the rank then grows by one warm-started random
+    pair until the Monte-Carlo residual estimate meets ``eps`` or ``r_max`` is
+    reached. Arguments left as None, and every other setting, come from the
+    problem's resolved ``solver`` configuration.
     """
-    cfg = dict(problem.config.get("solver", {}))
-
-    def pick(value, key, fallback):
-        return value if value is not None else cfg.get(key, fallback)
-
-    eps = float(pick(eps, "eps", 1e-2))
-    tol_rank = float(pick(tol_rank, "sweep_tol", 1e-6))
-    r_max = int(pick(r_max, "rank_max", 10))
-    max_sweeps = int(pick(max_sweeps, "max_sweeps", 50))
-    seed = int(pick(seed, "seed", 12345))
-    n_mc_residual = int(pick(n_mc_residual, "n_mc_residual", 10_000))
-    det_method = pick(det_method, "det_update", "auto")
-    pcpg_eps = float(pick(pcpg_eps, "pcpg_tol", 1e-8))
-    preconditioner = pick(preconditioner, "preconditioner", "stiffness")
+    cfg = problem.config["solver"]
+    eps = float(cfg["eps"] if eps is None else eps)
+    r_max = int(cfg["rank_max"] if r_max is None else r_max)
+    seed = int(cfg["seed"] if seed is None else seed)
+    n_mc_residual = int(cfg["n_mc_residual"] if n_mc_residual is None else n_mc_residual)
+    tol_rank, max_sweeps = float(cfg["sweep_tol"]), int(cfg["max_sweeps"])
     if eps <= 0.0:
         raise ValueError("the residual target must be positive")
 
@@ -541,9 +529,9 @@ def arr_run(
             upd = deterministic_update(
                 problem,
                 sol,
-                method=det_method,
-                pcpg_eps=pcpg_eps,
-                preconditioner=preconditioner,
+                method=cfg["det_update"],
+                pcpg_eps=float(cfg["pcpg_tol"]),
+                preconditioner=cfg["preconditioner"],
                 ops=ops,
                 info=info,
             )

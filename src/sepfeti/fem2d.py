@@ -11,7 +11,7 @@ sparsity pattern and the positions of its entries in LAPACK band storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +51,6 @@ class Mesh:
     rect: tuple[float, float, float, float]   # (x0, x1, y0, y1)
     nx: int
     ny: int
-    edge_tags: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -408,7 +407,6 @@ class SubdomainProblem:
     R: np.ndarray                      # (n_free_dofs, n_rigid) orthonormal, possibly 0 cols
     floating: bool
     free_dofs: np.ndarray              # original dof ids kept (identity before elimination)
-    dirichlet_dofs: np.ndarray
 
     @property
     def K_modes(self) -> list[sp.csr_matrix]:
@@ -440,7 +438,6 @@ def make_subdomain_problem(
         R=rigid_body_modes(mesh, ncomp),
         floating=True,
         free_dofs=np.arange(n, dtype=np.intp),
-        dirichlet_dofs=np.empty(0, dtype=np.intp),
     )
 
 
@@ -478,7 +475,6 @@ def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainPr
         R=np.zeros((keep.size, 0)),
         floating=False,
         free_dofs=problem.free_dofs[keep],
-        dirichlet_dofs=np.concatenate([problem.dirichlet_dofs, drop]),
     )
 
 

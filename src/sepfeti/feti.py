@@ -28,7 +28,9 @@ The iterative route solves the interface problem
     [ -R2I^T     0  ] [alpha ] = [-e]
 
 with F_I = Chat_1^T Khat_1^{-1} Chat_1 + Chat_2^T Khat_2^+ Chat_2 by a
-projected preconditioned conjugate gradient iteration; the primal factors
+projected preconditioned conjugate gradient iteration (``pcpg_solve``: the
+one CG kernel ``pcg``, which the combined-basis Galerkin oracle of
+``reference`` also runs, with the rigid-body projector); the primal factors
 follow by back-substitution
 
     u1 = Khat_1^{-1}(f1 + Chat_1 lambda),
@@ -115,11 +117,6 @@ def factorize(A: sp.spmatrix, what: str) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def factor_solve(A: sp.spmatrix, b: np.ndarray, what: str) -> np.ndarray:
-    """One solve with ``factorize``."""
-    return factorize(A, what)(b)
-
-
 def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Per-germ stacks G[j][a,b] = E[psi_j psi_a psi_b].
 
@@ -198,12 +195,6 @@ class BlockOperators:
     @cached_property
     def K2hat(self) -> sp.csr_matrix:
         return kron_sum(self.modes2, self.V2)
-
-    def apply_K1(self, U: np.ndarray) -> np.ndarray:
-        return (self.K1hat @ U.ravel()).reshape(U.shape)
-
-    def apply_K2(self, U: np.ndarray) -> np.ndarray:
-        return (self.K2hat @ U.ravel()).reshape(U.shape)
 
     def apply_C1(self, lam: np.ndarray) -> np.ndarray:
         return (self.C1 @ (self.W @ lam).T).T
@@ -322,14 +313,6 @@ def apply_K2_pseudoinverse(
 
 
 @dataclass
-class NullSpaceBlocks:
-    """Block-diagonal null space of the floating side and its interface image."""
-
-    R2: np.ndarray  # (M2, n_rigid), orthonormal columns
-    C2I: np.ndarray  # (M_I, n_rigid) = C2^T R2
-
-
-@dataclass
 class PcpgTrace:
     """Relative interface residual per iteration."""
 
@@ -343,28 +326,31 @@ class PcpgTrace:
 
 @dataclass
 class InterfaceProblem:
-    """Implicit interface operator, projector, and preconditioner."""
+    """Implicit interface operator, projector, and preconditioner.
+
+    ``C2I = C2^T R2`` is the interface image of the floating side's
+    rigid-body modes, None when no side floats.
+    """
 
     ops: BlockOperators
-    null: NullSpaceBlocks | None
     precond: Callable[[np.ndarray], np.ndarray]
+    C2I: np.ndarray | None = field(init=False, default=None)
     d: np.ndarray = field(init=False)
-    e: np.ndarray | None = field(init=False)
+    e: np.ndarray | None = field(init=False, default=None)
     _SR: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         ops = self.ops
-        if self.null is not None:
-            SR = np.kron(ops.W @ ops.W, self.null.C2I.T @ self.null.C2I)
+        if ops.floating:
+            self.C2I = ops.C2.T @ ops.R2
+            SR = np.kron(ops.W @ ops.W, self.C2I.T @ self.C2I)
             try:
                 self._SR = scipy.linalg.cho_factor(SR)
             except scipy.linalg.LinAlgError as err:
                 raise SolverError(
                     "interface null-space columns are linearly dependent"
                 ) from err
-            self.e = ops.fhat2 @ self.null.R2
-        else:
-            self.e = None
+            self.e = ops.fhat2 @ ops.R2
         y2 = apply_K2_pseudoinverse(ops, ops.fhat2, check=False)
         y1 = apply_K1_inverse(ops, ops.fhat1)
         self.d = ops.apply_C2T(y2) - ops.apply_C1T(y1)
@@ -380,23 +366,23 @@ class InterfaceProblem:
 
     def apply_P(self, lam: np.ndarray) -> np.ndarray:
         """Orthogonal projector onto the complement of range(R2I)."""
-        if self.null is None:
+        if self.C2I is None:
             return lam
-        A = self.ops.W @ lam @ self.null.C2I
-        return lam - self.ops.W @ self._solve_SR(A) @ self.null.C2I.T
+        A = self.ops.W @ lam @ self.C2I
+        return lam - self.ops.W @ self._solve_SR(A) @ self.C2I.T
 
     def lambda_init(self) -> np.ndarray:
         """Feasible start R2I (R2I^T R2I)^{-1} e = the multiplier that makes
         the floating side's load compatible."""
-        if self.null is None:
+        if self.C2I is None:
             return np.zeros((self.ops.rank, self.ops.M_I))
-        return self.ops.W @ self._solve_SR(self.e) @ self.null.C2I.T
+        return self.ops.W @ self._solve_SR(self.e) @ self.C2I.T
 
     def alpha_from(self, lam: np.ndarray) -> np.ndarray:
         """Rigid-body amplitudes (R2I^T R2I)^{-1} R2I^T (F lambda - d)."""
-        if self.null is None:
+        if self.C2I is None:
             return np.zeros((self.ops.rank, 0))
-        g = self.ops.W @ (self.apply_F(lam) - self.d) @ self.null.C2I
+        g = self.ops.W @ (self.apply_F(lam) - self.d) @ self.C2I
         return self._solve_SR(g)
 
 
@@ -439,62 +425,77 @@ def build_preconditioner(
 def build_interface_problem(
     ops: BlockOperators, preconditioner: str = "stiffness"
 ) -> InterfaceProblem:
-    null = (
-        NullSpaceBlocks(R2=ops.R2, C2I=(ops.C2.T @ ops.R2)) if ops.floating else None
-    )
-    return InterfaceProblem(
-        ops=ops,
-        null=null,
-        precond=build_preconditioner(ops, preconditioner),
-    )
+    return InterfaceProblem(ops=ops, precond=build_preconditioner(ops, preconditioner))
+
+
+def pcg(
+    apply_A: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    apply_M: Callable[[np.ndarray], np.ndarray],
+    eps: float,
+    max_iters: int,
+    what: str,
+    x: np.ndarray | None = None,
+    project: Callable[[np.ndarray], np.ndarray] = lambda v: v,
+) -> tuple[np.ndarray, list[float]]:
+    """Preconditioned conjugate gradients on block vectors, from ``x`` (zero
+    when None) until |w| / |b| < eps, with w the residual mapped by the
+    orthogonal projector ``project``.
+
+    With the rigid-body projector of the interface problem this is the
+    projected iteration (PCPG) of classical FETI; with the identity it is
+    plain preconditioned CG. Returns the solution and the relative residual
+    after each iteration. Running out of iterations or meeting a direction
+    of non-positive curvature raises ``SolverError`` naming ``what``.
+    """
+    start = np.zeros_like(b) if x is None else x
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return start, []
+    w = project(b if x is None else b - apply_A(x))
+    x, p, num_old, residuals = start, None, 0.0, []
+    rel = np.linalg.norm(w) / bnorm
+    while rel >= eps:
+        if len(residuals) >= max_iters:
+            raise SolverError(
+                f"{what} exceeded {max_iters} iterations (relative residual "
+                f"{rel:.3e}, target {eps:.1e}); trace: "
+                + ",".join(f"{r:.3e}" for r in residuals[-5:])
+            )
+        y = project(apply_M(project(w)))
+        num = float((y * w).sum())
+        p = y if p is None else y + (num / num_old) * p
+        Ap = apply_A(p)
+        denom = float((p * Ap).sum())
+        if denom <= 0.0:
+            raise SolverError(
+                f"{what} lost positivity (curvature {denom:.3e}, "
+                f"relative residual {rel:.3e})"
+            )
+        gamma = num / denom
+        x = x + gamma * p
+        w = w - gamma * project(Ap)
+        num_old = num
+        rel = np.linalg.norm(w) / bnorm
+        residuals.append(float(rel))
+    return x, residuals
 
 
 def pcpg_solve(
     ip: InterfaceProblem, eps: float = 1e-8, max_iters: int | None = None
 ) -> tuple[np.ndarray, PcpgTrace]:
-    """Projected preconditioned conjugate gradients on the interface problem.
+    """Projected preconditioned conjugate gradients on the interface problem,
+    from the feasible start: ``pcg`` with the projector ``apply_P``.
 
     Convergence criterion: |w_k| / |d| < eps with w the projected residual.
-    Without a floating side this is plain preconditioned CG.
     """
-    ops = ip.ops
     if max_iters is None:
-        max_iters = 10 * ops.rank * ops.M_I
-    lam = ip.lambda_init()
-    dnorm = np.linalg.norm(ip.d)
-    trace = PcpgTrace(residuals=[], converged=False)
-    if dnorm == 0.0:
-        trace.converged = True
-        return lam, trace
-    w = ip.apply_P(ip.d - ip.apply_F(lam))
-    p = None
-    num_old = 0.0
-    rel = np.linalg.norm(w) / dnorm
-    while rel >= eps:
-        if len(trace.residuals) >= max_iters:
-            raise SolverError(
-                f"interface iteration exceeded {max_iters} iterations "
-                f"(relative residual {rel:.3e}); trace: "
-                + ",".join(f"{r:.3e}" for r in trace.residuals[-5:])
-            )
-        z = ip.precond(ip.apply_P(w))
-        y = ip.apply_P(z)
-        num = float((y * w).sum())
-        p = y if p is None else y + (num / num_old) * p
-        Fp = ip.apply_F(p)
-        denom = float((p * Fp).sum())
-        if denom <= 0.0:
-            raise SolverError(
-                f"interface operator lost positivity (curvature {denom:.3e})"
-            )
-        gamma = num / denom
-        lam = lam + gamma * p
-        w = w - gamma * ip.apply_P(Fp)
-        num_old = num
-        rel = np.linalg.norm(w) / dnorm
-        trace.residuals.append(float(rel))
-    trace.converged = True
-    return lam, trace
+        max_iters = 10 * ip.ops.rank * ip.ops.M_I
+    lam, residuals = pcg(
+        ip.apply_F, ip.d, ip.precond, eps, max_iters, "interface iteration",
+        x=ip.lambda_init(), project=ip.apply_P,
+    )
+    return lam, PcpgTrace(residuals=residuals, converged=True)
 
 
 def recover_primal(

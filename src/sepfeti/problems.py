@@ -15,13 +15,11 @@ configuration dictionary:
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem2d, pc_basis, random_field
 from .fem2d import Mesh, ModeStack, SparsePattern, SubdomainProblem
@@ -203,15 +201,8 @@ class CoupledProblem:
     config: dict[str, Any]
 
     @property
-    def d_total(self) -> int:
-        return self.fields[0].n_dims + self.fields[1].n_dims
-
-    @property
     def family_kind(self) -> str:
         return self.fields[0].family_kind
-
-    def config_json(self) -> str:
-        return json.dumps(self.config, sort_keys=True)
 
     @cached_property
     def primal_layout(self) -> "PrimalLayout":
@@ -441,18 +432,13 @@ class MergedModes(SparsePattern):
     sides: tuple[ModeStack, ModeStack]
     positions: tuple[np.ndarray, np.ndarray]
     columns: tuple[np.ndarray, np.ndarray]
-    n_modes: int
 
     def contract(self, weights: np.ndarray) -> np.ndarray:
-        """Rows of ``weights`` (k, n_modes) applied to the merged modes."""
+        """Rows of ``weights`` (k, J) applied to the J merged modes."""
         out = np.zeros((self.indices.size, weights.shape[0]))
         for stack, pos, cols in zip(self.sides, self.positions, self.columns):
             out[pos] += stack.data.T @ weights[:, cols].T  # scatter whole rows
         return np.ascontiguousarray(out.T)
-
-    @cached_property
-    def views(self) -> list[sp.csr_matrix]:
-        return [self.matrix(row) for row in self.contract(np.eye(self.n_modes))]
 
 
 @dataclass(frozen=True)
@@ -476,32 +462,10 @@ class MonolithicProblem:
     free_glob: np.ndarray
     restrict1: np.ndarray
     restrict2: np.ndarray
-    node_maps: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def K_modes(self) -> list[sp.csr_matrix]:
-        return self.modes.views
 
     @property
     def n_free(self) -> int:
         return self.free_glob.size
-
-    def node_at(self, xy: tuple[float, float], tol: float = 1e-9) -> int:
-        hit = np.where(
-            (np.abs(self.nodes[:, 0] - xy[0]) < tol)
-            & (np.abs(self.nodes[:, 1] - xy[1]) < tol)
-        )[0]
-        if hit.size != 1:
-            raise ValueError(f"no unique merged node at {xy}")
-        return int(hit[0])
-
-    def free_index(self, node: int, comp: int = 0) -> int:
-        """Position of a node's dof in the free (eliminated) dof vector."""
-        dof = node * self.ncomp + comp
-        pos = int(np.searchsorted(self.free_glob, dof))
-        if pos >= self.free_glob.size or self.free_glob[pos] != dof:
-            raise ValueError(f"dof (node {node}, component {comp}) is constrained")
-        return pos
 
 
 def _dof_expand(nodes: np.ndarray, ncomp: int) -> np.ndarray:
@@ -523,7 +487,6 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     ncomp = problem.ncomp
     ids1, ids2 = fem2d.interface_nodes(m1, m2)
     n1, n2 = m1.n_nodes, m2.n_nodes
-    local2glob1 = np.arange(n1, dtype=np.intp)
     local2glob2 = np.full(n2, -1, dtype=np.intp)
     local2glob2[ids2] = ids1
     fresh = np.where(local2glob2 < 0)[0]
@@ -531,7 +494,7 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     n_nodes = n1 + fresh.size
     nodes = np.vstack([m1.nodes, m2.nodes[fresh]])
 
-    dmap1 = _dof_expand(local2glob1, ncomp)
+    dmap1 = _dof_expand(np.arange(n1), ncomp)
     dmap2 = _dof_expand(local2glob2, ncomp)
     n_dofs = ncomp * n_nodes
 
@@ -582,7 +545,6 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
         sides=(problem.sub[0].modes, problem.sub[1].modes),
         positions=(np.searchsorted(merged, keys[0]), np.searchsorted(merged, keys[1])),
         columns=(np.arange(J1), np.append(0, J1 + np.arange(idx2.shape[0] - 1))),
-        n_modes=field_indices.shape[0],
     )
 
     return MonolithicProblem(
@@ -597,5 +559,4 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
         free_glob=free_glob,
         restrict1=restrict[0],
         restrict2=restrict[1],
-        node_maps=(local2glob1, local2glob2),
     )

@@ -1,27 +1,26 @@
 """Brute-force reference solvers for validating the separated representation.
 
-Two independent routes to the same limiting object: a Galerkin solve in the
-combined basis over all germ dimensions (exact projection, small instances
-only) and plain Monte Carlo with one banded deterministic solve per sample
-on a fixed bandwidth-reducing ordering (statistical error reported).
+Two independent routes to the same limiting object: a Galerkin solve of the
+merged single-domain problem in the combined basis over all germ dimensions
+(exact projection, small instances only; conjugate gradients by
+``feti.pcg`` with a mean-stiffness block preconditioner) and plain Monte
+Carlo with one banded deterministic solve per sample on a fixed
+bandwidth-reducing ordering (statistical error reported).
 Agreement of the two — and of the low-rank solver against either — is the
 main correctness argument.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from .fem2d import SparsePattern, band_index, band_ordering
-from .feti import SolverError, block_values, factor_solve, kron_sum
+from .feti import SolverError, block_values, kron_sum, pcg
 from .pc_basis import (
     LEGENDRE,
     MultiIndexSet,
@@ -33,11 +32,9 @@ from .pc_basis import (
 from .problems import ConfigError, CoupledProblem, as_monolithic
 
 __all__ = [
-    "CoupledSGSolution",
     "MCAccumulator",
     "MonolithicSGSolution",
     "monte_carlo_reference",
-    "solve_coupled_sg",
     "solve_monolithic_sg",
 ]
 
@@ -65,76 +62,6 @@ class MonolithicSGSolution:
     def std(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.second_moment() - self.mean() ** 2, 0.0))
 
-    def to_json(self) -> str:
-        payload = {
-            "d": self.idx_set.d,
-            "p": self.idx_set.p,
-            "n_dofs": self.coeffs.shape[1],
-            "coeffs": self.coeffs.ravel().tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonolithicSGSolution":
-        blob = json.loads(text)
-        idx = build_index_set(int(blob["d"]), int(blob["p"]))
-        coeffs = np.asarray(blob["coeffs"], float).reshape(len(idx), int(blob["n_dofs"]))
-        return cls(idx_set=idx, coeffs=coeffs)
-
-
-@dataclass(frozen=True)
-class CoupledSGSolution:
-    """Combined-basis coefficients of the two-field saddle formulation."""
-
-    idx_set: MultiIndexSet
-    u1: np.ndarray
-    u2: np.ndarray
-    lam: np.ndarray
-
-
-def _pcg(
-    apply_A: Callable[[np.ndarray], np.ndarray],
-    B: np.ndarray,
-    apply_M: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    max_iter: int,
-    what: str,
-) -> np.ndarray:
-    """Preconditioned CG on block vectors."""
-    bnorm = np.linalg.norm(B)
-    if bnorm == 0.0:
-        return np.zeros_like(B)
-    X = np.zeros_like(B)
-    R = B.copy()
-    Z = apply_M(R)
-    P = Z.copy()
-    rz = float((R * Z).sum())
-    for _ in range(max_iter):
-        rel = np.linalg.norm(R) / bnorm
-        if rel < tol:
-            return X
-        Q = apply_A(P)
-        denom = float((P * Q).sum())
-        if denom <= 0.0:
-            raise SolverError(
-                f"{what}: conjugate gradient broke down "
-                f"(curvature {denom:.3e}, residual {rel:.3e})"
-            )
-        a = rz / denom
-        X += a * P
-        R -= a * Q
-        Z = apply_M(R)
-        rz_new = float((R * Z).sum())
-        P = Z + (rz_new / rz) * P
-        rz = rz_new
-    rel = np.linalg.norm(R) / bnorm
-    if rel < tol:
-        return X
-    raise SolverError(
-        f"{what}: no convergence in {max_iter} iterations "
-        f"(relative residual {rel:.3e}, target {tol:.1e})"
-    )
-
 
 def _sg_solve_core(modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """CG solve of sum_j G_j (x) K_j u = e0 (x) f with a mean-mode block
@@ -143,18 +70,16 @@ def _sg_solve_core(modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10) -> n
     A = kron_sum(modes, block_values(modes, G))
     mean = modes.matrix(modes.contract(np.eye(1, G.shape[0]))[0])
     lu = spla.splu(mean.tocsc())
-
-    def apply_A(U: np.ndarray) -> np.ndarray:
-        return (A @ U.ravel()).reshape(U.shape)
-
-    def apply_M(R: np.ndarray) -> np.ndarray:
-        return lu.solve(R.T).T
-
     B = np.zeros((P, f.shape[0]))
     B[0] = f
-    return _pcg(
-        apply_A, B, apply_M, tol, max_iter=50 * P + 200, what="combined-basis solve"
-    )
+    return pcg(
+        lambda U: (A @ U.ravel()).reshape(U.shape),
+        B,
+        lambda R: lu.solve(R.T).T,
+        tol,
+        50 * P + 200,
+        "combined-basis solve",
+    )[0]
 
 
 def _guard(n_unknowns: int, n_dofs: int, n_terms: int) -> None:
@@ -183,49 +108,6 @@ def solve_monolithic_sg(
     G = triple_moment_stack(fam, mono.field_indices, idx)
     coeffs = _sg_solve_core(mono.modes, G, mono.f)
     return MonolithicSGSolution(idx_set=idx, coeffs=coeffs)
-
-
-def solve_coupled_sg(
-    problem: CoupledProblem, p: int | None = None
-) -> CoupledSGSolution:
-    """Galerkin projection of the two-field saddle formulation.
-
-    Solves for the coefficients of both sub-domain solutions and the
-    interface multiplier in the combined basis; the identity Gram makes the
-    coupling blocks I (x) C_i. Sparse direct solve; a singular system or a
-    non-finite solution raises ``SolverError``.
-    """
-    s1, s2 = problem.sub
-    if p is None:
-        p = max(problem.idx_solution[0].p, problem.idx_solution[1].p)
-    d = problem.fields[0].n_dims + problem.fields[1].n_dims
-    idx = build_index_set(d, p)
-    P = len(idx)
-    n_unknowns = P * (s1.n_dofs + s2.n_dofs + s1.n_interface)
-    _guard(n_unknowns, s1.n_dofs + s2.n_dofs + s1.n_interface, P)
-    fam = family(problem.family_kind)
-    d1 = problem.fields[0].n_dims
-    rows1 = np.pad(problem.fields[0].idx_set.indices, ((0, 0), (0, d - d1)))
-    rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
-    G1 = triple_moment_stack(fam, rows1, idx)
-    G2 = triple_moment_stack(fam, rows2, idx)
-    B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
-    B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
-    A11 = kron_sum(s1.modes, block_values(s1.modes, G1))
-    A22 = kron_sum(s2.modes, block_values(s2.modes, G2))
-    A = sp.bmat([[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc")
-    rhs = np.zeros(n_unknowns)
-    rhs[: s1.n_dofs] = s1.f
-    rhs[P * s1.n_dofs : P * s1.n_dofs + s2.n_dofs] = s2.f
-    x = factor_solve(A, rhs, "combined-basis saddle system")
-    n1 = P * s1.n_dofs
-    n2 = P * s2.n_dofs
-    return CoupledSGSolution(
-        idx_set=idx,
-        u1=x[:n1].reshape(P, s1.n_dofs),
-        u2=x[n1 : n1 + n2].reshape(P, s2.n_dofs),
-        lam=x[n1 + n2 :].reshape(P, s1.n_interface),
-    )
 
 
 @dataclass

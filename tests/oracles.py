@@ -11,14 +11,19 @@ and extractor (the problem keeps only the reduced ones), the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) to
-check the one-product assembly against, and the block saddle system
+check the one-product assembly against, the block saddle system
 assembled whole and factored by a sparse LU, which the banded primal route
-of ``feti.direct_saddle_solve`` is checked against.
+of ``feti.direct_saddle_solve`` is checked against, the combined-basis
+Galerkin solve of the two-field saddle formulation, which the merged
+single-domain oracle is checked against, and small accessors: the merged
+stiffness modes as matrices, merged node and free-dof lookup, a block
+operator applied to a factor block, the germ count and the config as JSON.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -157,15 +162,11 @@ def sample_separated(
 
 
 def export_mesh(mesh: fem2d.Mesh) -> str:
-    """Plain-text mesh dump: nodes, triangles, then edge tags."""
+    """Plain-text mesh dump: nodes, then triangles."""
     lines = [f"# nodes {mesh.n_nodes}"]
     lines += [f"{x!r} {y!r}" for x, y in mesh.nodes]
     lines.append(f"# triangles {mesh.triangles.shape[0]}")
     lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
-    for tag in sorted(mesh.edge_tags):
-        edges = mesh.edge_tags[tag]
-        lines.append(f"# tag {tag} {len(edges)}")
-        lines += [f"{a} {b}" for a, b in edges]
     return "\n".join(lines) + "\n"
 
 
@@ -384,10 +385,103 @@ def saddle_solve_superlu(
         format="csc",
     )
     b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
-    x = feti.factor_solve(A, b, "block saddle system")
+    x = feti.factorize(A, "block saddle system")(b)
     n1, n2 = r * ops.M1, r * ops.M2
     u1 = x[:n1].reshape(r, ops.M1)
     u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
     lam = x[n1 + n2 :].reshape(r, ops.M_I)
     alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
     return u1, u2, lam, alpha
+
+
+def d_total(problem: problems.CoupledProblem) -> int:
+    """Germ dimensions of both sub-domains together."""
+    return problem.fields[0].n_dims + problem.fields[1].n_dims
+
+
+def config_json(problem: problems.CoupledProblem) -> str:
+    return json.dumps(problem.config, sort_keys=True)
+
+
+def apply_Khat(Khat: sp.spmatrix, U: np.ndarray) -> np.ndarray:
+    """A block operator such as ``BlockOperators.K1hat`` applied to the
+    (r, M) factor block U."""
+    return (Khat @ U.ravel()).reshape(U.shape)
+
+
+def mono_K_modes(mono: problems.MonolithicProblem) -> list[sp.csr_matrix]:
+    """The merged stiffness modes as CSR matrices, one per row of
+    ``mono.field_indices``."""
+    modes = mono.modes
+    return [modes.matrix(row) for row in modes.contract(np.eye(len(mono.field_indices)))]
+
+
+def node_at(mono: problems.MonolithicProblem, xy: tuple[float, float], tol: float = 1e-9) -> int:
+    """The merged node at the point ``xy``."""
+    hit = np.where(
+        (np.abs(mono.nodes[:, 0] - xy[0]) < tol) & (np.abs(mono.nodes[:, 1] - xy[1]) < tol)
+    )[0]
+    if hit.size != 1:
+        raise ValueError(f"no unique merged node at {xy}")
+    return int(hit[0])
+
+
+def free_index(mono: problems.MonolithicProblem, node: int, comp: int = 0) -> int:
+    """Position of a merged node's dof in the free (eliminated) dof vector."""
+    dof = node * mono.ncomp + comp
+    pos = int(np.searchsorted(mono.free_glob, dof))
+    if pos >= mono.free_glob.size or mono.free_glob[pos] != dof:
+        raise ValueError(f"dof (node {node}, component {comp}) is constrained")
+    return pos
+
+
+@dataclasses.dataclass(frozen=True)
+class CoupledSGSolution:
+    """Combined-basis coefficients of the two-field saddle formulation."""
+
+    idx_set: pcb.MultiIndexSet
+    u1: np.ndarray
+    u2: np.ndarray
+    lam: np.ndarray
+
+
+def solve_coupled_sg(problem: problems.CoupledProblem, p: int | None = None) -> CoupledSGSolution:
+    """Galerkin projection of the two-field saddle formulation.
+
+    Solves for the coefficients of both sub-domain solutions and the
+    interface multiplier in the combined basis; the identity Gram makes the
+    coupling blocks I (x) C_i. Sparse direct solve, under the size guard of
+    ``reference.solve_monolithic_sg``; a singular system or a non-finite
+    solution raises ``SolverError``.
+    """
+    s1, s2 = problem.sub
+    if p is None:
+        p = max(problem.idx_solution[0].p, problem.idx_solution[1].p)
+    d1 = problem.fields[0].n_dims
+    d = d_total(problem)
+    idx = pcb.build_index_set(d, p)
+    P = len(idx)
+    n_unknowns = P * (s1.n_dofs + s2.n_dofs + s1.n_interface)
+    reference._guard(n_unknowns, s1.n_dofs + s2.n_dofs + s1.n_interface, P)
+    fam = pcb.family(problem.family_kind)
+    rows1 = np.pad(problem.fields[0].idx_set.indices, ((0, 0), (0, d - d1)))
+    rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
+    G1 = pcb.triple_moment_stack(fam, rows1, idx)
+    G2 = pcb.triple_moment_stack(fam, rows2, idx)
+    B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
+    B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
+    A11 = feti.kron_sum(s1.modes, feti.block_values(s1.modes, G1))
+    A22 = feti.kron_sum(s2.modes, feti.block_values(s2.modes, G2))
+    A = sp.bmat([[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc")
+    rhs = np.zeros(n_unknowns)
+    rhs[: s1.n_dofs] = s1.f
+    rhs[P * s1.n_dofs : P * s1.n_dofs + s2.n_dofs] = s2.f
+    x = feti.factorize(A, "combined-basis saddle system")(rhs)
+    n1 = P * s1.n_dofs
+    n2 = P * s2.n_dofs
+    return CoupledSGSolution(
+        idx_set=idx,
+        u1=x[:n1].reshape(P, s1.n_dofs),
+        u2=x[n1 : n1 + n2].reshape(P, s2.n_dofs),
+        lam=x[n1 + n2 :].reshape(P, s1.n_interface),
+    )

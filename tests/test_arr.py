@@ -127,8 +127,8 @@ def test_energy_deterministic_minimum_value():
     # at the exact deterministic solution, pi = -1/2 u* K u* (monolithic)
     prob = desk_problem(sigma1=0.0, sigma2=0.0)
     mono = problems.as_monolithic(prob)
-    u_star = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
-    expected = -0.5 * u_star @ (mono.K_modes[0] @ u_star)
+    u_star = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
+    expected = -0.5 * u_star @ (oracles.mono_K_modes(mono)[0] @ u_star)
     sol = arr.SeparatedSolution.zeros(prob, rank=1)
     sol.phi1[0, 0] = sol.phi2[0, 0] = 1.0
     upd = arr.deterministic_update(prob, sol, method="direct")
@@ -378,7 +378,7 @@ def test_arr_deterministic_converges_rank_one():
         assert sol.rank == 1
         assert trace.ranks[-1].eps_res <= 1e-9
         mono = problems.as_monolithic(prob)
-        u_mono = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+        u_mono = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
         rng = np.random.default_rng(0)
         xi1 = rng.standard_normal((20, prob.fields[0].n_dims))
         xi2 = rng.standard_normal((20, prob.fields[1].n_dims))

@@ -296,9 +296,7 @@ def test_unit_square_laplace_pd_after_dirichlet():
 
 def test_mesh_export_format():
     mesh = unit_square(0.5)
-    mesh.edge_tags["dirichlet"] = mesh.side_edge_list("left")
     text = oracles.export_mesh(mesh)
     lines = text.strip().split("\n")
     assert lines[0] == "# nodes 9"
     assert lines[10] == "# triangles 8"
-    assert "# tag dirichlet 2" in lines

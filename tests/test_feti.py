@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sepfeti import feti, pc_basis, problems
+from sepfeti import feti, pc_basis, problems, reference
 
 
 def random_factors(problem, rank, seed):
@@ -87,7 +87,7 @@ def test_rank_one_constant_factor_reduces_to_mean():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((1, ops.M1))
     np.testing.assert_allclose(
-        ops.apply_K1(u)[0], prob.sub[0].K_modes[0] @ u[0], rtol=1e-12
+        oracles.apply_Khat(ops.K1hat, u)[0], prob.sub[0].K_modes[0] @ u[0], rtol=1e-12
     )
 
 
@@ -130,7 +130,7 @@ def test_K1_inverse_roundtrip():
     _, ops, _ = lshape_ops(rank=2, seed=7)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, ops.M1))
-    y = feti.apply_K1_inverse(ops, ops.apply_K1(x))
+    y = feti.apply_K1_inverse(ops, oracles.apply_Khat(ops.K1hat, x))
     np.testing.assert_allclose(y, x, atol=1e-10 * np.abs(x).max())
 
 
@@ -154,9 +154,9 @@ def test_K2_null_space_annihilated():
 def test_K2_pseudoinverse_definition_and_svd_oracle():
     _, ops, _ = beam_ops(rank=2, seed=10)
     rng = np.random.default_rng(10)
-    b = ops.apply_K2(rng.standard_normal((2, ops.M2)))  # compatible by range
+    b = oracles.apply_Khat(ops.K2hat, rng.standard_normal((2, ops.M2)))  # compatible by range
     y = feti.apply_K2_pseudoinverse(ops, b)
-    resid = ops.apply_K2(y) - b
+    resid = oracles.apply_Khat(ops.K2hat, y) - b
     assert np.abs(resid).max() < 1e-9 * np.abs(b).max()
     assert np.abs(y @ ops.R2).max() < 1e-9 * np.abs(y).max()
     K2 = dense_blockK(ops.H2, ops.modes2.views)
@@ -196,7 +196,7 @@ def test_projector_identities():
     assert lhs == pytest.approx(rhs, abs=1e-12 * scale * np.abs(mu).max() * ops.M_I)
     # annihilates the null-space image
     A = rng.standard_normal((2, ops.R2.shape[1]))
-    image = ops.W @ A @ ip.null.C2I.T
+    image = ops.W @ A @ ip.C2I.T
     assert np.abs(ip.apply_P(image)).max() < 1e-12 * max(np.abs(image).max(), 1.0)
 
 
@@ -231,8 +231,8 @@ def test_block_saddle_residual_invariant():
         ip = feti.build_interface_problem(ops)
         lam, _ = feti.pcpg_solve(ip, eps=1e-12)
         u1, u2, _ = feti.recover_primal(ip, lam)
-        r1 = ops.apply_K1(u1) - ops.apply_C1(lam) - ops.fhat1
-        r2 = ops.apply_K2(u2) + ops.apply_C2(lam) - ops.fhat2
+        r1 = oracles.apply_Khat(ops.K1hat, u1) - ops.apply_C1(lam) - ops.fhat1
+        r2 = oracles.apply_Khat(ops.K2hat, u2) + ops.apply_C2(lam) - ops.fhat2
         gap = ops.apply_C2T(u2) - ops.apply_C1T(u1)
         scale = max(np.abs(ops.fhat1).max(), np.abs(ops.fhat2).max())
         assert np.abs(r1).max() < 1e-8 * scale
@@ -246,6 +246,41 @@ def test_pcpg_nonconvergence_reports_trace():
     with pytest.raises(feti.SolverError) as err:
         feti.pcpg_solve(ip, eps=1e-14, max_iters=1)
     assert "1" in str(err.value)
+
+
+def test_pcg_matches_dense_solve():
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((6, 6))
+    A = X @ X.T + 6.0 * np.eye(6)
+    b = rng.standard_normal((2, 3))
+    x, residuals = feti.pcg(
+        lambda v: (A @ v.ravel()).reshape(v.shape), b, lambda v: v, 1e-12, 50, "test solve"
+    )
+    np.testing.assert_allclose(x.ravel(), np.linalg.solve(A, b.ravel()), rtol=1e-10)
+    assert residuals[-1] < 1e-12 <= residuals[-2]
+    zero, none = feti.pcg(lambda v: A @ v, np.zeros(6), lambda v: v, 1e-12, 50, "test solve")
+    assert none == [] and not zero.any()
+
+
+def test_pcg_indefinite_operator_loses_positivity():
+    b = np.ones((2, 3))
+    with pytest.raises(feti.SolverError, match="test solve lost positivity"):
+        feti.pcg(lambda v: -v, b, lambda v: v, 1e-8, 10, "test solve")
+
+
+def test_pcg_iteration_cap_names_the_caller(monkeypatch):
+    _, ops, _ = beam_ops(rank=2, seed=17)
+    ip = feti.build_interface_problem(ops)
+    with pytest.raises(feti.SolverError, match="interface iteration exceeded 1 iterations"):
+        feti.pcpg_solve(ip, eps=1e-14, max_iters=1)
+
+    def capped(apply_A, b, apply_M, eps, max_iters, what, **kw):
+        return feti.pcg(apply_A, b, apply_M, eps, 1, what, **kw)
+
+    monkeypatch.setattr(reference, "pcg", capped)
+    prob = problems.build_example_I(problems.profile_config("lshape-desk"))
+    with pytest.raises(feti.SolverError, match="combined-basis solve exceeded 1 iterations"):
+        reference.solve_monolithic_sg(prob)
 
 
 def test_sign_flip_equivalence():
@@ -320,7 +355,7 @@ def test_deterministic_lshape_matches_monolithic():
     lam, _ = feti.pcpg_solve(ip, eps=1e-12)
     u1, u2, _ = feti.recover_primal(ip, lam)
     mono = problems.as_monolithic(prob)
-    u_mono = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+    u_mono = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     scale = np.abs(u_mono).max()
     np.testing.assert_allclose(u1[0], u_mono[mono.restrict1], atol=1e-9 * scale)
     np.testing.assert_allclose(u2[0], u_mono[mono.restrict2], atol=1e-9 * scale)
@@ -340,7 +375,7 @@ def test_deterministic_beam_alpha_matches_monolithic():
     lam, _ = feti.pcpg_solve(ip, eps=1e-12)
     u1, u2, alpha = feti.recover_primal(ip, lam)
     mono = problems.as_monolithic(prob)
-    u_mono = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+    u_mono = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     scale = np.abs(u_mono).max()
     np.testing.assert_allclose(u1[0], u_mono[mono.restrict1], atol=1e-8 * scale)
     np.testing.assert_allclose(u2[0], u_mono[mono.restrict2], atol=1e-8 * scale)

@@ -56,7 +56,7 @@ def test_lshape_default_dimensions():
     cfg = problems.profile_config("lshape")
     prob = problems.build_example_I({"mesh": {"h1": 0.25, "h2": 0.25}})
     assert cfg["field"]["d1"] == 4 and cfg["field"]["d2"] == 6
-    assert prob.d_total == 10
+    assert oracles.d_total(prob) == 10
     assert len(prob.idx_solution[0]) == 35  # |indices(4, 3)|
     assert len(prob.idx_solution[1]) == 84  # |indices(6, 3)|
     assert prob.family_kind == "hermite-gaussian"
@@ -106,7 +106,7 @@ def test_mode_count_matches_field_terms():
 def test_rebuild_from_echo_bit_identical():
     first = lshape_desk()
     second = problems.build_example_I(first.config)
-    assert first.config_json() == second.config_json()
+    assert oracles.config_json(first) == oracles.config_json(second)
     for side in range(2):
         a, b = first.sub[side], second.sub[side]
         np.testing.assert_array_equal(a.f, b.f)
@@ -166,11 +166,11 @@ def test_beam_sigma_zero_matches_monolithic():
     prob = beam_desk(sigma1=0.0, sigma2=0.0)
     u1, u2, lam = _dense_saddle_solve(prob)
     mono = problems.as_monolithic(prob)
-    u_mono = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+    u_mono = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     np.testing.assert_allclose(u1, u_mono[mono.restrict1], atol=1e-10 * np.abs(u_mono).max())
     np.testing.assert_allclose(u2, u_mono[mono.restrict2], atol=1e-10 * np.abs(u_mono).max())
     # tip deflection probe exists at the far bottom corner
-    tip = mono.node_at((4.0, 0.0))
+    tip = oracles.node_at(mono, (4.0, 0.0))
     assert u_mono[np.where(mono.free_glob == 2 * tip + 1)[0][0]] < 0.0
 
 
@@ -194,7 +194,7 @@ def test_lshape_sigma_zero_matches_monolithic():
     prob = lshape_desk(sigma1=0.0, sigma2=0.0)
     u1, u2, _ = _dense_saddle_solve(prob)
     mono = problems.as_monolithic(prob)
-    u_mono = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+    u_mono = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     scale = np.abs(u_mono).max()
     np.testing.assert_allclose(u1, u_mono[mono.restrict1], atol=1e-9 * scale)
     np.testing.assert_allclose(u2, u_mono[mono.restrict2], atol=1e-9 * scale)
@@ -209,15 +209,15 @@ def test_monolithic_dof_count():
     mono = problems.as_monolithic(prob)
     s1, s2 = prob.sub
     assert mono.n_free == s1.n_dofs + s2.n_dofs - s1.n_interface
-    assert mono.field_indices.shape[1] == prob.d_total
-    assert len(mono.K_modes) == (
+    assert mono.field_indices.shape[1] == oracles.d_total(prob)
+    assert len(oracles.mono_K_modes(mono)) == (
         len(prob.fields[0].idx_set) + len(prob.fields[1].idx_set) - 1
     )
 
 
 def test_monolithic_mean_mode_spd():
     mono = problems.as_monolithic(lshape_desk())
-    np.linalg.cholesky(mono.K_modes[0].toarray())
+    np.linalg.cholesky(oracles.mono_K_modes(mono)[0].toarray())
 
 
 def test_monolithic_load_merge():
@@ -244,4 +244,4 @@ def test_swap_subdomains_roundtrip():
     assert swapped.sub[0] is prob.sub[1]
     assert swapped.config["field"]["d1"] == prob.config["field"]["d2"]
     back = oracles.swap_subdomains(swapped)
-    assert back.config_json() == prob.config_json()
+    assert oracles.config_json(back) == oracles.config_json(prob)

@@ -57,7 +57,7 @@ def test_mean_deterministic_rank_one():
     import scipy.sparse.linalg as spla
 
     mono = problems.as_monolithic(prob)
-    u = spla.spsolve(mono.K_modes[0].tocsc(), mono.f)
+    u = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     np.testing.assert_allclose(m1, u[mono.restrict1], atol=1e-9 * np.abs(u).max())
     np.testing.assert_allclose(m2, u[mono.restrict2], atol=1e-9 * np.abs(u).max())
 
