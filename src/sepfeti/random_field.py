@@ -76,8 +76,9 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     """Solve the Galerkin eigenproblem (M C M) g = tau M g on mesh nodes.
 
     Returns the ``n_modes`` largest eigenpairs, eigenvalues descending and
-    eigenvectors mass-orthonormal with the entry of largest magnitude
-    positive. Only those d pairs are computed (LAPACK's subset driver), so
+    eigenvectors mass-orthonormal, each with its first entry above 1e-8 of
+    its largest magnitude positive (on symmetric meshes the largest entry
+    ties with its mirror image at rounding level, so it fixes no sign). Only those d pairs are computed (LAPACK's subset driver), so
     the cost is the O(n^3) reduction to tridiagonal form plus O(n^2 d) for
     the pairs, where all n pairs cost a further O(n^3): about half the time
     at n = 861. A = M C M takes two sparse-dense products, O(n^2) times
@@ -102,9 +103,9 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
             f"({tau[-1]:.3e})"
         )
     tau = np.clip(tau, 0.0, None)
-    biggest = np.abs(modes).argmax(axis=1)
-    flip = modes[np.arange(n_modes), biggest] < 0.0
-    modes[flip] *= -1.0
+    size = np.abs(modes)
+    first = (size > 1e-8 * size.max(axis=1, keepdims=True)).argmax(axis=1)
+    modes[modes[np.arange(n_modes), first] < 0.0] *= -1.0
     return KLBasis(eigenvalues=tau, modes=modes, mass=M)
 
 

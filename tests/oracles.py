@@ -271,9 +271,9 @@ def dense_kl(
     tau = np.clip(tau[:n_modes], 0.0, None)
     modes = vecs[:, :n_modes].T.copy()
     if n_modes:
-        biggest = np.abs(modes).argmax(axis=1)
-        flip = modes[np.arange(n_modes), biggest] < 0.0
-        modes[flip] *= -1.0
+        size = np.abs(modes)
+        first = (size > 1e-8 * size.max(axis=1, keepdims=True)).argmax(axis=1)
+        modes[modes[np.arange(n_modes), first] < 0.0] *= -1.0
     return random_field.KLBasis(eigenvalues=tau, modes=modes, mass=fem2d.mass_matrix(mesh))
 
 

@@ -98,8 +98,10 @@ def test_sign_convention_reproducible():
     kl1, _ = make_kl(d=5)
     kl2, _ = make_kl(d=5)
     np.testing.assert_array_equal(kl1.modes, kl2.modes)
-    biggest = np.abs(kl1.modes).argmax(axis=1)
-    assert (kl1.modes[np.arange(5), biggest] > 0).all()
+    # the first entry above 1e-8 of the largest magnitude is positive
+    size = np.abs(kl1.modes)
+    first = (size > 1e-8 * size.max(axis=1, keepdims=True)).argmax(axis=1)
+    assert (kl1.modes[np.arange(5), first] > 0).all()
 
 
 @pytest.mark.parametrize("side", [1, 2])
@@ -118,9 +120,8 @@ def test_leading_pairs_match_dense_solve(profile, side):
     ref = oracles.dense_kl(kernel, mesh, d)
     tau1 = ref.eigenvalues[0]
     assert np.abs(kl.eigenvalues - ref.eigenvalues).max() <= 1e-13 * tau1
-    # up to sign: the sign rule meets rounding-level ties on these meshes
-    sign = np.sign((kl.modes * ref.modes).sum(axis=1))
-    assert np.abs(kl.modes - sign[:, None] * ref.modes).max() <= 1e-10
+    # signed: both drivers meet the sign rule on the same entry
+    assert np.abs(kl.modes - ref.modes).max() <= 1e-10
     gram = kl.modes @ (kl.mass @ kl.modes.T)
     assert np.abs(gram - np.eye(d)).max() <= 1e-12
 
