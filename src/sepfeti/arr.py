@@ -14,7 +14,6 @@ Monte-Carlo estimate of the sub-domain equilibrium residual meets the target.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field

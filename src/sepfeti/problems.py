@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from . import fem2d, pc_basis, random_field
+from . import fem2d, random_field
 from .fem2d import Mesh, ModeStack, SparsePattern, SubdomainProblem
 from .pc_basis import MultiIndexSet, build_index_set
 from .random_field import AFFINE_UNIFORM, LOGNORMAL_SHIFTED, RandomFieldPC

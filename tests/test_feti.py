@@ -248,18 +248,13 @@ def test_pcpg_nonconvergence_reports_trace():
     assert "1" in str(err.value)
 
 
-def test_pcg_matches_dense_solve():
-    rng = np.random.default_rng(30)
-    X = rng.standard_normal((6, 6))
-    A = X @ X.T + 6.0 * np.eye(6)
-    b = rng.standard_normal((2, 3))
-    x, residuals = feti.pcg(
-        lambda v: (A @ v.ravel()).reshape(v.shape), b, lambda v: v, 1e-12, 50, "test solve"
-    )
-    np.testing.assert_allclose(x.ravel(), np.linalg.solve(A, b.ravel()), rtol=1e-10)
-    assert residuals[-1] < 1e-12 <= residuals[-2]
-    zero, none = feti.pcg(lambda v: A @ v, np.zeros(6), lambda v: v, 1e-12, 50, "test solve")
-    assert none == [] and not zero.any()
+def test_pcg_zero_rhs_returns_start():
+    never = lambda v: pytest.fail("no operator or preconditioner application expected")
+    x, residuals = feti.pcg(never, np.zeros((2, 3)), never, 1e-8, 10, "test solve")
+    assert residuals == [] and x.shape == (2, 3) and not x.any()
+    start = np.ones((2, 3))
+    x, residuals = feti.pcg(never, np.zeros((2, 3)), never, 1e-8, 10, "test solve", x=start)
+    assert residuals == [] and x is start
 
 
 def test_pcg_indefinite_operator_loses_positivity():
