@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .fem2d import ModeStack, extractor_entries
+from .fem2d import ModeStack
 from .feti import (
     SolverError,
     build_block_operators,
@@ -190,7 +190,7 @@ def energy(
         for U, m, V in ((U1, ops.modes1, ops.V1), (U2, ops.modes2, ops.V2))
     )
     loads = float(ops.fw @ (U1 @ ops.f1)) + float(ops.fw @ (U2 @ ops.f2))
-    gap = (ops.C2.T @ U2.T).T - (ops.C1.T @ U1.T).T
+    gap = _interface_gap(problem, U1, U2)
     coupling = float(np.sum(ops.W * (lam @ gap.T)))
     return 0.5 * quad - loads + coupling
 
@@ -203,9 +203,14 @@ def interface_violation(problem: CoupledProblem, solution: SeparatedSolution) ->
     this reports how much a subsequent factor change re-opened the gap.
     """
     W = (solution.phi1 @ solution.phi1.T) * (solution.phi2 @ solution.phi2.T)
-    C1, C2 = problem.sub[0].C, problem.sub[1].C
-    V = (C2.T @ solution.u2.T).T - (C1.T @ solution.u1.T).T
+    V = _interface_gap(problem, solution.u1, solution.u2)
     return float(np.sum(W * (V @ V.T)))
+
+
+def _interface_gap(problem: CoupledProblem, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+    """Rows C2^T u2[l] - C1^T u1[l], gathered through the extractors' entries."""
+    (dofs1, values1), (dofs2, values2) = (s.extractor_entries for s in problem.sub)
+    return U2[:, dofs2] * values2 - U1[:, dofs1] * values1
 
 
 _AUTO_DIRECT_LIMIT = 3000
@@ -262,12 +267,21 @@ def _quadratic_forms(modes: ModeStack, U: np.ndarray) -> np.ndarray:
     return (pairs.reshape(r * r, -1) @ modes.data.T).T.reshape(-1, r, r)
 
 
+def _factor_forms(
+    problem: CoupledProblem, solution: SeparatedSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks Q(u1), Q(u2) both stochastic updates read. Neither update
+    changes u1 or u2, so one pair serves a sweep's two updates."""
+    s1, s2 = problem.sub
+    return _quadratic_forms(s1.modes, solution.u1), _quadratic_forms(s2.modes, solution.u2)
+
+
 def _factor_update(
-    modes_own: ModeStack,
+    Q_own: np.ndarray,
     U_own: np.ndarray,
     G_own: np.ndarray,
     f_own: np.ndarray,
-    modes_other: ModeStack,
+    Q_other: np.ndarray,
     U_other: np.ndarray,
     G_other: np.ndarray,
     phi_other: np.ndarray,
@@ -284,8 +298,6 @@ def _factor_update(
     """
     r = U_own.shape[0]
     J, P, _ = G_own.shape
-    Q_own = _quadratic_forms(modes_own, U_own)
-    Q_other = _quadratic_forms(modes_other, U_other)
     T_other = mode_weights(phi_other, G_other)
     gram_other = phi_other @ phi_other.T
     S = np.einsum("jlm,jlm->lm", Q_other, T_other)
@@ -312,14 +324,19 @@ def stochastic_update_phi1(
     problem: CoupledProblem,
     solution: SeparatedSolution,
     g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    quad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Updated first-germ factor coefficients minimizing the functional."""
+    """Updated first-germ factor coefficients minimizing the functional.
+    ``quad``, when given, holds the stacks Q(u1), Q(u2) of ``_factor_forms``,
+    which a caller running both updates forms once."""
     if g_modes is None:
         g_modes = galerkin_mode_matrices(problem)
+    if quad is None:
+        quad = _factor_forms(problem, solution)
     s1, s2 = problem.sub
     return _factor_update(
-        s1.modes, solution.u1, g_modes[0], s1.f,
-        s2.modes, solution.u2, g_modes[1], solution.phi2, s2.f,
+        quad[0], solution.u1, g_modes[0], s1.f,
+        quad[1], solution.u2, g_modes[1], solution.phi2, s2.f,
     )
 
 
@@ -327,14 +344,19 @@ def stochastic_update_phi2(
     problem: CoupledProblem,
     solution: SeparatedSolution,
     g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    quad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Updated second-germ factor coefficients minimizing the functional."""
+    """Updated second-germ factor coefficients minimizing the functional.
+    ``quad``, when given, holds the stacks Q(u1), Q(u2) of ``_factor_forms``,
+    which a caller running both updates forms once."""
     if g_modes is None:
         g_modes = galerkin_mode_matrices(problem)
+    if quad is None:
+        quad = _factor_forms(problem, solution)
     s1, s2 = problem.sub
     return _factor_update(
-        s2.modes, solution.u2, g_modes[1], s2.f,
-        s1.modes, solution.u1, g_modes[0], solution.phi1, s1.f,
+        quad[1], solution.u2, g_modes[1], s2.f,
+        quad[0], solution.u1, g_modes[0], solution.phi1, s1.f,
     )
 
 
@@ -413,6 +435,16 @@ def residual_norm(
     through the stiffness modes, without assembling K_i(xi_i). Reported is
     eps = max_i sqrt(E[|R_i|^2]) / |f_i| together with its MC standard error.
     Zero-load sub-domains are excluded: their relative residual is undefined.
+
+    Every sample's residual lies in the span of k = 1 + r + J r fixed
+    vectors, R_i(xi) = y(xi) B with y = [1, c, Psi (x) c] (c the r factor
+    products, Psi the J field basis values) and the rows of B being f_i,
+    +/- C_i lam_l and -K_j u_l. When k < M, B is replaced by the triangle of
+    a thin QR of B^T, which keeps every |y B| and shortens each residual from
+    M entries to k, so the samples cost n J r min(k, M) operations (plus
+    M k^2 for the QR). A Gram form y (B B^T) y^T would be cheaper still,
+    but it squares the cancellation in |R|^2 and puts the estimate at the
+    exact solution near 1e-8 instead of rounding level.
     """
     loaded = [i for i, s in enumerate(problem.sub) if np.linalg.norm(s.f) > 0.0]
     if not loaded:
@@ -423,40 +455,41 @@ def residual_norm(
     rng = np.random.default_rng(seed)
     fam = family(problem.family_kind)
     xi = _sample_germs(problem, n, rng)
-    a1 = eval_multivariate_batch(fam, problem.idx_solution[0], xi[0])
-    a2 = eval_multivariate_batch(fam, problem.idx_solution[1], xi[1])
-    c = (a1 @ solution.phi1.T) * (a2 @ solution.phi2.T)
-    lam_vals = c @ solution.lam
-    signs = {0: 1.0, 1: -1.0}
-    factors = (solution.u1, solution.u2)
+    operators = {i: _residual_operator(problem, solution, i) for i in loaded}
+    n_sol = [len(idx) for idx in problem.idx_solution]
+    n_field = [len(fld.idx_set) for fld in problem.fields]
+    # Germ g's solution and field index sets are graded prefixes of the
+    # larger one, so one evaluation per germ gives both sets' values.
+    bases = []
+    for g in (0, 1):
+        needed = [problem.idx_solution[g]]
+        if g in operators:
+            needed.append(problem.fields[g].idx_set)
+        bases.append(max(needed, key=len))
+    r = solution.rank
+    sq = {i: np.empty(n) for i in loaded}
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        psi = [eval_multivariate_batch(fam, bases[g], xi[g][start:stop]) for g in (0, 1)]
+        c = (psi[0][:, : n_sol[0]] @ solution.phi1.T) * (
+            psi[1][:, : n_sol[1]] @ solution.phi2.T
+        )
+        for i, B in operators.items():
+            y = np.empty((stop - start, 1 + r + n_field[i] * r))
+            y[:, 0] = 1.0
+            y[:, 1 : 1 + r] = c
+            Z = psi[i][:, : n_field[i], None] * c[:, None, :]
+            y[:, 1 + r :] = Z.reshape(stop - start, -1)
+            R = y @ B
+            sq[i][start:stop] = np.einsum("nm,nm->n", R, R)
     per: dict[int, tuple[float, float]] = {}
     for i in loaded:
-        sub = problem.sub[i]
-        fnorm = float(np.linalg.norm(sub.f))
-        U = factors[i]
-        dofs, values = extractor_entries(sub.C)
-        # One sparse product per mode is cheap next to the dense Z @ KU below,
-        # which is where this function's time goes; forming KU from the
-        # stacked mode data in one product needs a (J*r, nnz) intermediate
-        # and is several times slower at r = 10.
-        KU = np.stack([np.asarray((K @ U.T).T) for K in sub.K_modes])
-        J, r, M = KU.shape
-        KU = KU.reshape(J * r, M)
-        sq = np.empty(n)
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            Psi = eval_multivariate_batch(fam, problem.fields[i].idx_set, xi[i][start:stop])
-            Z = (Psi[:, :, None] * c[start:stop, None, :]).reshape(stop - start, J * r)
-            # f + C lam, C-ordered: an extractor row holds at most one entry
-            R = np.tile(sub.f, (stop - start, 1))
-            R[:, dofs] += signs[i] * (values * lam_vals[start:stop])
-            R -= Z @ KU
-            sq[start:stop] = np.einsum("nm,nm->n", R, R)
-        m = float(sq.mean())
+        fnorm = float(np.linalg.norm(problem.sub[i].f))
+        m = float(sq[i].mean())
         if m == 0.0:
             per[i] = (0.0, 0.0)
             continue
-        se_m = float(sq.std(ddof=1)) / math.sqrt(n)
+        se_m = float(sq[i].std(ddof=1)) / math.sqrt(n)
         per[i] = (math.sqrt(m) / fnorm, se_m / (2.0 * math.sqrt(m) * fnorm))
     worst = max(per, key=lambda i: per[i][0])
     return ResidualEstimate(
@@ -465,6 +498,32 @@ def residual_norm(
         n_samples=n,
         per_domain=per,
     )
+
+
+def _residual_operator(
+    problem: CoupledProblem, solution: SeparatedSolution, i: int
+) -> np.ndarray:
+    """B with R_i(xi) = y(xi) B (see ``residual_norm``), k rows of length M;
+    when k < M, the k x k factor R^T of B^T = Q R instead, for which
+    |y R^T| = |y B| for every y."""
+    sub = problem.sub[i]
+    U, sign = ((solution.u1, 1.0), (solution.u2, -1.0))[i]
+    r, M = U.shape
+    k = 1 + r + len(sub.K_modes) * r
+    B = np.zeros((k, M))
+    B[0] = sub.f
+    dofs, values = sub.extractor_entries
+    B[1 : 1 + r, dofs] = sign * (values * solution.lam)
+    # One sparse product per mode: forming the rows from the stacked mode
+    # data in one product needs a (J*r, nnz) intermediate and is slower.
+    for j, K in enumerate(sub.K_modes):
+        B[1 + r + j * r : 1 + r + (j + 1) * r] = -(K @ U.T).T
+    if k >= M:
+        return B
+    # B^T is Fortran-ordered, so LAPACK factors it in place; mode="raw"
+    # returns the k x k triangle, where mode="r" would pad it to M x k.
+    _, tri = sla.qr(B.T, overwrite_a=True, mode="raw", check_finite=False)
+    return tri.T
 
 
 def _append_random_factor(problem: CoupledProblem, solution: SeparatedSolution, rng):
@@ -549,8 +608,9 @@ def arr_run(
                 ops=ops,
             )
             sol = upd
-            sol.phi1[:] = stochastic_update_phi1(problem, sol, g_modes)
-            sol.phi2[:] = stochastic_update_phi2(problem, sol, g_modes)
+            quad = _factor_forms(problem, sol)
+            sol.phi1[:] = stochastic_update_phi1(problem, sol, g_modes, quad)
+            sol.phi2[:] = stochastic_update_phi2(problem, sol, g_modes, quad)
             sol = normalize_factors(sol)
             # the next sweep starts from these factors: its operators are these
             ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)

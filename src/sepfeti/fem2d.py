@@ -412,6 +412,12 @@ class SubdomainProblem:
     def K_modes(self) -> list[sp.csr_matrix]:
         return self.modes.views
 
+    @cached_property
+    def extractor_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dof and the value of each column of ``C``: ``C^T U^T`` is
+        the gather ``U[:, dofs] * values``."""
+        return extractor_entries(self.C)
+
     @property
     def n_dofs(self) -> int:
         return self.f.shape[0]

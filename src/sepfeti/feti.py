@@ -317,7 +317,6 @@ class PcpgTrace:
     """Relative interface residual per iteration."""
 
     residuals: list[float]
-    converged: bool
 
     @property
     def n_iters(self) -> int:
@@ -495,7 +494,7 @@ def pcpg_solve(
         ip.apply_F, ip.d, ip.precond, eps, max_iters, "interface iteration",
         x=ip.lambda_init(), project=ip.apply_P,
     )
-    return lam, PcpgTrace(residuals=residuals, converged=True)
+    return lam, PcpgTrace(residuals=residuals)
 
 
 def recover_primal(

@@ -154,11 +154,13 @@ def eval_multivariate_batch(
     if fam.kind == LEGENDRE and points.size and np.abs(points).max() > 1.0 + 1e-12:
         raise ValueError("Legendre basis points must lie in [-1, 1]")
     nmax = int(idx_set.indices.max(initial=0))
-    out = np.ones((points.shape[0], len(idx_set)))
+    # Contiguous (P, n) rows are faster to multiply than transposed ones;
+    # the dimensions keep their order, so the values keep their bits.
+    out = np.ones((len(idx_set), points.shape[0]))
     for j in range(idx_set.d):
         table = fam.eval_table(nmax, points[:, j])  # (nmax+1, n)
-        out *= table[idx_set.indices[:, j]].T
-    return out
+        out *= table[idx_set.indices[:, j]]
+    return np.ascontiguousarray(out.T)
 
 
 @dataclass(frozen=True)

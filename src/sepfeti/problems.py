@@ -242,8 +242,8 @@ class PrimalLayout:
 
 def primal_layout(sub1: SubdomainProblem, sub2: SubdomainProblem) -> PrimalLayout:
     """Merge map and ordering of the primal system of two sub-domains."""
-    p1, c1 = fem2d.extractor_entries(sub1.C)
-    p2, c2 = fem2d.extractor_entries(sub2.C)
+    p1, c1 = sub1.extractor_entries
+    p2, c2 = sub2.extractor_entries
     M1, M2 = sub1.n_dofs, sub2.n_dofs
     dof2 = np.full(M2, -1, dtype=np.intp)
     dof2[p2] = p1

@@ -366,6 +366,34 @@ def test_residual_se_scaling():
     assert 0.3 < ratio < 0.7
 
 
+@pytest.mark.parametrize(
+    "example, rank, compressed",
+    [("lshape", 1, True), ("lshape", 4, False), ("beam", 1, True), ("beam", 4, True)],
+)
+def test_residual_matches_full_length_formula(example, rank, compressed):
+    """The span form (a thin-QR factor when the 1 + r + J r spanning vectors
+    are fewer than the dofs, the vectors themselves otherwise) against the
+    residual formed at full length per sample. lshape-desk loads one side,
+    beam-desk both, the second one floating."""
+    cfg = problems.profile_config(f"{example}-desk")
+    cfg["solver"]["max_sweeps"] = 3
+    prob = problems.build_from_config(cfg)
+    sol, _ = arr.arr_run(prob, eps=1e-12, r_max=rank, seed=21, n_mc_residual=10)
+    for i in (0, 1) if example == "beam" else (0,):
+        B = arr._residual_operator(prob, sol, i)
+        assert (B.shape[1] < prob.sub[i].n_dofs) == compressed
+    got = arr.residual_norm(prob, sol, n_samples=3000, seed=22, batch_size=700)
+    want = oracles.residual_norm(prob, sol, n_samples=3000, seed=22, batch_size=700)
+    assert got.n_samples == want.n_samples
+    assert set(got.per_domain) == set(want.per_domain) == ({0, 1} if example == "beam" else {0})
+    pairs = [(got.value, want.value), (got.std_error, want.std_error)]
+    pairs += [
+        (got.per_domain[i][k], want.per_domain[i][k]) for i in want.per_domain for k in (0, 1)
+    ]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
 # ---------------------------------------------------------------------------
 # outer loop
 

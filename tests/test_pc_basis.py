@@ -72,6 +72,17 @@ def test_index_set_ordering_graded():
     assert (np.diff(degrees) >= 0).all()
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_index_set_lower_order_is_prefix(d):
+    # the residual estimator evaluates one basis per germ and slices both
+    # the solution's and the field's sets from it
+    for q in range(0, 7):
+        big = pcb.build_index_set(d, q).indices
+        for p in range(0, q + 1):
+            small = pcb.build_index_set(d, p).indices
+            np.testing.assert_array_equal(big[: len(small)], small)
+
+
 def test_index_set_rejects_bad_args():
     with pytest.raises(ValueError):
         pcb.build_index_set(0, 2)
@@ -112,6 +123,25 @@ def test_eval_legendre_outside_support_rejected():
     idx = pcb.build_index_set(1, 1)
     with pytest.raises(ValueError):
         oracles.eval_multivariate(pcb.LEGENDRE_UNIFORM, idx, np.array([1.5]))
+
+
+@pytest.mark.parametrize("fam", [pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM])
+@pytest.mark.parametrize("d, p", [(1, 3), (2, 4), (4, 6), (6, 3), (11, 3)])
+def test_eval_batch_equals_per_index_product(fam, d, p):
+    """Every column is psi_{i_1}(x_1) * ... * psi_{i_d}(x_d), multiplied in
+    dimension order from 1.0: bit for bit, not to a tolerance."""
+    idx = pcb.build_index_set(d, p)
+    x = np.random.default_rng(d * 10 + p).uniform(-1.0, 1.0, (37, d))
+    tables = [fam.eval_table(p, x[:, j]) for j in range(d)]
+    expected = np.empty((x.shape[0], len(idx)))
+    for k, index in enumerate(idx.indices):
+        column = np.ones(x.shape[0])
+        for j, degree in enumerate(index):
+            column = column * tables[j][degree]
+        expected[:, k] = column
+    got = pcb.eval_multivariate_batch(fam, idx, x)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("kind,fam", [("hermite", pcb.HERMITE_GAUSSIAN), ("legendre", pcb.LEGENDRE_UNIFORM)])
