@@ -32,7 +32,7 @@ from .feti import (
     pcpg_solve,
     recover_primal,
 )
-from .pc_basis import LEGENDRE, eval_multivariate_batch, family
+from .pc_basis import LEGENDRE, GalerkinStack, eval_multivariate_batch, family
 from .problems import CoupledProblem
 
 __all__ = [
@@ -172,13 +172,16 @@ def energy(
     solution: SeparatedSolution,
     *,
     ops=None,
-    g_modes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
+    terms: bool = False,
+) -> float | tuple[float, float]:
     """Value of the coupled variational functional at the separated factors.
 
     pi = sum_i E[ 1/2 u_i^T K_i u_i - u_i^T f_i ] + E[ lam^T (C2^T u2 - C1^T u1) ],
     with every expectation factorized into per-germ moment products, so the
-    evaluation is exact for the polynomial factor representation.
+    evaluation is exact for the polynomial factor representation. With
+    ``terms``, the two parts, sum_i E[ ... ] and E[ lam^T ... ], are returned
+    apart; the value is their sum.
     """
     if ops is None:
         if g_modes is None:
@@ -190,9 +193,14 @@ def energy(
         for U, m, V in ((U1, ops.modes1, ops.V1), (U2, ops.modes2, ops.V2))
     )
     loads = float(ops.fw @ (U1 @ ops.f1)) + float(ops.fw @ (U2 @ ops.f2))
-    gap = _interface_gap(problem, U1, U2)
-    coupling = float(np.sum(ops.W * (lam @ gap.T)))
-    return 0.5 * quad - loads + coupling
+    primal = 0.5 * quad - loads
+    coupling = _coupling(problem, ops, U1, U2, lam)
+    return (primal, coupling) if terms else primal + coupling
+
+
+def _coupling(problem: CoupledProblem, ops, U1: np.ndarray, U2: np.ndarray, lam: np.ndarray) -> float:
+    """The coupling part E[ lam^T (C2^T u2 - C1^T u1) ] of ``energy``."""
+    return float(np.sum(ops.W * (lam @ _interface_gap(problem, U1, U2).T)))
 
 
 def interface_violation(problem: CoupledProblem, solution: SeparatedSolution) -> float:
@@ -223,7 +231,7 @@ def deterministic_update(
     method: str = "auto",
     pcpg_eps: float = 1e-8,
     preconditioner: str = "stiffness",
-    g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     ops=None,
     info: dict | None = None,
 ) -> SeparatedSolution:
@@ -276,14 +284,27 @@ def _factor_forms(
     return _quadratic_forms(s1.modes, solution.u1), _quadratic_forms(s2.modes, solution.u2)
 
 
+def _factor_matrix(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The (r P, r P) matrix whose block (l, m) is sum_j C[j, l, m] G[j] +
+    S[l, m] I, for (J, r, r) weights C: one sparse product over the stack's
+    nonzeros, nnz r^2 operations."""
+    J, r, _ = C.shape
+    P = G.P
+    # A[a, b, l, m] = sum_j G[j, a, b] C[j, l, m]
+    A = (G.by_pair @ C.reshape(J, r * r)).reshape(P, P, r, r)
+    diag = np.arange(P)
+    A[diag, diag] += S
+    return A.transpose(2, 0, 3, 1).reshape(r * P, r * P)
+
+
 def _factor_update(
     Q_own: np.ndarray,
     U_own: np.ndarray,
-    G_own: np.ndarray,
+    G_own: GalerkinStack,
     f_own: np.ndarray,
     Q_other: np.ndarray,
     U_other: np.ndarray,
-    G_other: np.ndarray,
+    T_other: np.ndarray,
     phi_other: np.ndarray,
     f_other: np.ndarray,
 ) -> np.ndarray:
@@ -294,21 +315,16 @@ def _factor_update(
     absent: the preceding deterministic update enforces interface continuity
     per factor (the coupling weights are nonsingular), and that property does
     not involve the factors being updated, so the coupling contribution
-    vanishes identically in the unknowns.
+    vanishes identically in the unknowns. ``T_other`` holds the other germ's
+    mode weights ``mode_weights(phi_other, G_other)``.
     """
     r = U_own.shape[0]
-    J, P, _ = G_own.shape
-    T_other = mode_weights(phi_other, G_other)
-    gram_other = phi_other @ phi_other.T
-    S = np.einsum("jlm,jlm->lm", Q_other, T_other)
-    # A[l, m, a, b] = sum_j Q_own[j, l, m] gram_other[l, m] G_own[j, a, b]
-    A = ((Q_own * gram_other).reshape(J, r * r).T @ G_own.reshape(J, P * P)).reshape(
-        r, r, P, P
+    A = _factor_matrix(
+        G_own,
+        Q_own * (phi_other @ phi_other.T),
+        np.einsum("jlm,jlm->lm", Q_other, T_other),
     )
-    diag = np.arange(P)
-    A[:, :, diag, diag] += S[:, :, None]
-    A = A.transpose(0, 2, 1, 3).reshape(r * P, r * P)
-    b = np.zeros((r, P))
+    b = np.zeros((r, G_own.P))
     b[:, 0] = (U_own @ f_own + U_other @ f_other) * phi_other[:, 0]
     try:
         x = sla.cho_solve(sla.cho_factor(A), b.ravel())
@@ -317,33 +333,38 @@ def _factor_update(
             "stochastic factor system is singular (degenerate deterministic "
             "factors); re-initialize the factors with a different seed"
         ) from None
-    return x.reshape(r, P)
+    return x.reshape(b.shape)
 
 
 def stochastic_update_phi1(
     problem: CoupledProblem,
     solution: SeparatedSolution,
-    g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     quad: tuple[np.ndarray, np.ndarray] | None = None,
+    T_other: np.ndarray | None = None,
 ) -> np.ndarray:
     """Updated first-germ factor coefficients minimizing the functional.
     ``quad``, when given, holds the stacks Q(u1), Q(u2) of ``_factor_forms``,
-    which a caller running both updates forms once."""
+    which a caller running both updates forms once; ``T_other``, when given,
+    holds ``mode_weights(solution.phi2, g_modes[1])``, which block operators
+    built from the same phi2 already hold as ``T2``."""
     if g_modes is None:
         g_modes = galerkin_mode_matrices(problem)
     if quad is None:
         quad = _factor_forms(problem, solution)
+    if T_other is None:
+        T_other = mode_weights(solution.phi2, g_modes[1])
     s1, s2 = problem.sub
     return _factor_update(
         quad[0], solution.u1, g_modes[0], s1.f,
-        quad[1], solution.u2, g_modes[1], solution.phi2, s2.f,
+        quad[1], solution.u2, T_other, solution.phi2, s2.f,
     )
 
 
 def stochastic_update_phi2(
     problem: CoupledProblem,
     solution: SeparatedSolution,
-    g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     quad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Updated second-germ factor coefficients minimizing the functional.
@@ -356,7 +377,7 @@ def stochastic_update_phi2(
     s1, s2 = problem.sub
     return _factor_update(
         quad[1], solution.u2, g_modes[1], s2.f,
-        quad[0], solution.u1, g_modes[0], solution.phi1, s1.f,
+        quad[0], solution.u1, mode_weights(solution.phi1, g_modes[0]), solution.phi1, s1.f,
     )
 
 
@@ -582,7 +603,11 @@ def arr_run(
         for sweep in range(1, max_sweeps + 1):
             n_sweeps = sweep
             # a later sweep starts from the last one's factors and operators
-            pi_before = energy(problem, sol, ops=ops) if pi_prev is None else pi_prev
+            if pi_prev is None:
+                primal, coupling = energy(problem, sol, ops=ops, terms=True)
+                pi_before = primal + coupling
+            else:
+                pi_before, primal = pi_prev, primal_prev
             info: dict = {}
             upd = deterministic_update(
                 problem,
@@ -600,21 +625,18 @@ def arr_run(
                 ),
                 ops=ops,
             )
-            pi_lam_new = energy(
-                problem,
-                SeparatedSolution(
-                    u1=sol.u1, u2=sol.u2, lam=upd.lam, phi1=sol.phi1, phi2=sol.phi2
-                ),
-                ops=ops,
-            )
+            # same factors and operators as pi_before: only the coupling changes
+            pi_lam_new = primal + _coupling(problem, ops, sol.u1, sol.u2, upd.lam)
             sol = upd
             quad = _factor_forms(problem, sol)
-            sol.phi1[:] = stochastic_update_phi1(problem, sol, g_modes, quad)
+            # phi2 is still the one the sweep's operators were built from
+            sol.phi1[:] = stochastic_update_phi1(problem, sol, g_modes, quad, ops.T2)
             sol.phi2[:] = stochastic_update_phi2(problem, sol, g_modes, quad)
             sol = normalize_factors(sol)
             # the next sweep starts from these factors: its operators are these
             ops = build_block_operators(problem, sol.phi1, sol.phi2, g_modes)
-            pi_after = energy(problem, sol, ops=ops)
+            primal_after, coupling_after = energy(problem, sol, ops=ops, terms=True)
+            pi_after = primal_after + coupling_after
             trace.sweeps.append(
                 SweepRecord(
                     rank=r,
@@ -631,7 +653,7 @@ def arr_run(
                 pi_after
             ):
                 break
-            pi_prev = pi_after
+            pi_prev, primal_prev = pi_after, primal_after
         est = residual_norm(
             problem, sol, n_samples=n_mc_residual, seed=[seed, 1000 + r]
         )

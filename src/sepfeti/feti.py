@@ -58,7 +58,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbsv
 
 from .fem2d import ModeStack, band_index, extractor_entries
-from .pc_basis import family, triple_moment_stack
+from .pc_basis import GalerkinStack, family, triple_moment_stack
 from .problems import CoupledProblem, PrimalLayout
 
 
@@ -92,11 +92,15 @@ def kron_sum(modes, V: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data.ravel(), np.tile(indices, r), indptr), shape=(r * n, r * n))
 
 
-def mode_weights(phi: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T[j, l, m] = phi[l] . G[j] phi[m] for (r, P) factors and (J, P, P) G,
-    as two matrix products."""
-    J, P, _ = G.shape
-    return phi @ (G.reshape(J * P, P) @ phi.T).reshape(J, P, phi.shape[0])
+def mode_weights(phi: np.ndarray, G: GalerkinStack) -> np.ndarray:
+    """T[j, l, m] = phi[l] . G[j] phi[m] for (r, P) factors: each stored
+    entry G[j][a, b] adds its value times phi[l, a] phi[m, b] to T[j], one
+    sparse product of nnz r^2 operations."""
+    r = phi.shape[0]
+    a, b = G.pairs
+    factors = np.ascontiguousarray(phi.T)
+    products = (factors[a][:, :, None] * factors[b][:, None, :]).reshape(-1, r * r)
+    return (G.by_entry @ products).reshape(-1, r, r)
 
 
 def factorize(A: sp.spmatrix, what: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -117,8 +121,9 @@ def factorize(A: sp.spmatrix, what: str) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-germ stacks G[j][a,b] = E[psi_j psi_a psi_b].
+def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[GalerkinStack, GalerkinStack]:
+    """Per-germ stacks G[j][a,b] = E[psi_j psi_a psi_b], stored by their
+    nonzeros (``pc_basis.triple_moment_stack``).
 
     Row j runs over the coefficient-field multi-indices (degree up to twice
     the solution order, which the quadrature covers exactly); a, b run over
@@ -137,12 +142,16 @@ class BlockOperators:
     """Weight matrices plus the stacked sparse modes of the block saddle system.
 
     ``H1[j]``/``H2[j]`` are the (r, r) expectation weights of stiffness mode
-    j; ``W`` weights the coupling blocks; ``fw`` weights the load. The
+    j, each germ's own mode weights (``mode_weights``) times the other
+    germ's Gram matrix; ``T2`` keeps the second germ's mode weights, which
+    the first germ's factor update reads. ``W`` weights the coupling blocks;
+    ``fw`` weights the load. The
     block values ``V1``/``V2``, the assembled ``K1hat``/``K2hat`` and their
     factorizations are built on first use.
     """
 
     rank: int
+    T2: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
     W: np.ndarray
@@ -245,7 +254,7 @@ def build_block_operators(
     problem: CoupledProblem,
     phi1: np.ndarray,
     phi2: np.ndarray,
-    g_modes: tuple[np.ndarray, np.ndarray] | None = None,
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
 ) -> BlockOperators:
     """Assemble the expectation weights for the given stochastic factors.
 
@@ -267,13 +276,13 @@ def build_block_operators(
     G1, G2 = g_modes
     W1 = phi1 @ phi1.T
     W2 = phi2 @ phi2.T
-    H1 = mode_weights(phi1, G1) * W2[None]
-    H2 = mode_weights(phi2, G2) * W1[None]
+    T2 = mode_weights(phi2, G2)
     s2 = problem.sub[1]
     return BlockOperators(
         rank=phi1.shape[0],
-        H1=H1,
-        H2=H2,
+        T2=T2,
+        H1=mode_weights(phi1, G1) * W2[None],
+        H2=T2 * W1[None],
         W=W1 * W2,
         fw=phi1[:, 0] * phi2[:, 0],
         modes1=problem.sub[0].modes,

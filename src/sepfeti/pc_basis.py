@@ -5,16 +5,28 @@ Two univariate families are supported: probabilists' Hermite polynomials
 [-1, 1]), both rescaled to unit second moment so every Gram matrix is the
 identity.  Multivariate bases are tensor products over total-degree
 multi-index sets; all multivariate expectations used by the solver factor
-into products of univariate triple moments, which are computed once by
-Gauss quadrature and cached in a dense tensor.
+into products of univariate triple moments E[psi_a psi_b psi_c], computed
+by Gauss quadrature. In both families such a moment vanishes unless the
+selection rule holds: a + b + c is even and each degree is at most the sum
+of the other two. The univariate tensor is set to exactly zero off the rule
+(quadrature leaves rounding there), so a multivariate moment is nonzero
+only where the rule holds in every dimension.
+
+A Galerkin stack G_j[a, b] = E[psi_{m_j} psi_a psi_b] is stored by its
+nonzeros only (``GalerkinStack``): one (J, P*P) CSR matrix whose row j holds
+the nonzeros of G_j at columns a P + b, in increasing column order. It is
+built by enumerating exactly those nonzeros, one dimension at a time
+(``triple_moment_stack``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import hermite_e as npherme
 from numpy.polynomial import legendre as npleg
 
@@ -185,7 +197,8 @@ class TripleTensor:
 def univariate_triple_tensor(
     fam: OrthoPolyFamily, A: int, B: int, C: int
 ) -> TripleTensor:
-    """Exact E[psi_a psi_b psi_c] for a <= A, b <= B, c <= C by Gauss quadrature."""
+    """Exact E[psi_a psi_b psi_c] for a <= A, b <= B, c <= C by Gauss
+    quadrature, and exactly zero off the selection rule."""
     if min(A, B, C) < 0:
         raise ValueError("tensor caps must be nonnegative")
     n_nodes = math.ceil((A + B + C + 1) / 2)
@@ -195,38 +208,120 @@ def univariate_triple_tensor(
     values = np.einsum(
         "aq,bq,cq,q->abc", table[: A + 1], table[: B + 1], table[: C + 1], weights
     )
-    return TripleTensor(family=fam, values=values)
+    a, b, c = np.arange(A + 1)[:, None, None], np.arange(B + 1)[:, None], np.arange(C + 1)
+    rule = ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b)
+    return TripleTensor(family=fam, values=np.where(rule, values, 0.0))
 
 
-# entries of one gathered (rows, P, P) chunk of a triple-moment stack
-_GATHER_ENTRIES = 1 << 18
+@dataclass(frozen=True)
+class GalerkinStack:
+    """Matrices G_j[a, b] = E[psi_{m_j} psi_a psi_b] of J modes over P basis
+    functions, by their nonzeros.
+
+    ``by_mode`` is a (J, P*P) CSR matrix: row j holds the nonzeros of G_j at
+    columns a P + b, in increasing order. The other properties are views of
+    it, made once: ``by_pair`` is its (P*P, J) transpose, ``by_entry`` the
+    (J, nnz) matrix with entry e of ``by_mode`` in column e, and ``pairs``
+    the (a, b) of each entry.
+    """
+
+    P: int
+    by_mode: sp.csr_matrix
+
+    @cached_property
+    def by_pair(self) -> sp.csc_matrix:
+        return self.by_mode.T
+
+    @cached_property
+    def by_entry(self) -> sp.csr_matrix:
+        G = self.by_mode
+        return sp.csr_matrix((G.data, np.arange(G.nnz), G.indptr), shape=(G.shape[0], G.nnz))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self.by_mode.indices, self.P)
+
+    def dense(self) -> np.ndarray:
+        """The (J, P, P) array of the matrices."""
+        return self.by_mode.toarray().reshape(-1, self.P, self.P)
+
+
+def _prefix_tree(indices: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """The distinct rows of ``indices`` (N, d) as a tree with one level per
+    dimension: the nodes at depth k + 1 are the distinct length-(k + 1) row
+    prefixes, in lexicographic order.
+
+    Level k is ``(digit, first, count)``: the last entry of each node's
+    prefix, and for each node p of the level above, its children
+    ``first[p] : first[p] + count[p]``. Also returns the row of each leaf.
+    """
+    N, d = indices.shape
+    base = int(indices.max(initial=0)) + 1
+    node = np.zeros(N, dtype=np.intp)  # each row's node at the current depth
+    n_nodes = 1
+    levels = []
+    for k in range(d):
+        key = node * base + indices[:, k]
+        present = np.zeros(n_nodes * base, dtype=bool)
+        present[key] = True
+        rank = np.cumsum(present) - 1
+        node = rank[key]
+        count = present.reshape(n_nodes, base).sum(axis=1)
+        levels.append((np.flatnonzero(present) % base, np.cumsum(count) - count, count))
+        n_nodes = int(np.count_nonzero(present))
+    if n_nodes < N:
+        raise ValueError("multi-index rows must be distinct")
+    leaf_row = np.empty(N, dtype=np.intp)
+    leaf_row[node] = np.arange(N)
+    return levels, leaf_row
+
+
+def _children(parents: np.ndarray, level: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every (position in ``parents``, child node) pair of one tree level."""
+    _, first, count = level
+    n = count[parents]
+    start = np.cumsum(n) - n
+    pos = np.repeat(np.arange(parents.size), n)
+    return pos, np.arange(pos.size) + np.repeat(first[parents] - start, n)
 
 
 def triple_moment_stack(
     fam: OrthoPolyFamily, idx_modes: np.ndarray, idx_set: MultiIndexSet
-) -> np.ndarray:
+) -> GalerkinStack:
     """Matrices G[j][a, b] = E[psi_{m_j} psi_a psi_b] over one index set.
 
     Row m_j of ``idx_modes`` is a coefficient-field multi-index of total
     degree up to twice the order of ``idx_set``: the Galerkin building
-    blocks that couple all pairs of basis functions. The (J, P, P) result is
-    filled in place, a chunk of rows at a time, as a product of one gather
-    per dimension from the univariate triple tensor.
+    blocks that couple all pairs of basis functions. The mode rows and the
+    basis rows are prefix trees; walking the mode tree and the basis tree
+    (once for a, once for b) together, one dimension at a time, keeps only
+    the triples whose univariate moments so far are all nonzero, so the
+    work follows the stack's nonzeros. Each value is the product of its
+    univariate moments from the first dimension to the last. The rows of
+    ``idx_modes`` must be distinct.
     """
     idx_modes = np.asarray(idx_modes, dtype=np.intp)
     if idx_modes.ndim != 2 or idx_modes.shape[1] != idx_set.d:
         raise ValueError("mode index dimension mismatch")
+    J, P = idx_modes.shape[0], len(idx_set)
     p_modes = int(idx_modes.sum(axis=1).max(initial=0))
     tensor = univariate_triple_tensor(fam, p_modes, idx_set.p, idx_set.p).values
-    P = len(idx_set)
-    # per dimension, the tensor slices on the basis pairs: (p_modes + 1, P, P)
-    pairs = [tensor[:, c][:, :, c] for c in idx_set.indices.T]
-    out = np.empty((idx_modes.shape[0], P, P))
-    step = max(1, _GATHER_ENTRIES // (P * P))
-    for start in range(0, out.shape[0], step):
-        rows = idx_modes[start : start + step]
-        block = out[start : start + step]
-        np.take(pairs[0], rows[:, 0], axis=0, out=block)
-        for k in range(1, idx_set.d):
-            block *= pairs[k][rows[:, k]]
-    return out
+    (tree_j, row_j), (tree_ab, row_ab) = _prefix_tree(idx_modes), _prefix_tree(idx_set.indices)
+    # the surviving node triples at the current depth, and their products
+    j = a = b = np.zeros(min(J, 1), dtype=np.intp)
+    value = np.ones(j.size)
+    for level_j, level_ab in zip(tree_j, tree_ab):
+        to_j, j = _children(j, level_j)
+        to_a, a = _children(a[to_j], level_ab)
+        to_b, b = _children(b[to_j[to_a]], level_ab)
+        j, a, src = j[to_a[to_b]], a[to_b], to_j[to_a[to_b]]
+        moment = tensor[level_j[0][j], level_ab[0][a], level_ab[0][b]]
+        keep = np.flatnonzero(moment)
+        j, a, b = j[keep], a[keep], b[keep]
+        value = value[src[keep]] * moment[keep]
+    j = row_j[j]
+    col = row_ab[a] * P + row_ab[b]
+    order = np.argsort(j * (P * P) + col)
+    indptr = np.zeros(J + 1, dtype=np.intp)
+    np.cumsum(np.bincount(j, minlength=J), out=indptr[1:])
+    return GalerkinStack(P, sp.csr_matrix((value[order], col[order], indptr), shape=(J, P * P)))

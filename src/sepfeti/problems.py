@@ -451,21 +451,15 @@ class MonolithicProblem:
     monolithic free-dof vector.
     """
 
-    nodes: np.ndarray
-    ncomp: int
     family_kind: str
     d1: int
     d2: int
     field_indices: np.ndarray
     modes: MergedModes
     f: np.ndarray
-    free_glob: np.ndarray
+    n_free: int
     restrict1: np.ndarray
     restrict2: np.ndarray
-
-    @property
-    def n_free(self) -> int:
-        return self.free_glob.size
 
 
 def _dof_expand(nodes: np.ndarray, ncomp: int) -> np.ndarray:
@@ -492,7 +486,6 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     fresh = np.where(local2glob2 < 0)[0]
     local2glob2[fresh] = n1 + np.arange(fresh.size)
     n_nodes = n1 + fresh.size
-    nodes = np.vstack([m1.nodes, m2.nodes[fresh]])
 
     dmap1 = _dof_expand(np.arange(n1), ncomp)
     dmap2 = _dof_expand(local2glob2, ncomp)
@@ -548,15 +541,13 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     )
 
     return MonolithicProblem(
-        nodes=nodes,
-        ncomp=ncomp,
         family_kind=problem.family_kind,
         d1=d1,
         d2=d2,
         field_indices=field_indices,
         modes=modes,
         f=f_red,
-        free_glob=free_glob,
+        n_free=n_free,
         restrict1=restrict[0],
         restrict2=restrict[1],
     )

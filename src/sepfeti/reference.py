@@ -68,6 +68,8 @@ def _sg_solve_core(modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10) -> n
     preconditioner; returns the (P, M) coefficient block."""
     P = G.shape[1]
     A = kron_sum(modes, block_values(modes, G))
+    # drop the blocks and the entries that the stack leaves exactly zero
+    A.eliminate_zeros()
     mean = modes.matrix(modes.contract(np.eye(1, G.shape[0]))[0])
     lu = spla.splu(mean.tocsc())
     B = np.zeros((P, f.shape[0]))
@@ -105,7 +107,7 @@ def solve_monolithic_sg(
     idx = build_index_set(mono.d1 + mono.d2, p)
     _guard(mono.n_free * len(idx), mono.n_free, len(idx))
     fam = family(mono.family_kind)
-    G = triple_moment_stack(fam, mono.field_indices, idx)
+    G = triple_moment_stack(fam, mono.field_indices, idx).dense()
     coeffs = _sg_solve_core(mono.modes, G, mono.f)
     return MonolithicSGSolution(idx_set=idx, coeffs=coeffs)
 

@@ -2,7 +2,10 @@
 
 No library code calls these, so they live with the tests: pointwise basis
 evaluation, multivariate triple moments and quadrature projection for the
-PC basis, single-sample and batched field evaluation and single-sample
+PC basis, the univariate triple tensor by plain quadrature (rounding left
+off the selection rule) and the Galerkin stack as the dense product of its
+slices, the mode weights and the stochastic-factor matrix by dense
+einsum, single-sample and batched field evaluation and single-sample
 solution evaluation, the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
 Gaussian kernel by its broadcast formula and the KL eigenproblem solved
@@ -19,7 +22,7 @@ single-domain oracle is checked against, the Monte-Carlo residual
 estimate with every sample's residual formed at full length, which the
 span form of ``arr.residual_norm`` is checked against, and small
 accessors: the merged
-stiffness modes as matrices, merged node and free-dof lookup, a block
+stiffness modes as matrices, the merged free dof at a mesh node, a block
 operator applied to a factor block, the germ count and the config as JSON.
 """
 
@@ -62,6 +65,44 @@ def multivariate_triple_moment(
     if idx_a.max(initial=0) > A or idx_b.max(initial=0) > B or idx_c.max(initial=0) > C:
         raise pcb.SizeError("multi-index degree exceeds triple tensor caps")
     return float(np.prod(tensor.values[idx_a, idx_b, idx_c]))
+
+
+def quadrature_triple_tensor(fam: pcb.OrthoPolyFamily, A: int, B: int, C: int) -> np.ndarray:
+    """E[psi_a psi_b psi_c] for a <= A, b <= B, c <= C by the Gauss rule of
+    ``pc_basis.univariate_triple_tensor``, keeping the rounding that rule
+    leaves where the moment vanishes."""
+    nodes, weights = fam.gauss_rule(math.ceil((A + B + C + 1) / 2))
+    table = fam.eval_table(max(A, B, C), nodes)
+    return np.einsum(
+        "aq,bq,cq,q->abc", table[: A + 1], table[: B + 1], table[: C + 1], weights
+    )
+
+
+def dense_triple_moment_stack(
+    fam: pcb.OrthoPolyFamily, idx_modes: np.ndarray, idx_set: pcb.MultiIndexSet
+) -> np.ndarray:
+    """The (J, P, P) Galerkin stack E[psi_{m_j} psi_a psi_b] as the product of
+    one quadrature-tensor slice per dimension, multiplied from the first
+    dimension to the last."""
+    p_modes = int(idx_modes.sum(axis=1).max(initial=0))
+    tensor = quadrature_triple_tensor(fam, p_modes, idx_set.p, idx_set.p)
+    out = np.ones((idx_modes.shape[0], len(idx_set), len(idx_set)))
+    for k, c in enumerate(idx_set.indices.T):
+        out *= tensor[idx_modes[:, k]][:, c][:, :, c]
+    return out
+
+
+def mode_weights(phi: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``feti.mode_weights`` by einsum over the dense (J, P, P) stack."""
+    return np.einsum("la,jab,mb->jlm", phi, G, phi)
+
+
+def factor_matrix(G: np.ndarray, C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``arr._factor_matrix`` by einsum over the dense (J, P, P) stack."""
+    r, P = C.shape[1], G.shape[1]
+    A = np.einsum("jlm,jab->lamb", C, G)
+    A += np.einsum("lm,ab->lamb", S, np.eye(P))
+    return A.reshape(r * P, r * P)
 
 
 def projection_coefficients(
@@ -420,23 +461,26 @@ def mono_K_modes(mono: problems.MonolithicProblem) -> list[sp.csr_matrix]:
     return [modes.matrix(row) for row in modes.contract(np.eye(len(mono.field_indices)))]
 
 
-def node_at(mono: problems.MonolithicProblem, xy: tuple[float, float], tol: float = 1e-9) -> int:
-    """The merged node at the point ``xy``."""
-    hit = np.where(
-        (np.abs(mono.nodes[:, 0] - xy[0]) < tol) & (np.abs(mono.nodes[:, 1] - xy[1]) < tol)
-    )[0]
-    if hit.size != 1:
-        raise ValueError(f"no unique merged node at {xy}")
-    return int(hit[0])
-
-
-def free_index(mono: problems.MonolithicProblem, node: int, comp: int = 0) -> int:
-    """Position of a merged node's dof in the free (eliminated) dof vector."""
-    dof = node * mono.ncomp + comp
-    pos = int(np.searchsorted(mono.free_glob, dof))
-    if pos >= mono.free_glob.size or mono.free_glob[pos] != dof:
-        raise ValueError(f"dof (node {node}, component {comp}) is constrained")
-    return pos
+def free_dof_at(
+    problem: problems.CoupledProblem,
+    mono: problems.MonolithicProblem,
+    xy: tuple[float, float],
+    comp: int = 0,
+    tol: float = 1e-9,
+) -> int:
+    """Position in the merged free-dof vector of component ``comp`` of the
+    mesh node at the point ``xy``, found on the first sub-domain whose mesh
+    has that node as a free node."""
+    for sub, restrict in zip(problem.sub, (mono.restrict1, mono.restrict2)):
+        nodes = sub.mesh.nodes
+        hit = np.flatnonzero((np.abs(nodes[:, 0] - xy[0]) < tol) & (np.abs(nodes[:, 1] - xy[1]) < tol))
+        if hit.size != 1:
+            continue
+        dof = int(hit[0]) * sub.ncomp + comp
+        pos = int(np.searchsorted(sub.free_dofs, dof))
+        if pos < sub.free_dofs.size and sub.free_dofs[pos] == dof:
+            return int(restrict[pos])
+    raise ValueError(f"no free dof (component {comp}) at {xy}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -470,8 +514,8 @@ def solve_coupled_sg(problem: problems.CoupledProblem, p: int | None = None) -> 
     fam = pcb.family(problem.family_kind)
     rows1 = np.pad(problem.fields[0].idx_set.indices, ((0, 0), (0, d - d1)))
     rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
-    G1 = pcb.triple_moment_stack(fam, rows1, idx)
-    G2 = pcb.triple_moment_stack(fam, rows2, idx)
+    G1 = pcb.triple_moment_stack(fam, rows1, idx).dense()
+    G2 = pcb.triple_moment_stack(fam, rows2, idx).dense()
     B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
     B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
     A11 = feti.kron_sum(s1.modes, feti.block_values(s1.modes, G1))

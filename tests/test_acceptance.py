@@ -408,7 +408,7 @@ def test_criterion_09_qualitative_accuracy_trends(
     # probe-point density gap against the oracle shrinks with rank
     mono = problems.as_monolithic(lshape_problem)
     point = tuple(lshape_problem.config["stats"]["probe_point"])
-    dof = oracles.free_index(mono, oracles.node_at(mono, point))
+    dof = oracles.free_dof_at(lshape_problem, mono, point)
     fam = pc_basis.family(mono.family_kind)
     rng = np.random.default_rng(77)
     n = 4000

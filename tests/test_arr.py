@@ -269,6 +269,87 @@ def test_proposition_chain_on_sweeps():
     assert arr.energy(prob, mixed_lam) >= pi_before - slack
 
 
+def test_factor_matrix_matches_einsum():
+    for example in ("lshape", "beam"):
+        for G in feti.galerkin_mode_matrices(desk_problem(example)):
+            dense = G.dense()
+            for r in range(1, 5):
+                rng = np.random.default_rng(r)
+                C = rng.standard_normal((G.by_mode.shape[0], r, r))
+                S = rng.standard_normal((r, r))
+                want = oracles.factor_matrix(dense, C, S)
+                got = arr._factor_matrix(G, C, S)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+def test_sweep_reuses_are_exact():
+    # arr_run takes pi(u_old, lam_new) from pi_before's primal part and the
+    # phi1 update's weights T(phi2) from the sweep's block operators
+    prob = desk_problem(example="beam")
+    sol = random_solution(prob, rank=3, seed=21)
+    G = feti.galerkin_mode_matrices(prob)
+    ops = feti.build_block_operators(prob, sol.phi1, sol.phi2, G)
+    primal, coupling = arr.energy(prob, sol, ops=ops, terms=True)
+    assert primal + coupling == arr.energy(prob, sol, ops=ops)
+    upd = arr.deterministic_update(prob, sol, ops=ops)
+    mixed = arr.SeparatedSolution(
+        u1=sol.u1, u2=sol.u2, lam=upd.lam, phi1=sol.phi1, phi2=sol.phi2
+    )
+    reused = primal + arr._coupling(prob, ops, sol.u1, sol.u2, upd.lam)
+    assert reused == arr.energy(prob, mixed, ops=ops)
+    np.testing.assert_array_equal(
+        arr.stochastic_update_phi1(prob, upd, G, T_other=ops.T2),
+        arr.stochastic_update_phi1(prob, upd, G),
+    )
+
+
+def test_arr_sweep_records_equal_direct_energies(monkeypatch):
+    # every mixed-factor energy of a SweepRecord, evaluated afresh
+    seen = []
+    update = arr.deterministic_update
+
+    def recorded(problem, solution, **kwargs):
+        out = update(problem, solution, **kwargs)
+        seen.append((solution.copy(), out.copy(), kwargs["ops"]))
+        return out
+
+    monkeypatch.setattr(arr, "deterministic_update", recorded)
+    # the interface iteration leaves gaps that the coupling terms see
+    prob = desk_problem(example="beam")
+    prob.config["solver"]["det_update"] = "pcpg"
+    _, trace = arr.arr_run(prob, eps=1e-9, r_max=2, seed=6, n_mc_residual=200)
+    assert len(seen) == len(trace.sweeps)
+    for rec, (sol, upd, ops) in zip(trace.sweeps, seen):
+        def mixed(u, lam):
+            return arr.SeparatedSolution(
+                u1=u.u1, u2=u.u2, lam=lam.lam, phi1=sol.phi1, phi2=sol.phi2
+            )
+
+        assert rec.pi_before == arr.energy(prob, sol, ops=ops)
+        assert rec.pi_u_new_lam_old == arr.energy(prob, mixed(upd, sol), ops=ops)
+        assert rec.pi_u_old_lam_new == arr.energy(prob, mixed(sol, upd), ops=ops)
+
+
+def test_arr_call_counts_per_sweep(monkeypatch):
+    # per rank: one energy and two mode weights for the first operators; per
+    # sweep: two energies and three mode weights (T(phi2) is reused)
+    calls = {"energy": 0, "mode_weights": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arr, "energy", counted("energy", arr.energy))
+    weights = counted("mode_weights", feti.mode_weights)
+    monkeypatch.setattr(arr, "mode_weights", weights)
+    monkeypatch.setattr(feti, "mode_weights", weights)
+    _, trace = arr.arr_run(desk_problem(), eps=1e-9, r_max=3, seed=4, n_mc_residual=200)
+    ranks, sweeps = len(trace.ranks), len(trace.sweeps)
+    assert calls == {"energy": ranks + 2 * sweeps, "mode_weights": 2 * ranks + 3 * sweeps}
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

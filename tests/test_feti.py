@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_weights_match_quadrature_oracle():
         ops.W, ((v1[:, None, :] * v1[None, :, :]) @ w) * gram2, atol=1e-10
     )
     np.testing.assert_allclose(ops.fw, (v1 @ w) * (v2 @ w), atol=1e-12)
+
+
+def test_mode_weights_match_einsum():
+    # (2, 1, 3): the modes of degree 3 have no nonzeros
+    for kind, (d, p, q) in itertools.product(
+        ("hermite", "legendre"), [(2, 2, 4), (4, 3, 6), (9, 3, 1), (2, 1, 3)]
+    ):
+        idx = pc_basis.build_index_set(d, p)
+        modes = pc_basis.build_index_set(d, q).indices
+        G = pc_basis.triple_moment_stack(pc_basis.family(kind), modes, idx)
+        dense = G.dense()
+        for r in range(1, 5):
+            phi = np.random.default_rng(r).standard_normal((r, len(idx)))
+            want = oracles.mode_weights(phi, dense)
+            got = feti.mode_weights(phi, G)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
 def test_block_symmetry():

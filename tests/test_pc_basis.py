@@ -7,6 +7,7 @@ than the recurrences in the module), and direct tensor-grid quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,19 @@ def test_triple_tensor_symmetry_and_parity():
                         assert abs(t[a, b, c]) < 1e-12
 
 
+def test_triple_tensor_exact_zero_off_selection_rule():
+    for fam in (pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM):
+        for A, B, C in itertools.product(range(7), repeat=3):
+            t = pcb.univariate_triple_tensor(fam, A, B, C).values
+            a, b, c = np.ogrid[: A + 1, : B + 1, : C + 1]
+            rule = ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b)
+            rule = np.broadcast_to(rule, t.shape)
+            quadrature = oracles.quadrature_triple_tensor(fam, A, B, C)
+            np.testing.assert_array_equal(t[rule], quadrature[rule])
+            assert np.all(t[~rule] == 0.0) and np.all(t[rule] != 0.0)
+            assert np.abs(quadrature[~rule]).max(initial=0.0) < 1e-13
+
+
 def test_multivariate_triple_moment_examples():
     t = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 4, 2, 2)
     z = np.zeros(3, dtype=int)
@@ -249,7 +263,7 @@ def test_triple_moment_matrix_matches_elementwise():
     idx = pcb.build_index_set(2, 2)
     tensor = pcb.univariate_triple_tensor(fam, 4, 2, 2)
     j = np.array([2, 1])
-    mat = pcb.triple_moment_stack(fam, j[None], idx)[0]
+    mat = pcb.triple_moment_stack(fam, j[None], idx).dense()[0]
     for a in range(len(idx)):
         for b in range(len(idx)):
             expected = oracles.multivariate_triple_moment(
@@ -258,20 +272,39 @@ def test_triple_moment_matrix_matches_elementwise():
             assert mat[a, b] == pytest.approx(expected, abs=1e-13)
 
 
-def test_triple_moment_stack_chunks_equal_one_gather(monkeypatch):
+STACK_CASES = [(6, 3, 6), (4, 3, 6), (11, 3, 1), (9, 3, 1), (2, 2, 4), (1, 3, 6), (3, 2, 4)]
+
+
+def test_triple_moment_stack_equals_dense_product():
+    """Every stored value is bitwise the left-to-right product of its
+    univariate moments; every entry left out is rounding in that product."""
+    for fam in (pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM):
+        for d, p, q in STACK_CASES:
+            idx = pcb.build_index_set(d, p)
+            modes = pcb.build_index_set(d, q).indices
+            G = pcb.triple_moment_stack(fam, modes, idx)
+            assert G.P == len(idx) and G.by_mode.shape == (len(modes), len(idx) ** 2)
+            assert G.by_mode.has_canonical_format and np.all(G.by_mode.data != 0.0)
+            dense = G.dense()
+            stored = dense != 0.0
+            expected = oracles.dense_triple_moment_stack(fam, modes, idx)
+            np.testing.assert_array_equal(dense[stored], expected[stored])
+            assert np.abs(expected[~stored]).max(initial=0.0) <= 1e-14
+
+
+def test_triple_moment_stack_rows_without_nonzeros():
+    # modes of total degree above 2p meet no pair of basis functions
     fam = pcb.LEGENDRE_UNIFORM
-    idx = pcb.build_index_set(3, 2)
-    modes = pcb.build_index_set(3, 4).indices
-    whole = pcb.triple_moment_stack(fam, modes, idx)
-    monkeypatch.setattr(pcb, "_GATHER_ENTRIES", 3 * len(idx) ** 2)
-    chunked = pcb.triple_moment_stack(fam, modes, idx)
-    np.testing.assert_array_equal(chunked, whole)
-    tensor = pcb.univariate_triple_tensor(fam, 4, 2, 2).values
-    for j, m in enumerate(modes):
-        expected = np.ones((len(idx), len(idx)))
-        for k, c in enumerate(idx.indices.T):
-            expected *= tensor[m[k]][np.ix_(c, c)]
-        np.testing.assert_array_equal(whole[j], expected)
+    idx = pcb.build_index_set(2, 1)
+    modes = pcb.build_index_set(2, 3).indices
+    G = pcb.triple_moment_stack(fam, modes, idx)
+    empty = modes.sum(axis=1) > 2
+    np.testing.assert_array_equal(np.diff(G.by_mode.indptr) > 0, ~empty)
+    expected = oracles.dense_triple_moment_stack(fam, modes, idx)
+    np.testing.assert_allclose(G.dense(), expected, rtol=0.0, atol=1e-14)
+    assert pcb.triple_moment_stack(fam, modes[:0], idx).dense().shape == (0, len(idx), len(idx))
+    with pytest.raises(ValueError, match="distinct"):
+        pcb.triple_moment_stack(fam, modes[[0, 1, 1]], idx)
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,7 @@ def test_beam_sigma_zero_matches_monolithic():
     np.testing.assert_allclose(u1, u_mono[mono.restrict1], atol=1e-10 * np.abs(u_mono).max())
     np.testing.assert_allclose(u2, u_mono[mono.restrict2], atol=1e-10 * np.abs(u_mono).max())
     # tip deflection probe exists at the far bottom corner
-    tip = oracles.node_at(mono, (4.0, 0.0))
-    assert u_mono[np.where(mono.free_glob == 2 * tip + 1)[0][0]] < 0.0
+    assert u_mono[oracles.free_dof_at(prob, mono, (4.0, 0.0), comp=1)] < 0.0
 
 
 def test_beam_reaction_resultant():

@@ -29,7 +29,7 @@ def test_sg_core_matches_dense_kronecker():
     K1 = sp.csr_matrix(0.3 * np.array([[1.0, 0.2], [0.2, 1.0]]))
     f = np.array([1.0, 2.0])
     rows = np.array([[0], [1]])
-    G = pc_basis.triple_moment_stack(fam, rows, idx)
+    G = pc_basis.triple_moment_stack(fam, rows, idx).dense()
     dense = np.kron(G[0], K0.toarray()) + np.kron(G[1], K1.toarray())
     b = np.zeros(2 * len(idx))
     b[:2] = f
@@ -197,7 +197,7 @@ def test_mc_vs_sg_cross_oracle():
 def test_mc_probe_samples():
     prob = desk_problem()
     mono = problems.as_monolithic(prob)
-    dof = oracles.free_index(mono, oracles.node_at(mono, (1.0, 0.5)))
+    dof = oracles.free_dof_at(prob, mono, (1.0, 0.5))
     acc = reference.monte_carlo_reference(
         prob, n_samples=400, seed=26, probe_dofs=(dof,)
     )
