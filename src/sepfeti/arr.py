@@ -44,7 +44,6 @@ __all__ = [
     "arr_run",
     "deterministic_update",
     "energy",
-    "evaluate_separated",
     "interface_violation",
     "normalize_factors",
     "residual_norm",
@@ -112,22 +111,6 @@ class SeparatedSolution:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SeparatedSolution":
-        blob = json.loads(text)
-        r = int(blob["rank"])
-
-        def grab(key: str, width_key: str) -> np.ndarray:
-            return np.asarray(blob[key], float).reshape(r, int(blob[width_key]))
-
-        return cls(
-            u1=grab("u1", "m1"),
-            u2=grab("u2", "m2"),
-            lam=grab("lam", "m_interface"),
-            phi1=grab("phi1", "p1_terms"),
-            phi2=grab("phi2", "p2_terms"),
-        )
-
 
 @dataclass
 class SweepRecord:
@@ -172,7 +155,6 @@ def energy(
     solution: SeparatedSolution,
     *,
     ops=None,
-    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     terms: bool = False,
 ) -> float | tuple[float, float]:
     """Value of the coupled variational functional at the separated factors.
@@ -184,9 +166,9 @@ def energy(
     apart; the value is their sum.
     """
     if ops is None:
-        if g_modes is None:
-            g_modes = galerkin_mode_matrices(problem)
-        ops = build_block_operators(problem, solution.phi1, solution.phi2, g_modes)
+        ops = build_block_operators(
+            problem, solution.phi1, solution.phi2, galerkin_mode_matrices(problem)
+        )
     U1, U2, lam = solution.u1, solution.u2, solution.lam
     quad = sum(  # u . (Khat u) from the block values, without assembling Khat
         float(np.sum(U[:, m.rows] * np.einsum("lmp,mp->lp", V, U[:, m.indices])))
@@ -231,7 +213,6 @@ def deterministic_update(
     method: str = "auto",
     pcpg_eps: float = 1e-8,
     preconditioner: str = "stiffness",
-    g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     ops=None,
     info: dict | None = None,
 ) -> SeparatedSolution:
@@ -244,9 +225,9 @@ def deterministic_update(
     interface iteration count as ``pcpg_iters``.
     """
     if ops is None:
-        if g_modes is None:
-            g_modes = galerkin_mode_matrices(problem)
-        ops = build_block_operators(problem, solution.phi1, solution.phi2, g_modes)
+        ops = build_block_operators(
+            problem, solution.phi1, solution.phi2, galerkin_mode_matrices(problem)
+        )
     if method == "auto":
         size = solution.rank * (ops.M1 + ops.M2 + ops.M_I)
         method = "direct" if size <= _AUTO_DIRECT_LIMIT else "pcpg"
@@ -405,20 +386,6 @@ def normalize_factors(solution: SeparatedSolution) -> SeparatedSolution:
         phi1=solution.phi1 / n1[:, None],
         phi2=solution.phi2 / n2[:, None],
     )
-
-
-def evaluate_separated(
-    problem: CoupledProblem,
-    solution: SeparatedSolution,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Realizations (u1, u2, lam) at paired germ samples; each row one sample."""
-    fam = family(problem.family_kind)
-    a1 = eval_multivariate_batch(fam, problem.idx_solution[0], np.atleast_2d(xi1))
-    a2 = eval_multivariate_batch(fam, problem.idx_solution[1], np.atleast_2d(xi2))
-    c = (a1 @ solution.phi1.T) * (a2 @ solution.phi2.T)
-    return c @ solution.u1, c @ solution.u2, c @ solution.lam
 
 
 @dataclass(frozen=True)

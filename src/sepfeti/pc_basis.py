@@ -93,17 +93,8 @@ LEGENDRE_UNIFORM = OrthoPolyFamily(LEGENDRE)
 
 
 def family(kind: str) -> OrthoPolyFamily:
-    """Look up a family by kind string (accepts the short aliases too)."""
-    aliases = {
-        "hermite": HERMITE,
-        "legendre": LEGENDRE,
-        HERMITE: HERMITE,
-        LEGENDRE: LEGENDRE,
-    }
-    try:
-        return OrthoPolyFamily(aliases[kind])
-    except KeyError:
-        raise ValueError(f"unknown polynomial family {kind!r}") from None
+    """Look up a family by kind string; an unknown kind raises ``ValueError``."""
+    return OrthoPolyFamily(kind)
 
 
 @dataclass(frozen=True)
@@ -120,9 +111,20 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def cardinality(self) -> int:
-        return self.indices.shape[0]
+    @cached_property
+    def factor_rows(self) -> np.ndarray:
+        """(m, P) rows of the table of ``eval_multivariate_batch`` whose
+        product is each basis function. Entry (k, a) is g d + j, where j is
+        the k-th dimension, in increasing order, in which index a has a
+        nonzero degree g; past a's last such dimension it is 0 (psi_0 = 1).
+        m is the most nonzero degrees of one index, and at least 1."""
+        P, d = self.indices.shape
+        index, dim = np.nonzero(self.indices)
+        count = np.bincount(index, minlength=P)
+        rows = np.zeros((max(int(count.max(initial=0)), 1), P), dtype=np.intp)
+        k = np.arange(index.size) - (np.cumsum(count) - count)[index]
+        rows[k, index] = self.indices[index, dim] * d + dim
+        return rows
 
 
 def build_index_set(d: int, p: int) -> MultiIndexSet:
@@ -165,40 +167,24 @@ def eval_multivariate_batch(
         raise ValueError(f"points must have shape (n, {idx_set.d})")
     if fam.kind == LEGENDRE and points.size and np.abs(points).max() > 1.0 + 1e-12:
         raise ValueError("Legendre basis points must lie in [-1, 1]")
+    n, d = points.shape
     nmax = int(idx_set.indices.max(initial=0))
-    # Contiguous (P, n) rows are faster to multiply than transposed ones;
-    # the dimensions keep their order, so the values keep their bits.
-    out = np.ones((len(idx_set), points.shape[0]))
-    for j in range(idx_set.d):
-        table = fam.eval_table(nmax, points[:, j])  # (nmax+1, n)
-        out *= table[idx_set.indices[:, j]]
+    # row g d + j: psi_g at coordinate j of every point (row 0 is psi_0 = 1)
+    table = fam.eval_table(nmax, points.T.ravel()).reshape((nmax + 1) * d, n)
+    # Each basis function is the product of its factors with a nonzero
+    # degree, in dimension order: a factor psi_0 = 1 would leave the bits
+    # as they are, so it is skipped. Contiguous (P, n) rows are faster to
+    # multiply than transposed ones.
+    factors = idx_set.factor_rows
+    out = table[factors[0]]
+    for rows in factors[1:]:
+        out *= table[rows]
     return np.ascontiguousarray(out.T)
 
 
-@dataclass(frozen=True)
-class TripleTensor:
-    """Dense univariate moment tensor T[a, b, c] = E[psi_a psi_b psi_c]."""
-
-    family: OrthoPolyFamily
-    values: np.ndarray  # shape (A+1, B+1, C+1)
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    @property
-    def caps(self) -> tuple[int, int, int]:
-        return (
-            self.values.shape[0] - 1,
-            self.values.shape[1] - 1,
-            self.values.shape[2] - 1,
-        )
-
-
-def univariate_triple_tensor(
-    fam: OrthoPolyFamily, A: int, B: int, C: int
-) -> TripleTensor:
-    """Exact E[psi_a psi_b psi_c] for a <= A, b <= B, c <= C by Gauss
-    quadrature, and exactly zero off the selection rule."""
+def univariate_triple_tensor(fam: OrthoPolyFamily, A: int, B: int, C: int) -> np.ndarray:
+    """The (A+1, B+1, C+1) array of exact E[psi_a psi_b psi_c] by Gauss
+    quadrature, exactly zero off the selection rule."""
     if min(A, B, C) < 0:
         raise ValueError("tensor caps must be nonnegative")
     n_nodes = math.ceil((A + B + C + 1) / 2)
@@ -210,7 +196,7 @@ def univariate_triple_tensor(
     )
     a, b, c = np.arange(A + 1)[:, None, None], np.arange(B + 1)[:, None], np.arange(C + 1)
     rule = ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b)
-    return TripleTensor(family=fam, values=np.where(rule, values, 0.0))
+    return np.where(rule, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -305,7 +291,7 @@ def triple_moment_stack(
         raise ValueError("mode index dimension mismatch")
     J, P = idx_modes.shape[0], len(idx_set)
     p_modes = int(idx_modes.sum(axis=1).max(initial=0))
-    tensor = univariate_triple_tensor(fam, p_modes, idx_set.p, idx_set.p).values
+    tensor = univariate_triple_tensor(fam, p_modes, idx_set.p, idx_set.p)
     (tree_j, row_j), (tree_ab, row_ab) = _prefix_tree(idx_modes), _prefix_tree(idx_set.indices)
     # the surviving node triples at the current depth, and their products
     j = a = b = np.zeros(min(J, 1), dtype=np.intp)

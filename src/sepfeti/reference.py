@@ -5,15 +5,15 @@ merged single-domain problem in the combined basis over all germ dimensions
 (exact projection, small instances only; conjugate gradients by
 ``feti.pcg`` with a mean-stiffness block preconditioner) and plain Monte
 Carlo with one banded deterministic solve per sample on a fixed
-bandwidth-reducing ordering (statistical error reported).
+bandwidth-reducing ordering (sample mean and standard deviation of the
+merged solution, with the sample count).
 Agreement of the two — and of the low-rank solver against either — is the
 main correctness argument.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -123,21 +123,10 @@ class MCAccumulator:
     n_samples: int
     mean: np.ndarray
     m2: np.ndarray
-    seed: object
-    probe_dofs: tuple[int, ...] = ()
-    probe_samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @property
-    def second_moment(self) -> np.ndarray:
-        return self.m2 / self.n_samples + self.mean**2
 
     @property
     def std(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.m2, 0.0) / self.n_samples)
-
-    @property
-    def std_error_mean(self) -> np.ndarray:
-        return self.std / math.sqrt(self.n_samples)
 
 
 def _band_layout(pattern: SparsePattern) -> tuple[np.ndarray, int, np.ndarray]:
@@ -158,7 +147,6 @@ def monte_carlo_reference(
     problem: CoupledProblem,
     n_samples: int,
     seed: int = 0,
-    probe_dofs: tuple[int, ...] = (),
 ) -> MCAccumulator:
     """Per-sample deterministic solves of the merged problem.
 
@@ -171,8 +159,7 @@ def monte_carlo_reference(
     profiles are two structured rectangles with b <= 25: n, b = 72, 6
     (``lshape-desk``), 240, 13 (``beam-desk``), 1 100, 25 (``beam``) and
     1 640, 22 (``lshape``). A mesh whose n b^2 outgrows a sparse LU needs
-    another route. Mean and second moment accumulate over samples; values at
-    ``probe_dofs`` (free-dof indices) are stored for density estimation.
+    another route. Mean and squared deviations accumulate over the samples.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -192,8 +179,6 @@ def monte_carlo_reference(
     Psi = eval_multivariate_batch(fam, fidx, xi)
     mean = np.zeros(mono.n_free)
     m2 = np.zeros(mono.n_free)
-    probes = np.empty((n_samples, len(probe_dofs)))
-    probe_idx = np.asarray(probe_dofs, dtype=int)
     merged = mono.modes
     perm, b, band_index = _band_layout(merged)
     # each side's stored entries go straight to their band positions
@@ -223,13 +208,4 @@ def monte_carlo_reference(
         delta = u - mean
         mean += delta / (n + 1)
         m2 += delta * (u - mean)
-        if probe_idx.size:
-            probes[n] = u[probe_idx]
-    return MCAccumulator(
-        n_samples=n_samples,
-        mean=mean,
-        m2=m2,
-        seed=seed,
-        probe_dofs=tuple(int(i) for i in probe_dofs),
-        probe_samples=probes,
-    )
+    return MCAccumulator(n_samples=n_samples, mean=mean, m2=m2)

@@ -7,9 +7,9 @@ orthonormal polynomial bases,
     E[u]      = sum_l u^l phi1^l_0 phi2^l_0,
     E[u u]    = sum_{l,m} u^l u^m (phi1^l . phi1^m)(phi2^l . phi2^m).
 
-Everything else here (probe sampling, kernel density estimates, moment
-reports, relative-error metrics) supports comparing a separated solution
-against a monolithic reference on the same merged dof numbering.
+Everything else here (the probe point's dofs, moment reports, relative-error
+metrics) supports comparing a separated solution against a monolithic
+reference on the same merged dof numbering.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
-from . import arr, problems
+from . import problems
 from .arr import SeparatedSolution
 from .problems import ConfigError, CoupledProblem
-
-_MIN_KDE_SAMPLES = 32
 
 
 def separated_mean(solution: SeparatedSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -83,103 +80,6 @@ def probe_dofs(problem: CoupledProblem) -> tuple[int, np.ndarray]:
             raise ConfigError(f"probe point {point} lies on a constrained node")
         return side, pos.astype(np.intp)
     raise ConfigError(f"probe point {point} matches no mesh node")
-
-
-def sample_probe(
-    problem: CoupledProblem,
-    solution: SeparatedSolution,
-    n_samples: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Monte-Carlo samples of the solution at the probe point.
-
-    Scalar problems return the nodal value; vector problems the displacement
-    magnitude at the node.
-    """
-    side, dofs = probe_dofs(problem)
-    rng = np.random.default_rng(seed)
-    xi1, xi2 = arr._sample_germs(problem, int(n_samples), rng)
-    vals = arr.evaluate_separated(problem, solution, xi1, xi2)[side][:, dofs]
-    if vals.shape[1] == 1:
-        return vals[:, 0]
-    return np.sqrt(np.sum(vals**2, axis=1))
-
-
-@dataclass(frozen=True)
-class PdfCurve:
-    """Gaussian-kernel density on a grid; ``degenerate`` marks a point mass."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-    degenerate: bool
-    location: float
-
-
-def pdf_estimate(samples: np.ndarray, grid: np.ndarray | None = None) -> PdfCurve:
-    """Silverman-bandwidth kernel density estimate of scalar samples.
-
-    A (numerically) constant sample set cannot be smoothed; it is returned
-    as a degenerate curve whose ``location`` carries the point mass.
-    """
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < _MIN_KDE_SAMPLES:
-        raise ValueError(
-            f"density estimate needs at least {_MIN_KDE_SAMPLES} samples "
-            f"(got {samples.size})"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("density estimate requires finite samples")
-    loc = float(samples.mean())
-    spread = float(samples.std())
-    if spread <= 1e-12 * max(abs(loc), 1e-300):
-        pts = np.full(2, loc) if grid is None else np.asarray(grid, dtype=float)
-        return PdfCurve(
-            grid=pts,
-            density=np.zeros_like(pts),
-            bandwidth=0.0,
-            degenerate=True,
-            location=loc,
-        )
-    kde = gaussian_kde(samples, bw_method="silverman")
-    if grid is None:
-        lo, hi = samples.min(), samples.max()
-        pad = 0.15 * (hi - lo)
-        grid = np.linspace(lo - pad, hi + pad, 512)
-    else:
-        grid = np.asarray(grid, dtype=float)
-    return PdfCurve(
-        grid=grid,
-        density=kde(grid),
-        bandwidth=float(np.sqrt(kde.covariance[0, 0])),
-        degenerate=False,
-        location=loc,
-    )
-
-
-def pdf_l1_gap(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
-    """L1 distance between the kernel density estimates of two sample sets.
-
-    Both estimates are evaluated on one shared grid spanning both sample
-    ranges. The value lives in [0, 2]; degenerate (point-mass) inputs give 0
-    for coincident masses and the mutually-singular limit 2 otherwise.
-    """
-    a = np.asarray(samples_a, dtype=float).ravel()
-    b = np.asarray(samples_b, dtype=float).ravel()
-    ca = pdf_estimate(a)
-    cb = pdf_estimate(b)
-    if ca.degenerate or cb.degenerate:
-        if ca.degenerate and cb.degenerate:
-            scale = max(abs(ca.location), abs(cb.location), 1e-300)
-            return 0.0 if abs(ca.location - cb.location) <= 1e-12 * scale else 2.0
-        return 2.0
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    pad = 0.15 * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, 1024)
-    fa = pdf_estimate(a, grid=grid).density
-    fb = pdf_estimate(b, grid=grid).density
-    return float(np.trapezoid(np.abs(fa - fb), grid))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Oracles the suite checks the library against.
 
 No library code calls these, so they live with the tests: pointwise basis
-evaluation, multivariate triple moments and quadrature projection for the
+evaluation, batched basis evaluation with every row multiplied in every
+dimension, multivariate triple moments and quadrature projection for the
 PC basis, the univariate triple tensor by plain quadrature (rounding left
 off the selection rule) and the Galerkin stack as the dense product of its
 slices, the mode weights and the stochastic-factor matrix by dense
-einsum, single-sample and batched field evaluation and single-sample
-solution evaluation, the sub-domain swap used by the symmetry tests,
+einsum, single-sample and batched field evaluation, batched and
+single-sample solution evaluation, a solution read back from its JSON,
+probe-point sampling with kernel density estimates and their L1 gap
+(criterion 9), the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
 Gaussian kernel by its broadcast formula and the KL eigenproblem solved
 for all n pairs by a dense solve, a sub-domain's unreduced mean stiffness
@@ -37,8 +40,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.stats import gaussian_kde
 
-from sepfeti import arr, fem2d, feti, problems, random_field, reference
+from sepfeti import arr, fem2d, feti, problems, random_field, reference, stats
 from sepfeti import pc_basis as pcb
 
 
@@ -52,19 +56,32 @@ def eval_multivariate(
     return pcb.eval_multivariate_batch(fam, idx_set, point[None, :])[0]
 
 
+def eval_multivariate_batch_all_rows(
+    fam: pcb.OrthoPolyFamily, idx_set: pcb.MultiIndexSet, points: np.ndarray
+) -> np.ndarray:
+    """``pc_basis.eval_multivariate_batch`` with every row multiplied in every
+    dimension, by psi_0 = 1 where its degree is 0."""
+    nmax = int(idx_set.indices.max(initial=0))
+    out = np.ones((len(idx_set), points.shape[0]))
+    for j in range(idx_set.d):
+        out *= fam.eval_table(nmax, points[:, j])[idx_set.indices[:, j]]
+    return np.ascontiguousarray(out.T)
+
+
 def multivariate_triple_moment(
-    idx_a: np.ndarray, idx_b: np.ndarray, idx_c: np.ndarray, tensor: pcb.TripleTensor
+    idx_a: np.ndarray, idx_b: np.ndarray, idx_c: np.ndarray, tensor: np.ndarray
 ) -> float:
-    """E[psi_a psi_b psi_c] for multivariate indices: product of univariate entries."""
+    """E[psi_a psi_b psi_c] for multivariate indices: product of entries of
+    the univariate tensor ``pc_basis.univariate_triple_tensor``."""
     idx_a = np.asarray(idx_a, dtype=np.intp)
     idx_b = np.asarray(idx_b, dtype=np.intp)
     idx_c = np.asarray(idx_c, dtype=np.intp)
     if not (idx_a.shape == idx_b.shape == idx_c.shape):
         raise ValueError("multi-indices must share one dimension count")
-    A, B, C = tensor.caps
+    A, B, C = (n - 1 for n in tensor.shape)
     if idx_a.max(initial=0) > A or idx_b.max(initial=0) > B or idx_c.max(initial=0) > C:
         raise pcb.SizeError("multi-index degree exceeds triple tensor caps")
-    return float(np.prod(tensor.values[idx_a, idx_b, idx_c]))
+    return float(np.prod(tensor[idx_a, idx_b, idx_c]))
 
 
 def quadrature_triple_tensor(fam: pcb.OrthoPolyFamily, A: int, B: int, C: int) -> np.ndarray:
@@ -187,6 +204,20 @@ def sample_field(pc_field: random_field.RandomFieldPC, xi: np.ndarray) -> np.nda
     return sample_field_batch(pc_field, xi[None, :])[0]
 
 
+def evaluate_separated(
+    problem: problems.CoupledProblem,
+    solution: arr.SeparatedSolution,
+    xi1: np.ndarray,
+    xi2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Realizations (u1, u2, lam) at paired germ samples; each row one sample."""
+    fam = pcb.family(problem.family_kind)
+    a1 = pcb.eval_multivariate_batch(fam, problem.idx_solution[0], np.atleast_2d(xi1))
+    a2 = pcb.eval_multivariate_batch(fam, problem.idx_solution[1], np.atleast_2d(xi2))
+    c = (a1 @ solution.phi1.T) * (a2 @ solution.phi2.T)
+    return c @ solution.u1, c @ solution.u2, c @ solution.lam
+
+
 def sample_separated(
     problem: problems.CoupledProblem,
     solution: arr.SeparatedSolution,
@@ -202,7 +233,7 @@ def sample_separated(
             f"germ dimensions ({xi1.size}, {xi2.size}) do not match the "
             f"problem's ({dims[0]}, {dims[1]})"
         )
-    u1, u2, _ = arr.evaluate_separated(problem, solution, xi1[None, :], xi2[None, :])
+    u1, u2, _ = evaluate_separated(problem, solution, xi1[None, :], xi2[None, :])
     return u1[0], u2[0]
 
 
@@ -220,6 +251,23 @@ def pcpg_trace_csv(trace: feti.PcpgTrace) -> str:
     lines = ["iter,relative_residual"]
     lines += [f"{k},{r!r}" for k, r in enumerate(trace.residuals, start=1)]
     return "\n".join(lines) + "\n"
+
+
+def solution_from_json(text: str) -> arr.SeparatedSolution:
+    """The solution that ``SeparatedSolution.to_json`` wrote."""
+    blob = json.loads(text)
+    r = int(blob["rank"])
+
+    def grab(key: str, width_key: str) -> np.ndarray:
+        return np.asarray(blob[key], float).reshape(r, int(blob[width_key]))
+
+    return arr.SeparatedSolution(
+        u1=grab("u1", "m1"),
+        u2=grab("u2", "m2"),
+        lam=grab("lam", "m_interface"),
+        phi1=grab("phi1", "p1_terms"),
+        phi2=grab("phi2", "p2_terms"),
+    )
 
 
 def per_sample_solutions(
@@ -263,19 +311,12 @@ def merge_accumulators(
 ) -> reference.MCAccumulator:
     """Statistics of the union of two sample sets, by the pairwise
     combination rule (associative)."""
-    if a.probe_dofs != b.probe_dofs:
-        raise ValueError("cannot merge accumulators with different probes")
     na, nb = a.n_samples, b.n_samples
     delta = b.mean - a.mean
     return reference.MCAccumulator(
         n_samples=na + nb,
         mean=a.mean + delta * (nb / (na + nb)),
         m2=a.m2 + b.m2 + delta**2 * (na * nb / (na + nb)),
-        seed=(a.seed, b.seed),
-        probe_dofs=a.probe_dofs,
-        probe_samples=np.vstack([a.probe_samples, b.probe_samples])
-        if a.probe_dofs
-        else a.probe_samples,
     )
 
 
@@ -589,3 +630,103 @@ def residual_norm(
     return arr.ResidualEstimate(
         value=per[worst][0], std_error=per[worst][1], n_samples=n, per_domain=per
     )
+
+
+def sample_probe(
+    problem: problems.CoupledProblem,
+    solution: arr.SeparatedSolution,
+    n_samples: int,
+    seed: int = 0,
+) -> np.ndarray:
+    """Monte-Carlo samples of the solution at the probe point.
+
+    Scalar problems return the nodal value; vector problems the displacement
+    magnitude at the node.
+    """
+    side, dofs = stats.probe_dofs(problem)
+    rng = np.random.default_rng(seed)
+    xi1, xi2 = arr._sample_germs(problem, int(n_samples), rng)
+    vals = evaluate_separated(problem, solution, xi1, xi2)[side][:, dofs]
+    if vals.shape[1] == 1:
+        return vals[:, 0]
+    return np.sqrt(np.sum(vals**2, axis=1))
+
+
+_MIN_KDE_SAMPLES = 32
+
+
+@dataclasses.dataclass(frozen=True)
+class PdfCurve:
+    """Gaussian-kernel density on a grid; ``degenerate`` marks a point mass."""
+
+    grid: np.ndarray
+    density: np.ndarray
+    bandwidth: float
+    degenerate: bool
+    location: float
+
+
+def pdf_estimate(samples: np.ndarray, grid: np.ndarray | None = None) -> PdfCurve:
+    """Silverman-bandwidth kernel density estimate of scalar samples.
+
+    A (numerically) constant sample set cannot be smoothed; it is returned
+    as a degenerate curve whose ``location`` carries the point mass.
+    """
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size < _MIN_KDE_SAMPLES:
+        raise ValueError(
+            f"density estimate needs at least {_MIN_KDE_SAMPLES} samples "
+            f"(got {samples.size})"
+        )
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("density estimate requires finite samples")
+    loc = float(samples.mean())
+    spread = float(samples.std())
+    if spread <= 1e-12 * max(abs(loc), 1e-300):
+        pts = np.full(2, loc) if grid is None else np.asarray(grid, dtype=float)
+        return PdfCurve(
+            grid=pts,
+            density=np.zeros_like(pts),
+            bandwidth=0.0,
+            degenerate=True,
+            location=loc,
+        )
+    kde = gaussian_kde(samples, bw_method="silverman")
+    if grid is None:
+        lo, hi = samples.min(), samples.max()
+        pad = 0.15 * (hi - lo)
+        grid = np.linspace(lo - pad, hi + pad, 512)
+    else:
+        grid = np.asarray(grid, dtype=float)
+    return PdfCurve(
+        grid=grid,
+        density=kde(grid),
+        bandwidth=float(np.sqrt(kde.covariance[0, 0])),
+        degenerate=False,
+        location=loc,
+    )
+
+
+def pdf_l1_gap(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
+    """L1 distance between the kernel density estimates of two sample sets.
+
+    Both estimates are evaluated on one shared grid spanning both sample
+    ranges. The value lives in [0, 2]; degenerate (point-mass) inputs give 0
+    for coincident masses and the mutually-singular limit 2 otherwise.
+    """
+    a = np.asarray(samples_a, dtype=float).ravel()
+    b = np.asarray(samples_b, dtype=float).ravel()
+    ca = pdf_estimate(a)
+    cb = pdf_estimate(b)
+    if ca.degenerate or cb.degenerate:
+        if ca.degenerate and cb.degenerate:
+            scale = max(abs(ca.location), abs(cb.location), 1e-300)
+            return 0.0 if abs(ca.location - cb.location) <= 1e-12 * scale else 2.0
+        return 2.0
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    pad = 0.15 * (hi - lo)
+    grid = np.linspace(lo - pad, hi + pad, 1024)
+    fa = pdf_estimate(a, grid=grid).density
+    fb = pdf_estimate(b, grid=grid).density
+    return float(np.trapezoid(np.abs(fa - fb), grid))

@@ -368,7 +368,7 @@ def test_criterion_08_statistics_consistency(
         var = stats.separated_variance(solution)
         rng = np.random.default_rng(2468)
         xi1, xi2 = arr._sample_germs(problem, n, rng)
-        fields = arr.evaluate_separated(problem, solution, xi1, xi2)[:2]
+        fields = oracles.evaluate_separated(problem, solution, xi1, xi2)[:2]
         for side, samples in enumerate(fields):
             mc_mean = samples.mean(axis=0)
             mc_std = samples.std(axis=0)
@@ -416,11 +416,11 @@ def test_criterion_09_qualitative_accuracy_trends(
     ref_samples = pc_basis.eval_multivariate_batch(fam, sg.idx_set, xi) @ sg.coeffs[
         :, dof
     ]
-    gap_r1 = stats.pdf_l1_gap(
-        stats.sample_probe(lshape_problem, solution_r1, n, seed=78), ref_samples
+    gap_r1 = oracles.pdf_l1_gap(
+        oracles.sample_probe(lshape_problem, solution_r1, n, seed=78), ref_samples
     )
-    gap_final = stats.pdf_l1_gap(
-        stats.sample_probe(lshape_problem, solution_final, n, seed=78), ref_samples
+    gap_final = oracles.pdf_l1_gap(
+        oracles.sample_probe(lshape_problem, solution_final, n, seed=78), ref_samples
     )
     assert gap_final < gap_r1
     print(

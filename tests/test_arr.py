@@ -365,8 +365,8 @@ def test_normalize_preserves_represented_function():
     rng = np.random.default_rng(9)
     xi1 = rng.standard_normal((10, prob.fields[0].n_dims))
     xi2 = rng.standard_normal((10, prob.fields[1].n_dims))
-    before = arr.evaluate_separated(prob, scaled, xi1, xi2)
-    after = arr.evaluate_separated(prob, normed, xi1, xi2)
+    before = oracles.evaluate_separated(prob, scaled, xi1, xi2)
+    after = oracles.evaluate_separated(prob, normed, xi1, xi2)
     for a, b in zip(before, after):
         np.testing.assert_allclose(a, b, atol=1e-12 * max(np.abs(a).max(), 1.0))
     np.testing.assert_allclose(np.linalg.norm(normed.phi1, axis=1), 1.0, rtol=1e-13)
@@ -494,7 +494,7 @@ def test_arr_deterministic_converges_rank_one():
         if prob.family_kind == "legendre-uniform":
             xi1 = rng.uniform(-1, 1, xi1.shape)
             xi2 = rng.uniform(-1, 1, xi2.shape)
-        u1s, u2s, _ = arr.evaluate_separated(prob, sol, xi1, xi2)
+        u1s, u2s, _ = oracles.evaluate_separated(prob, sol, xi1, xi2)
         scale = np.abs(u_mono).max()
         for n in range(20):
             np.testing.assert_allclose(
@@ -534,7 +534,7 @@ def test_trace_csv_and_solution_json():
     assert lines[0] == "sweep,r,pi,eps_res,pcpg_iters"
     assert len(lines) == len(trace.sweeps) + 1
     blob = json.loads(sol.to_json())
-    round_trip = arr.SeparatedSolution.from_json(sol.to_json())
+    round_trip = oracles.solution_from_json(sol.to_json())
     assert blob["rank"] == sol.rank
     np.testing.assert_array_equal(round_trip.u1, sol.u1)
     np.testing.assert_array_equal(round_trip.phi2, sol.phi2)

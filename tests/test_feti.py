@@ -120,7 +120,7 @@ def test_weights_match_quadrature_oracle():
 def test_mode_weights_match_einsum():
     # (2, 1, 3): the modes of degree 3 have no nonzeros
     for kind, (d, p, q) in itertools.product(
-        ("hermite", "legendre"), [(2, 2, 4), (4, 3, 6), (9, 3, 1), (2, 1, 3)]
+        (pc_basis.HERMITE, pc_basis.LEGENDRE), [(2, 2, 4), (4, 3, 6), (9, 3, 1), (2, 1, 3)]
     ):
         idx = pc_basis.build_index_set(d, p)
         modes = pc_basis.build_index_set(d, q).indices

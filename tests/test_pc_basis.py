@@ -145,6 +145,18 @@ def test_eval_batch_equals_per_index_product(fam, d, p):
     np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("fam", [pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM])
+@pytest.mark.parametrize("d, p", [(2, 2), (9, 3), (11, 3), (20, 1), (10, 6), (3, 0)])
+def test_eval_batch_skips_zero_degrees_bitwise(fam, d, p):
+    """Multiplying only the factors with a nonzero degree gives the bits of
+    multiplying every factor, psi_0 = 1 included."""
+    idx = pcb.build_index_set(d, p)
+    x = np.random.default_rng(d * 10 + p).uniform(-1.0, 1.0, (23, d))
+    got = pcb.eval_multivariate_batch(fam, idx, x)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, oracles.eval_multivariate_batch_all_rows(fam, idx, x))
+
+
 @pytest.mark.parametrize("kind,fam", [("hermite", pcb.HERMITE_GAUSSIAN), ("legendre", pcb.LEGENDRE_UNIFORM)])
 def test_univariate_values_match_numpy_polynomial(kind, fam):
     x = np.linspace(-1.0, 1.0, 7)
@@ -170,19 +182,19 @@ def test_gram_identity_under_exact_quadrature(kind, fam):
 
 def test_triple_tensor_gram_slice():
     t = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 4, 4, 4)
-    np.testing.assert_allclose(t.values[0], np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(t[0], np.eye(5), atol=1e-12)
 
 
 def test_triple_tensor_hermite_known_entries():
     t = pcb.univariate_triple_tensor(pcb.HERMITE_GAUSSIAN, 4, 4, 4)
-    assert t.values[1, 1, 0] == pytest.approx(1.0, abs=1e-12)
+    assert t[1, 1, 0] == pytest.approx(1.0, abs=1e-12)
     # E[psi_2 xi^2] with psi_2 = (xi^2 - 1)/sqrt(2): (E[xi^4] - E[xi^2])/sqrt(2) = sqrt(2)
-    assert t.values[2, 1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert t[2, 1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_triple_tensor_symmetry_and_parity():
     for fam in (pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM):
-        t = pcb.univariate_triple_tensor(fam, 5, 5, 5).values
+        t = pcb.univariate_triple_tensor(fam, 5, 5, 5)
         np.testing.assert_allclose(t, t.transpose(1, 0, 2), atol=1e-12)
         np.testing.assert_allclose(t, t.transpose(0, 2, 1), atol=1e-12)
         for a in range(6):
@@ -195,7 +207,7 @@ def test_triple_tensor_symmetry_and_parity():
 def test_triple_tensor_exact_zero_off_selection_rule():
     for fam in (pcb.HERMITE_GAUSSIAN, pcb.LEGENDRE_UNIFORM):
         for A, B, C in itertools.product(range(7), repeat=3):
-            t = pcb.univariate_triple_tensor(fam, A, B, C).values
+            t = pcb.univariate_triple_tensor(fam, A, B, C)
             a, b, c = np.ogrid[: A + 1, : B + 1, : C + 1]
             rule = ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b)
             rule = np.broadcast_to(rule, t.shape)
@@ -232,7 +244,7 @@ def test_multivariate_triple_moment_cap_exceeded():
 )
 def test_triple_moment_matches_direct_quadrature(kind, d, data):
     """Product-of-univariate factorization vs direct multivariate quadrature."""
-    fam = pcb.family(kind)
+    fam = {"hermite": pcb.HERMITE_GAUSSIAN, "legendre": pcb.LEGENDRE_UNIFORM}[kind]
     degs = data.draw(
         st.lists(
             st.tuples(

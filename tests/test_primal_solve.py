@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from sepfeti import feti, problems
+from sepfeti import arr, feti, problems
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +108,21 @@ def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, flip):
     np.testing.assert_array_equal(unpacked.toarray(), sp.triu(permuted).toarray())
     # fw[l] (f1 + f2) against fw[l] f1 + fw[l] f2 on the interface
     np.testing.assert_allclose(rhs[:, 0], f[order], rtol=0, atol=1e-15 * np.abs(f).max())
+
+
+def test_direct_route_refuses_systems_over_the_size_cap(profile_problem):
+    # beam-desk has r (M1 + M2 + MI) = 264 r unknowns: 152 pairs give 40 128.
+    # W is already singular from r = 37 (r > P^2 = 36), so the match on the
+    # message tells the cap apart from a singular-system SolverError.
+    problem = profile_problem("beam-desk")
+    rank = 152
+    ops = operators(problem, rank, seed=49)
+    assert rank * (ops.M1 + ops.M2 + ops.M_I) == 40_128 > feti._DIRECT_SIZE_CAP
+    with pytest.raises(feti.SolverError, match="exceeds the cap"):
+        feti.direct_saddle_solve(ops)
+    rng = np.random.default_rng(49)
+    sol = arr.SeparatedSolution.zeros(problem, rank)
+    sol.phi1[:] = rng.standard_normal(sol.phi1.shape)
+    sol.phi2[:] = rng.standard_normal(sol.phi2.shape)
+    with pytest.raises(feti.SolverError, match="exceeds the cap"):
+        arr.deterministic_update(problem, sol, method="direct")

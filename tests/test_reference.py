@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -124,10 +125,16 @@ def test_mc_merge_and_se_scaling():
     left = oracles.merge_accumulators(oracles.merge_accumulators(a, b), c)
     right = oracles.merge_accumulators(a, oracles.merge_accumulators(b, c))
     np.testing.assert_allclose(left.mean, right.mean, rtol=1e-13)
-    np.testing.assert_allclose(left.second_moment, right.second_moment, rtol=1e-13)
+    np.testing.assert_allclose(
+        left.m2 / left.n_samples + left.mean**2,
+        right.m2 / right.n_samples + right.mean**2,
+        rtol=1e-13,
+    )
 
     big = reference.monte_carlo_reference(prob, n_samples=2000, seed=24)
-    ratio = np.linalg.norm(big.std_error_mean) / np.linalg.norm(a.std_error_mean)
+    ratio = (np.linalg.norm(big.std) / math.sqrt(big.n_samples)) / (
+        np.linalg.norm(a.std) / math.sqrt(a.n_samples)
+    )
     assert 0.3 < ratio < 0.75  # four times the samples halves the error
 
 
@@ -192,14 +199,3 @@ def test_mc_vs_sg_cross_oracle():
     acc = reference.monte_carlo_reference(prob, n_samples=10_000, seed=25)
     gap = np.linalg.norm(acc.mean - sg.mean()) / np.linalg.norm(sg.mean())
     assert gap < 0.01
-
-
-def test_mc_probe_samples():
-    prob = desk_problem()
-    mono = problems.as_monolithic(prob)
-    dof = oracles.free_dof_at(prob, mono, (1.0, 0.5))
-    acc = reference.monte_carlo_reference(
-        prob, n_samples=400, seed=26, probe_dofs=(dof,)
-    )
-    assert acc.probe_samples.shape == (400, 1)
-    np.testing.assert_allclose(acc.probe_samples[:, 0].mean(), acc.mean[dof], rtol=1e-12)

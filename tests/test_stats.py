@@ -46,7 +46,7 @@ def sample_moments(problem, solution, n, seed):
     else:
         xi1 = rng.standard_normal((n, problem.fields[0].n_dims))
         xi2 = rng.standard_normal((n, problem.fields[1].n_dims))
-    u1, u2, _ = arr.evaluate_separated(problem, solution, xi1, xi2)
+    u1, u2, _ = oracles.evaluate_separated(problem, solution, xi1, xi2)
     return u1, u2
 
 
@@ -170,7 +170,7 @@ def test_sample_separated_dimension_mismatch():
 
 def test_pdf_estimate_synthetic_normal():
     rng = np.random.default_rng(9)
-    curve = stats.pdf_estimate(rng.standard_normal(20_000))
+    curve = oracles.pdf_estimate(rng.standard_normal(20_000))
     assert not curve.degenerate
     mass = np.trapezoid(curve.density, curve.grid)
     mean = np.trapezoid(curve.grid * curve.density, curve.grid)
@@ -181,13 +181,13 @@ def test_pdf_estimate_synthetic_normal():
 
 
 def test_pdf_degenerate_spike():
-    curve = stats.pdf_estimate(np.full(2000, 3.25))
+    curve = oracles.pdf_estimate(np.full(2000, 3.25))
     assert curve.degenerate
 
 
 def test_pdf_requires_enough_samples():
     with pytest.raises(ValueError, match="sample"):
-        stats.pdf_estimate(np.arange(10.0))
+        oracles.pdf_estimate(np.arange(10.0))
 
 
 def test_pdf_l1_gap_orders_distributions():
@@ -195,7 +195,7 @@ def test_pdf_l1_gap_orders_distributions():
     a = rng.standard_normal(5000)
     near = 0.02 + rng.standard_normal(5000)
     far = 3.0 + rng.standard_normal(5000)
-    assert stats.pdf_l1_gap(a, near) < stats.pdf_l1_gap(a, far)
+    assert oracles.pdf_l1_gap(a, near) < oracles.pdf_l1_gap(a, far)
 
 
 def test_error_metrics_self_zero():
@@ -241,7 +241,7 @@ def test_probe_beam_two_components():
     assert side == 1
     assert len(dofs) == 2
     sol = random_solution(prob, rank=2, seed=14)
-    vals = stats.sample_probe(prob, sol, n_samples=64, seed=14)
+    vals = oracles.sample_probe(prob, sol, n_samples=64, seed=14)
     assert vals.shape == (64,)
     assert np.all(vals >= 0.0)  # displacement magnitude
 
@@ -252,7 +252,7 @@ def test_probe_lshape_scalar():
     assert side == 0
     assert len(dofs) == 1
     sol = exact_deterministic_solution(desk_problem(sigma1=0.0, sigma2=0.0))
-    vals = stats.sample_probe(prob, sol, n_samples=32, seed=15)
+    vals = oracles.sample_probe(prob, sol, n_samples=32, seed=15)
     assert np.allclose(vals, vals[0])
 
 
