@@ -6,10 +6,12 @@ The solution of the coupled stochastic problem is sought as a low-rank sum
 
 with the interface multiplier sharing the same stochastic factors. Each outer
 sweep alternates three linear sub-problems: a deterministic update of the
-spatial factors and the multiplier (a block saddle system handled by the
-interface iteration or a direct solve), then one Galerkin update per germ for
-the stochastic factors. The rank grows one factor pair at a time until a
-Monte-Carlo estimate of the sub-domain equilibrium residual meets the target.
+spatial factors and the multiplier (a block saddle system, solved by default
+through one banded Cholesky factorization of its multiplier-free primal form,
+or by the paper's FETI interface iteration when ``solver.det_update`` is
+"pcpg"), then one Galerkin update per germ for the stochastic factors. The
+rank grows one factor pair at a time until a Monte-Carlo estimate of the
+sub-domain equilibrium residual meets the target.
 """
 
 from __future__ import annotations
@@ -203,16 +205,12 @@ def _interface_gap(problem: CoupledProblem, U1: np.ndarray, U2: np.ndarray) -> n
     return U2[:, dofs2] * values2 - U1[:, dofs1] * values1
 
 
-_AUTO_DIRECT_LIMIT = 3000
-
-
 def deterministic_update(
     problem: CoupledProblem,
     solution: SeparatedSolution,
     *,
-    method: str = "auto",
+    method: str = "direct",
     pcpg_eps: float = 1e-8,
-    preconditioner: str = "stiffness",
     ops=None,
     info: dict | None = None,
 ) -> SeparatedSolution:
@@ -220,22 +218,21 @@ def deterministic_update(
 
     The stochastic factors stay frozen; only their expectation weights enter.
     ``method`` is "direct" (banded Cholesky of the multiplier-free primal
-    system), "pcpg" (interface iteration with primal back-substitution), or
-    "auto" (direct below a size threshold). ``info``, when given, receives the
-    interface iteration count as ``pcpg_iters``.
+    system, refused with ``SolverError`` above ``feti._DIRECT_SIZE_CAP``
+    unknowns) or "pcpg" (FETI interface iteration with the stiffness
+    preconditioner, to relative residual ``pcpg_eps``, then primal
+    back-substitution). ``info``, when given, receives the interface
+    iteration count as ``pcpg_iters`` (0 on the direct route).
     """
     if ops is None:
         ops = build_block_operators(
             problem, solution.phi1, solution.phi2, galerkin_mode_matrices(problem)
         )
-    if method == "auto":
-        size = solution.rank * (ops.M1 + ops.M2 + ops.M_I)
-        method = "direct" if size <= _AUTO_DIRECT_LIMIT else "pcpg"
     if method == "direct":
         u1, u2, lam, _ = direct_saddle_solve(ops)
         iters = 0
     elif method == "pcpg":
-        ip = build_interface_problem(ops, preconditioner=preconditioner)
+        ip = build_interface_problem(ops)
         lam, trace = pcpg_solve(ip, eps=pcpg_eps)
         u1, u2, _ = recover_primal(ip, lam)
         iters = trace.n_iters
@@ -580,8 +577,6 @@ def arr_run(
                 problem,
                 sol,
                 method=cfg["det_update"],
-                pcpg_eps=float(cfg["pcpg_tol"]),
-                preconditioner=cfg["preconditioner"],
                 ops=ops,
                 info=info,
             )

@@ -403,19 +403,15 @@ def _interface_modes(modes: ModeStack, C: sp.spmatrix) -> ModeStack:
     return ModeStack(KI.indptr, KI.indices, KI.data * scale)
 
 
-def build_preconditioner(
-    ops: BlockOperators, kind: str = "stiffness"
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Interface preconditioner S^{-1}(C^T Khat C summed) S^{-1} or identity.
+def build_preconditioner(ops: BlockOperators) -> Callable[[np.ndarray], np.ndarray]:
+    """Stiffness-scaled interface preconditioner S^{-1}(C^T Khat C summed) S^{-1}.
 
     S = Chat_1^T Chat_1 + Chat_2^T Chat_2 = 2 W^2 (x) I because the Boolean
     extractors satisfy C_i^T C_i = I (each interface dof is shared by exactly
-    the two sub-domains).
+    the two sub-domains). It is the one preconditioner of the interface
+    iteration; an unpreconditioned ``InterfaceProblem`` takes the identity
+    as ``precond``.
     """
-    if kind == "none":
-        return lambda lam: lam
-    if kind != "stiffness":
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
     Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
     # the interface blocks KI_j = C_i^T K_j C_i are symmetric, so
     # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A)
@@ -430,10 +426,8 @@ def build_preconditioner(
     return apply
 
 
-def build_interface_problem(
-    ops: BlockOperators, preconditioner: str = "stiffness"
-) -> InterfaceProblem:
-    return InterfaceProblem(ops=ops, precond=build_preconditioner(ops, preconditioner))
+def build_interface_problem(ops: BlockOperators) -> InterfaceProblem:
+    return InterfaceProblem(ops=ops, precond=build_preconditioner(ops))
 
 
 def pcg(
@@ -575,7 +569,7 @@ def direct_saddle_solve(
     if n > _DIRECT_SIZE_CAP:
         raise SolverError(
             f"direct saddle solve of size {n} exceeds the cap {_DIRECT_SIZE_CAP}; "
-            "use the interface iteration"
+            'set solver.det_update to "pcpg" for the interface iteration'
         )
     lay = ops.layout
     _, x, info = dpbsv(*_primal_band(ops), overwrite_ab=1, overwrite_b=1)

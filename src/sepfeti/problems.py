@@ -41,9 +41,7 @@ _SOLVER_DEFAULTS: dict[str, Any] = {
     "max_sweeps": 50,
     "n_mc_residual": 10000,
     "seed": 12345,
-    "pcpg_tol": 1e-8,
-    "preconditioner": "stiffness",
-    "det_update": "auto",
+    "det_update": "direct",
 }
 
 _LSHAPE_DEFAULT: dict[str, Any] = {
@@ -165,6 +163,9 @@ def _validate(config: dict[str, Any]) -> None:
     for key in ("p1", "p2"):
         if int(pc[key]) < 1:
             raise ConfigError(f"pc.{key} must be >= 1")
+    route = config["solver"]["det_update"]
+    if route not in ("direct", "pcpg"):
+        raise ConfigError(f'solver.det_update must be "direct" or "pcpg", not {route!r}')
 
 
 def _two_rects(config: dict[str, Any]) -> list[tuple[tuple, tuple]]:

@@ -289,8 +289,9 @@ def test_criterion_06_preconditioner_iteration_trend(beam_problem):
     with_precond, without = [], []
     for r in range(1, 9):
         ops = feti.build_block_operators(beam_problem, phi1_all[:r], phi2_all[:r])
-        for kind, out in (("stiffness", with_precond), ("none", without)):
-            ip = feti.build_interface_problem(ops, preconditioner=kind)
+        stiffness = feti.build_interface_problem(ops)
+        identity = feti.InterfaceProblem(ops=ops, precond=lambda lam: lam)
+        for ip, out in ((stiffness, with_precond), (identity, without)):
             _, tr = feti.pcpg_solve(ip, eps=1e-8, max_iters=5000)
             out.append(tr.n_iters)
     median = float(np.median(with_precond))

@@ -330,6 +330,16 @@ def test_arr_sweep_records_equal_direct_energies(monkeypatch):
         assert rec.pi_u_old_lam_new == arr.energy(prob, mixed(sol, upd), ops=ops)
 
 
+def test_arr_default_route_stays_direct_at_high_rank():
+    # beam-desk has 264 unknowns per rank, so rank 12 solves 3 168: below the
+    # size cap the default route is direct at every rank
+    prob = desk_problem(example="beam")
+    prob.config["solver"].update(max_sweeps=2, sweep_tol=0.0)
+    _, trace = arr.arr_run(prob, eps=1e-9, r_max=12, seed=3, n_mc_residual=200)
+    assert trace.sweeps[-1].rank == 12
+    assert all(rec.pcpg_iters == 0 for rec in trace.sweeps)
+
+
 def test_arr_call_counts_per_sweep(monkeypatch):
     # per rank: one energy and two mode weights for the first operators; per
     # sweep: two energies and three mode weights (T(phi2) is reused)

@@ -80,6 +80,17 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "fieldx" in capsys.readouterr().err
 
 
+def test_auto_det_update_exit_2(tmp_path, desk_config, capsys):
+    cfg = json.loads(desk_config.read_text())
+    cfg["solver"]["det_update"] = "auto"
+    desk_config.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(desk_config), "--out-dir", str(out)])
+    assert code == 2
+    assert "solver.det_update" in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
+
+
 def test_missing_config_file_exit_1(tmp_path, capsys):
     code = cli.main(
         ["run", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]

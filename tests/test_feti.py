@@ -341,8 +341,8 @@ def test_preconditioner_deterministic_reduction():
 
 def test_preconditioner_reduces_iterations():
     _, ops, _ = beam_ops(rank=2, seed=21)
-    ip_none = feti.build_interface_problem(ops, preconditioner="none")
-    ip_stiff = feti.build_interface_problem(ops, preconditioner="stiffness")
+    ip_none = feti.InterfaceProblem(ops=ops, precond=lambda lam: lam)
+    ip_stiff = feti.build_interface_problem(ops)
     _, tr_none = feti.pcpg_solve(ip_none, eps=1e-8)
     _, tr_stiff = feti.pcpg_solve(ip_stiff, eps=1e-8)
     assert tr_stiff.n_iters <= tr_none.n_iters

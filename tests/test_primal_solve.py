@@ -118,11 +118,12 @@ def test_direct_route_refuses_systems_over_the_size_cap(profile_problem):
     rank = 152
     ops = operators(problem, rank, seed=49)
     assert rank * (ops.M1 + ops.M2 + ops.M_I) == 40_128 > feti._DIRECT_SIZE_CAP
-    with pytest.raises(feti.SolverError, match="exceeds the cap"):
+    remedy = 'exceeds the cap 40000; set solver.det_update to "pcpg"'
+    with pytest.raises(feti.SolverError, match=remedy):
         feti.direct_saddle_solve(ops)
     rng = np.random.default_rng(49)
     sol = arr.SeparatedSolution.zeros(problem, rank)
     sol.phi1[:] = rng.standard_normal(sol.phi1.shape)
     sol.phi2[:] = rng.standard_normal(sol.phi2.shape)
-    with pytest.raises(feti.SolverError, match="exceeds the cap"):
+    with pytest.raises(feti.SolverError, match=remedy):
         arr.deterministic_update(problem, sol, method="direct")

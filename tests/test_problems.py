@@ -43,6 +43,20 @@ def test_bad_values_rejected():
         problems.profile_config("no-such-profile")
 
 
+@pytest.mark.parametrize("route", ["auto", "drect"])
+def test_unknown_det_update_rejected(route):
+    cfg = problems.profile_config("beam-desk")
+    cfg["solver"]["det_update"] = route
+    with pytest.raises(problems.ConfigError, match=r'solver\.det_update.*"direct".*"pcpg"'):
+        problems.build_from_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["pcpg_tol", "preconditioner"])
+def test_removed_solver_keys_rejected(key):
+    with pytest.raises(problems.ConfigError, match=f"solver.{key}"):
+        problems.build_example_I({"solver": {key: 1}})
+
+
 def test_kind_mismatch_rejected():
     with pytest.raises(problems.ConfigError):
         problems.build_example_I({"field": {"kind": "affine-uniform"}})
