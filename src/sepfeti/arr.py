@@ -126,7 +126,6 @@ class SweepRecord:
     pi_u_old_lam_new: float
     pi_after: float
     pcpg_iters: int
-    interface_gap: float
     eps_res: float | None = None
 
 
@@ -608,7 +607,6 @@ def arr_run(
                     pi_u_old_lam_new=pi_lam_new,
                     pi_after=pi_after,
                     pcpg_iters=info["pcpg_iters"],
-                    interface_gap=interface_violation(problem, sol),
                 )
             )
             if pi_prev is not None and abs(pi_after - pi_prev) <= tol_rank * abs(

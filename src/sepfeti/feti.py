@@ -36,28 +36,27 @@ follow by back-substitution
     u1 = Khat_1^{-1}(f1 + Chat_1 lambda),
     u2 = Khat_2^{+}(f2 - Chat_2 lambda) + R2hat alpha.
 
-Its block operators are ``kron_sum`` CSR matrices applied with one sparse
-product each. As in classical FETI, the local solves use sub-domain
-factorizations computed once per deterministic update: ``Khat_1`` and
-``Khat_2``, the latter with its rigid-body dofs pinned when sub-domain 2
-floats (a generalized inverse; projecting its solutions onto the complement
-of R2hat = I (x) R2 gives the pseudo-inverse), so that every interface
-iteration applies F_I with triangular solves.
+As in classical FETI, each ``Khat_i`` is factored once per deterministic
+update, so every interface iteration applies F_I with triangular solves:
+the band writer of the direct route fills a band per sub-domain
+(``problems.CoupledProblem.local_layouts``), factored by one banded
+Cholesky; a floating sub-domain 2 drops its rigid-body pins (a generalized
+inverse; projecting its solutions onto the complement of R2hat = I (x) R2
+gives the pseudo-inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbsv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fem2d import ModeStack, band_index, extractor_entries
+from .fem2d import ModeStack, SparsePattern, band_index
 from .pc_basis import GalerkinStack, family, triple_moment_stack
 from .problems import CoupledProblem, PrimalLayout
 
@@ -73,23 +72,18 @@ def block_values(modes, H: np.ndarray) -> np.ndarray:
     return modes.contract(H.reshape(J, r * r).T).reshape(r, r, -1)
 
 
-def kron_sum(modes, V: np.ndarray) -> sp.csr_matrix:
-    """sum_j H[j] (x) K_j as one CSR matrix, from its ``block_values`` V.
-
-    Row (l, i) holds row i of the pattern once per block column l', with
-    the values V[l, l'] and the columns shifted by l' n.
-    """
-    r, n, nnz, rows = V.shape[0], modes.n, modes.indices.size, modes.rows
-    start, length = modes.indptr[rows], np.diff(modes.indptr)[rows]
-    shift = np.arange(r)[:, None]
-    # position of entry p of block (l, l') within block row l
-    pos = (r * start + np.arange(nnz) - start + shift * length).ravel()
-    data = np.empty((r, r * nnz))
-    data[:, pos] = V.reshape(r, r * nnz)
-    indices = np.empty(r * nnz, dtype=np.int64)
-    indices[pos] = (shift * n + modes.indices).ravel()
-    indptr = np.append((shift * r * nnz + r * modes.indptr[:-1]).ravel(), r * r * nnz)
-    return sp.csr_matrix((data.ravel(), np.tile(indices, r), indptr), shape=(r * n, r * n))
+def apply_blocks(
+    pattern: SparsePattern, V: np.ndarray, U: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The rows ``rows`` of the blocks with values V[l, l'] on ``pattern``
+    applied to the (r, n) factor block U: one product per stored entry of
+    those rows, then a sum over each row's entries (a stiffness pattern
+    stores every diagonal, so no row is empty)."""
+    lo, length = pattern.indptr[rows], np.diff(pattern.indptr)[rows]
+    starts = np.append(0, np.cumsum(length)[:-1])
+    e = np.repeat(lo - starts, length) + np.arange(length.sum())
+    products = np.einsum("lme,me->le", V[:, :, e], U[:, pattern.indices[e]])
+    return np.add.reduceat(products, starts, axis=1)
 
 
 def mode_weights(phi: np.ndarray, G: GalerkinStack) -> np.ndarray:
@@ -101,24 +95,6 @@ def mode_weights(phi: np.ndarray, G: GalerkinStack) -> np.ndarray:
     factors = np.ascontiguousarray(phi.T)
     products = (factors[a][:, :, None] * factors[b][:, None, :]).reshape(-1, r * r)
     return (G.by_entry @ products).reshape(-1, r, r)
-
-
-def factorize(A: sp.spmatrix, what: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Sparse LU factor of a structurally symmetric system (saddle systems
-    included), with an ordering of A + A^T, returned as its solve; a
-    singular factor or a non-finite solution raises ``SolverError``."""
-    try:
-        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as err:
-        raise SolverError(f"{what} is singular: {err}") from err
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = lu.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"{what} has a non-finite solution (singular system)")
-        return x
-
-    return solve
 
 
 def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[GalerkinStack, GalerkinStack]:
@@ -145,9 +121,9 @@ class BlockOperators:
     j, each germ's own mode weights (``mode_weights``) times the other
     germ's Gram matrix; ``T2`` keeps the second germ's mode weights, which
     the first germ's factor update reads. ``W`` weights the coupling blocks;
-    ``fw`` weights the load. The
-    block values ``V1``/``V2``, the assembled ``K1hat``/``K2hat`` and their
-    factorizations are built on first use.
+    ``fw`` weights the load. The block values ``V1``/``V2`` and the banded
+    factorizations behind ``K1_solve``/``K2_solve`` are built on first use,
+    on the band layouts that ``problem`` builds once.
     """
 
     rank: int
@@ -163,7 +139,7 @@ class BlockOperators:
     f1: np.ndarray
     f2: np.ndarray
     R2: np.ndarray | None
-    layout: PrimalLayout
+    problem: CoupledProblem
 
     @property
     def M1(self) -> int:
@@ -197,14 +173,6 @@ class BlockOperators:
     def V2(self) -> np.ndarray:
         return block_values(self.modes2, self.H2)
 
-    @cached_property
-    def K1hat(self) -> sp.csr_matrix:
-        return kron_sum(self.modes1, self.V1)
-
-    @cached_property
-    def K2hat(self) -> sp.csr_matrix:
-        return kron_sum(self.modes2, self.V2)
-
     def apply_C1(self, lam: np.ndarray) -> np.ndarray:
         return (self.C1 @ (self.W @ lam).T).T
 
@@ -225,29 +193,16 @@ class BlockOperators:
 
     @cached_property
     def K1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        return factorize(self.K1hat, "first-block operator")
+        return _band_solve(self.problem.local_layouts[0], (self.V1,), "first-block operator")
 
     @cached_property
     def K2_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve with Khat_2, or with a generalized inverse of it when the
-        side floats: in every block, the dofs on which R2 is best
-        conditioned are pinned to zero. Khat_2 without the pinned dofs is
-        nonsingular, and its solution, zero at the pins, satisfies
-        Khat_2 x = b for every b in the range of Khat_2. Bordering Khat_2
-        with I (x) R2 instead would add dense columns to the factor."""
-        if self.R2 is None:
-            return factorize(self.K2hat, "second-block operator")
-        pins = scipy.linalg.qr(self.R2.T, pivoting=True)[2][: self.R2.shape[1]]
-        free = np.setdiff1d(np.arange(self.M2), pins)
-        keep = (np.arange(self.rank)[:, None] * self.M2 + free).ravel()
-        solve = factorize(self.K2hat[keep][:, keep], "pinned second-block operator")
-
-        def pinned(b: np.ndarray) -> np.ndarray:
-            x = np.zeros_like(b)
-            x[keep] = solve(b[keep])
-            return x
-
-        return pinned
+        """Solve with Khat_2, or, when the side floats, with the generalized
+        inverse that is zero at the pins its band drops (bordering Khat_2
+        with I (x) R2 instead would add dense columns to the factor)."""
+        lay = self.problem.local_layouts[1]
+        what = "pinned second-block operator" if self.floating else "second-block operator"
+        return _band_solve(lay, (self.V2,), what, dofs=np.flatnonzero(lay.maps[0][0] >= 0))
 
 
 def build_block_operators(
@@ -292,13 +247,13 @@ def build_block_operators(
         f1=problem.sub[0].f,
         f2=s2.f,
         R2=s2.R if s2.floating else None,
-        layout=problem.primal_layout,
+        problem=problem,
     )
 
 
 def apply_K1_inverse(ops: BlockOperators, B: np.ndarray) -> np.ndarray:
     """Solve Khat_1 X = B with the cached factorization."""
-    return ops.K1_solve(B.ravel()).reshape(B.shape)
+    return ops.K1_solve(B)
 
 
 def apply_K2_pseudoinverse(
@@ -318,7 +273,7 @@ def apply_K2_pseudoinverse(
                 f"|R2hat^T b| = {defect:.3e} violates the solvability condition"
             )
         B = ops.project_null2(B)
-    return ops.project_null2(ops.K2_solve(B.ravel()).reshape(B.shape))
+    return ops.project_null2(ops.K2_solve(B))
 
 
 @dataclass
@@ -394,15 +349,6 @@ class InterfaceProblem:
         return self._solve_SR(g)
 
 
-def _interface_modes(modes: ModeStack, C: sp.spmatrix) -> ModeStack:
-    """The modes' interface blocks C^T K_j C, for an extractor C with one
-    entry per column: principal sub-matrices scaled by those entries."""
-    dofs, values = extractor_entries(C)
-    KI = modes.restrict(dofs)
-    scale = values[KI.rows] * values[KI.indices]
-    return ModeStack(KI.indptr, KI.indices, KI.data * scale)
-
-
 def build_preconditioner(ops: BlockOperators) -> Callable[[np.ndarray], np.ndarray]:
     """Stiffness-scaled interface preconditioner S^{-1}(C^T Khat C summed) S^{-1}.
 
@@ -414,14 +360,19 @@ def build_preconditioner(ops: BlockOperators) -> Callable[[np.ndarray], np.ndarr
     """
     Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
     # the interface blocks KI_j = C_i^T K_j C_i are symmetric, so
-    # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A)
-    KI = (_interface_modes(ops.modes1, ops.C1), _interface_modes(ops.modes2, ops.C2))
-    SI = sum(kron_sum(K, block_values(K, H)) for K, H in zip(KI, (ops.H1, ops.H2)))
+    # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A); with p, c the
+    # extractor's dofs and entries, KI_j A is c times the rows p of K_j (c A at p)
+    sides = [(s.modes, V, *s.extractor_entries) for s, V in zip(ops.problem.sub, (ops.V1, ops.V2))]
     W = ops.W
 
     def apply(lam: np.ndarray) -> np.ndarray:
         A = W @ (Winv2 @ lam)
-        return Winv2 @ (W @ (SI @ A.ravel()).reshape(A.shape))
+        S = np.zeros_like(A)
+        for modes, V, p, c in sides:
+            U = np.zeros((A.shape[0], modes.n))
+            U[:, p] = A * c
+            S += c * apply_blocks(modes, V, U, p)
+        return Winv2 @ (W @ S)
 
     return apply
 
@@ -516,30 +467,65 @@ def recover_primal(
 _DIRECT_SIZE_CAP = 40_000
 
 
-def _primal_band(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray]:
-    """The primal system of ``direct_saddle_solve`` in LAPACK upper band
-    storage, with its load.
+def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
+    """The blocks of the sides of ``lay``, side s with the block values
+    ``values[s]``, summed on the band dofs, in LAPACK upper band storage.
 
-    Unknown (g, l), factor l of merged dof g, is number ``inv[g] r + l``, so
+    Unknown (g, l), factor l of band dof g, is number ``inv[g] r + l``, so
     entry (a, b) of block (l, l') sits at (r inv[a] + l, r inv[b] + l') and
     the half-bandwidth is kd = r (b + 1) - 1. Returns the Fortran-order
-    (kd + 1, n r) band array and the (n r, 1) load.
+    (kd + 1, n r) band array.
     """
-    lay, r = ops.layout, ops.rank
+    r = values[0].shape[0]
     kd = r * (lay.b + 1) - 1
     ab = np.zeros((kd + 1, r * lay.n), order="F")
     flat = ab.ravel(order="F")  # a view
     l = np.arange(r)
     up = np.triu_indices(r)
     # no position repeats within one side; the sides meet on the interface
-    for V, ((e, i, j, w), (d, k, wd)) in zip((ops.V1, ops.V2), lay.upper):
+    for V, ((e, i, j, w), (d, k, wd)) in zip(values, lay.upper):
         rows, cols = r * i + l[:, None, None], r * j + l[None, :, None]
         flat[band_index(rows, cols, kd + 1, kd)] += V[:, :, e] * w
         rows, cols = r * k + up[0][:, None], r * k + up[1][:, None]
         flat[band_index(rows, cols, kd + 1, kd)] += V[up][:, d] * wd
-    f = np.bincount(lay.dof2, weights=lay.scale2 * ops.f2, minlength=lay.n)
+    return ab
+
+
+def _primal_load(ops: BlockOperators) -> np.ndarray:
+    """The (r, n) load fw (x) f of ``direct_saddle_solve`` on the merged dofs."""
+    lay = ops.problem.primal_layout
+    f = np.bincount(lay.maps[1][0], weights=lay.maps[1][1] * ops.f2, minlength=lay.n)
     f[: ops.M1] += ops.f1
-    return ab, np.outer(f[lay.perm], ops.fw).reshape(-1, 1)
+    return np.outer(ops.fw, f)
+
+
+def _band_solve(
+    lay: PrimalLayout, values: Sequence[np.ndarray], what: str, dofs: np.ndarray | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One banded Cholesky factorization of ``_primal_band(lay, values)``,
+    returned as the solve of (r, M) blocks whose columns ``dofs`` (all when
+    None) are the band dofs; the other columns solve to zero. A singular
+    factor or a non-finite solution raises ``SolverError`` naming
+    ``what``."""
+    order = lay.perm if dofs is None else dofs[lay.perm]
+    c, info = dpbtrf(_primal_band(lay, values), overwrite_ab=1)
+    if info < 0:
+        raise RuntimeError(f"pbtrf rejected its argument {-info}")
+    if info > 0:
+        raise SolverError(
+            f"{what} is singular: the leading minor of order {info} of its band "
+            "is not positive definite"
+        )
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        x, _ = dpbtrs(c, B[:, order].T.reshape(-1, 1), overwrite_b=1)
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"{what} has a non-finite solution (singular system)")
+        X = np.zeros_like(B)
+        X[:, order] = x.reshape(-1, B.shape[0]).T
+        return X
+
+    return solve
 
 
 def direct_saddle_solve(
@@ -551,12 +537,12 @@ def direct_saddle_solve(
     W is nonsingular whenever the saddle system is, so the continuity rows
     say C1^T u1[l] = C2^T u2[l] for every factor l, and each side-2
     interface dof is its side-1 partner scaled by c1_k / c2_k
-    (``problems.PrimalLayout``, built once per problem). What is left is
-    the symmetric positive definite system of the n merged dofs and r
-    factors, which ``_primal_band`` writes straight into LAPACK band storage
-    and ``pbsv`` factors: n r unknowns, half-bandwidth kd = r (b + 1) - 1,
-    (kd + 1) n r stored values and about n r kd^2 flops. Per built-in
-    profile, n and kd are 72 and 7r - 1 (``lshape-desk``), 240 and 14r - 1
+    (``problems.CoupledProblem.primal_layout``, built once per problem).
+    What is left is the symmetric positive definite system of the n merged
+    dofs and r factors, which ``_primal_band`` writes straight into LAPACK
+    band storage and ``pbtrf`` factors: n r unknowns, half-bandwidth
+    kd = r (b + 1) - 1, (kd + 1) n r stored values and about n r kd^2 flops.
+    Per built-in profile, n and kd are 72 and 7r - 1 (``lshape-desk``), 240 and 14r - 1
     (``beam-desk``), 1 100 and 26r - 1 (``beam``), 1 640 and 23r - 1
     (``lshape``); at r = 10 on ``beam-desk`` that is a 140 x 2 400 band.
     The multiplier follows from side 1's interface equilibrium,
@@ -571,24 +557,15 @@ def direct_saddle_solve(
             f"direct saddle solve of size {n} exceeds the cap {_DIRECT_SIZE_CAP}; "
             'set solver.det_update to "pcpg" for the interface iteration'
         )
-    lay = ops.layout
-    _, x, info = dpbsv(*_primal_band(ops), overwrite_ab=1, overwrite_b=1)
-    if info < 0:
-        raise RuntimeError(f"pbsv rejected its argument {-info}")
-    if info > 0:
-        raise SolverError(
-            f"block saddle system is singular: the leading minor of order {info} "
-            "of its primal form is not positive definite"
-        )
-    if not np.all(np.isfinite(x)):
-        raise SolverError("block saddle system has a non-finite solution (singular system)")
-    u = np.ascontiguousarray(x.reshape(lay.n, r)[lay.inv].T)
-    u1, u2 = u[:, : ops.M1], u[:, lay.dof2] * lay.scale2
+    lay = ops.problem.primal_layout
+    u = _band_solve(lay, (ops.V1, ops.V2), "block saddle system")(_primal_load(ops))
+    dof2, scale2 = lay.maps[1]
+    u1, u2 = u[:, : ops.M1], u[:, dof2] * scale2
     # side 1's equilibrium at interface dof p1_k: (Khat_1 u1 - fhat1)[p1_k]
     # = c1_k (W lambda)[k]
-    e, starts = lay.iface1
-    Ku = np.einsum("lme,me->le", ops.V1[:, :, e], u1[:, ops.modes1.indices[e]])
-    Wlam = (np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[lay.p1])) / lay.c1
+    p1, c1 = ops.problem.sub[0].extractor_entries
+    Ku = apply_blocks(ops.modes1, ops.V1, u1, p1)
+    Wlam = (Ku - np.outer(ops.fw, ops.f1[p1])) / c1
     lam = np.linalg.solve(ops.W, Wlam)
     alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
     return u1, u2, lam, alpha

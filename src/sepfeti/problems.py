@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
 from . import fem2d, random_field
 from .fem2d import Mesh, ModeStack, SparsePattern, SubdomainProblem
@@ -207,79 +208,82 @@ class CoupledProblem:
 
     @cached_property
     def primal_layout(self) -> "PrimalLayout":
-        return primal_layout(self.sub[0], self.sub[1])
+        """The sub-domains merged along the interface (``feti.direct_saddle_solve``):
+        continuity C1^T u1 = C2^T u2 ties side-2 interface dof p2_k to its
+        side-1 partner p1_k as u2[p2_k] = (c1_k / c2_k) u1[p1_k], with c_k
+        the extractor entries; side-1 dof i is merged dof i."""
+        s1, s2 = self.sub
+        p1, c1 = s1.extractor_entries
+        p2, c2 = s2.extractor_entries
+        dof2 = np.full(s2.n_dofs, -1, dtype=np.intp)
+        dof2[p2] = p1
+        fresh = np.flatnonzero(dof2 < 0)
+        dof2[fresh] = s1.n_dofs + np.arange(fresh.size)
+        scale2 = np.ones(s2.n_dofs)
+        scale2[p2] = c1 / c2
+        return primal_layout([_whole(s1), (s2.modes, dof2, scale2)])
+
+    @cached_property
+    def local_layouts(self) -> tuple["PrimalLayout", "PrimalLayout"]:
+        """Each sub-domain on a band of its own (the local solves of PCPG); a
+        floating side 2 drops its pins, the dofs on which R2 is best
+        conditioned (a pivoted QR of R2^T), which leaves its blocks nonsingular."""
+        s1, s2 = self.sub
+        dof2 = np.arange(s2.n_dofs)
+        if s2.floating:
+            pins = scipy.linalg.qr(s2.R.T, pivoting=True)[2][: s2.R.shape[1]]
+            dof2 = np.cumsum(~np.isin(dof2, pins)) - 1
+            dof2[pins] = -1
+        return primal_layout([_whole(s1)]), primal_layout([(s2.modes, dof2, np.ones(s2.n_dofs))])
 
 
 @dataclass(frozen=True)
 class PrimalLayout:
-    """The two sub-domains merged along the interface, with one ordering of
-    the merged dofs: the rank-independent part of the multiplier-free
-    deterministic update (``feti.direct_saddle_solve``).
+    """The stiffness modes of one or more sides on one symmetric band of n
+    dofs, the rank-independent part of a banded solve (``feti._primal_band``).
 
-    Continuity C1^T u1 = C2^T u2 ties side-2 interface dof p2_k to its side-1
-    partner p1_k as u2[p2_k] = (c1_k / c2_k) u1[p1_k], with c_k the extractor
-    entries. Side-1 dof i is merged dof i; side-2 dof j is merged dof
-    ``dof2[j]`` with the factor ``scale2[j]``. ``perm``/``inv`` are a reverse
-    Cuthill-McKee ordering of the merged pattern, b its half-bandwidth.
-    ``upper[s]`` picks side s's stored entries (a, b) that land on or above
-    the diagonal of the ordered merged pattern, as ``(strict, diag)``:
-    ``strict = (entries, inv of a, inv of b, scale)`` for the entries off
-    the diagonal and ``diag = (entries, inv of a, scale)`` for the rest.
-    ``iface1`` lists side 1's stored entries in the rows p1 and where each
-    row starts in that list.
+    Side s puts its dof a on band dof ``maps[s][0][a]`` with the factor
+    ``maps[s][1][a]``; a dof mapped to -1 is dropped with its row and
+    column. ``perm``/``inv`` are a reverse Cuthill-McKee ordering of the
+    band dofs, b the half-bandwidth of the ordered pattern. ``upper[s]``
+    picks side s's stored entries (a, b) on or above the diagonal, as
+    ``(strict, diag)``: ``(entries, inv of a, inv of b, scale)`` off the
+    diagonal and ``(entries, inv of a, scale)`` on it.
     """
 
     n: int
     b: int
     perm: np.ndarray
     inv: np.ndarray
-    dof2: np.ndarray
-    scale2: np.ndarray
-    p1: np.ndarray
-    c1: np.ndarray
-    upper: tuple[tuple, tuple]
-    iface1: tuple[np.ndarray, np.ndarray]
+    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    upper: tuple[tuple, ...]
 
 
-def primal_layout(sub1: SubdomainProblem, sub2: SubdomainProblem) -> PrimalLayout:
-    """Merge map and ordering of the primal system of two sub-domains."""
-    p1, c1 = sub1.extractor_entries
-    p2, c2 = sub2.extractor_entries
-    M1, M2 = sub1.n_dofs, sub2.n_dofs
-    dof2 = np.full(M2, -1, dtype=np.intp)
-    dof2[p2] = p1
-    fresh = np.flatnonzero(dof2 < 0)
-    dof2[fresh] = M1 + np.arange(fresh.size)
-    scale2 = np.ones(M2)
-    scale2[p2] = c1 / c2
-    sides = (
-        (sub1.modes, np.arange(M1), np.ones(M1)),
-        (sub2.modes, dof2, scale2),
-    )
-    merged = [(dmap[m.rows], dmap[m.indices]) for m, dmap, _ in sides]
-    n = M1 + fresh.size
+def _whole(sub: SubdomainProblem) -> tuple[ModeStack, np.ndarray, np.ndarray]:
+    """A sub-domain as a side of a band with all its dofs, unscaled."""
+    return sub.modes, np.arange(sub.n_dofs), np.ones(sub.n_dofs)
+
+
+def primal_layout(sides: list[tuple[ModeStack, np.ndarray, np.ndarray]]) -> PrimalLayout:
+    """Band layout of the sides (stiffness modes, dof map, scale)."""
+    maps = tuple((dmap, scale) for _, dmap, scale in sides)
+    n = 1 + max(int(dmap.max()) for dmap, _ in maps)
+    kept = []
+    for modes, dmap, _ in sides:
+        i, j = dmap[modes.rows], dmap[modes.indices]
+        e = np.flatnonzero((i >= 0) & (j >= 0))
+        kept.append((e, i[e], j[e]))
     perm, inv, b = fem2d.band_ordering(
-        n, np.concatenate([i for i, _ in merged]), np.concatenate([j for _, j in merged])
+        n, np.concatenate([i for _, i, _ in kept]), np.concatenate([j for _, _, j in kept])
     )
     upper = []
-    for (modes, _, s), (i, j) in zip(sides, merged):
-        i, j, w = inv[i], inv[j], s[modes.rows] * s[modes.indices]
+    for (modes, _, s), (e, i, j) in zip(sides, kept):
+        i, j, w = inv[i], inv[j], s[modes.rows[e]] * s[modes.indices[e]]
         strict, diag = np.flatnonzero(i < j), np.flatnonzero(i == j)
-        upper.append(((strict, i[strict], j[strict], w[strict]), (diag, i[diag], w[diag])))
-    lo, length = sub1.modes.indptr[p1], np.diff(sub1.modes.indptr)[p1]
-    starts = np.append(0, np.cumsum(length)[:-1])
-    return PrimalLayout(
-        n=n,
-        b=b,
-        perm=perm,
-        inv=inv,
-        dof2=dof2,
-        scale2=scale2,
-        p1=p1,
-        c1=c1,
-        upper=(upper[0], upper[1]),
-        iface1=(np.repeat(lo - starts, length) + np.arange(length.sum()), starts),
-    )
+        upper.append(
+            ((e[strict], i[strict], j[strict], w[strict]), (e[diag], i[diag], w[diag]))
+        )
+    return PrimalLayout(n=n, b=b, perm=perm, inv=inv, maps=maps, upper=tuple(upper))
 
 
 def _build_field(

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from .fem2d import SparsePattern, band_index, band_ordering
-from .feti import SolverError, block_values, kron_sum, pcg
+from .feti import SolverError, block_values, pcg
 from .pc_basis import (
     LEGENDRE,
     MultiIndexSet,
@@ -61,6 +62,25 @@ class MonolithicSGSolution:
 
     def std(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.second_moment() - self.mean() ** 2, 0.0))
+
+
+def kron_sum(modes, V: np.ndarray) -> sp.csr_matrix:
+    """sum_j H[j] (x) K_j as one CSR matrix, from its ``feti.block_values`` V.
+
+    Row (l, i) holds row i of the pattern once per block column l', with
+    the values V[l, l'] and the columns shifted by l' n.
+    """
+    r, n, nnz, rows = V.shape[0], modes.n, modes.indices.size, modes.rows
+    start, length = modes.indptr[rows], np.diff(modes.indptr)[rows]
+    shift = np.arange(r)[:, None]
+    # position of entry p of block (l, l') within block row l
+    pos = (r * start + np.arange(nnz) - start + shift * length).ravel()
+    data = np.empty((r, r * nnz))
+    data[:, pos] = V.reshape(r, r * nnz)
+    indices = np.empty(r * nnz, dtype=np.int64)
+    indices[pos] = (shift * n + modes.indices).ravel()
+    indptr = np.append((shift * r * nnz + r * modes.indptr[:-1]).ravel(), r * r * nnz)
+    return sp.csr_matrix((data.ravel(), np.tile(indices, r), indptr), shape=(r * n, r * n))
 
 
 def _sg_solve_core(modes, G: np.ndarray, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -17,8 +17,12 @@ and extractor (the problem keeps only the reduced ones), the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) to
-check the one-product assembly against, the block saddle system
-assembled whole and factored by a sparse LU, which the banded primal route
+check the one-product assembly against, the reduced modes assembled one
+per call and the block operators sum_j H_j (x) K_j as sums of Kronecker
+products, which the bands of the direct route and of the local solves are
+checked against, a sparse LU solve (SuperLU) that rejects a singular
+factor or a non-finite solution, the block saddle system
+assembled whole and factored by it, which the banded primal route
 of ``feti.direct_saddle_solve`` is checked against, the combined-basis
 Galerkin solve of the two-field saddle formulation, which the merged
 single-domain oracle is checked against, the Monte-Carlo residual
@@ -448,6 +452,53 @@ def coo_elasticity_mode(
     return K
 
 
+def assemble_modes(prob: problems.CoupledProblem, mesh: fem2d.Mesh, coeffs) -> fem2d.ModeStack:
+    """The problem's stiffness modes on ``mesh`` for the nodal fields ``coeffs``."""
+    if prob.kind == problems.KIND_DIFFUSION:
+        return fem2d.assemble_diffusion_mode(mesh, coeffs)
+    return fem2d.assemble_elasticity_mode(mesh, coeffs, prob.config["field"]["nu"])
+
+
+def per_mode_assembly(prob: problems.CoupledProblem, side: int) -> list[sp.csr_matrix]:
+    """Reduced stiffness modes assembled one per call, as CSR matrices."""
+    mesh = prob.sub[side].mesh
+    field = prob.fields[side]
+    keep = prob.sub[side].free_dofs
+    modes = []
+    for j, coeff in enumerate(field.coeff_fields):
+        K = assemble_modes(prob, mesh, coeff + field.shift if j == 0 else coeff).views[0]
+        modes.append(K[keep][:, keep].tocsr())
+    return modes
+
+
+def kron_reference(H: np.ndarray, modes: list[sp.spmatrix]) -> sp.csr_matrix:
+    """sum_j H[j] (x) K_j as a sum of Kronecker products."""
+    return sp.csr_matrix(sum(sp.kron(sp.csr_matrix(H[j]), K) for j, K in enumerate(modes)))
+
+
+def block_operators(ops: feti.BlockOperators) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Khat_1 and Khat_2 of ``ops`` by ``kron_reference`` on the stacked modes."""
+    return kron_reference(ops.H1, ops.modes1.views), kron_reference(ops.H2, ops.modes2.views)
+
+
+def factorize(A: sp.spmatrix, what: str):
+    """Sparse LU factor of a structurally symmetric system (saddle systems
+    included), with an ordering of A + A^T, returned as its solve; a
+    singular factor or a non-finite solution raises ``feti.SolverError``."""
+    try:
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise feti.SolverError(f"{what} is singular: {err}") from err
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise feti.SolverError(f"{what} has a non-finite solution (singular system)")
+        return x
+
+    return solve
+
+
 def saddle_solve_superlu(
     ops: feti.BlockOperators,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -466,12 +517,10 @@ def saddle_solve_superlu(
         )
     C1 = sp.kron(sp.csr_matrix(ops.W), ops.C1)
     C2 = sp.kron(sp.csr_matrix(ops.W), ops.C2)
-    A = sp.bmat(
-        [[ops.K1hat, None, -C1], [None, ops.K2hat, C2], [-C1.T, C2.T, None]],
-        format="csc",
-    )
+    K1hat, K2hat = block_operators(ops)
+    A = sp.bmat([[K1hat, None, -C1], [None, K2hat, C2], [-C1.T, C2.T, None]], format="csc")
     b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
-    x = feti.factorize(A, "block saddle system")(b)
+    x = factorize(A, "block saddle system")(b)
     n1, n2 = r * ops.M1, r * ops.M2
     u1 = x[:n1].reshape(r, ops.M1)
     u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
@@ -490,7 +539,7 @@ def config_json(problem: problems.CoupledProblem) -> str:
 
 
 def apply_Khat(Khat: sp.spmatrix, U: np.ndarray) -> np.ndarray:
-    """A block operator such as ``BlockOperators.K1hat`` applied to the
+    """A block operator such as Khat_1 of ``block_operators`` applied to the
     (r, M) factor block U."""
     return (Khat @ U.ravel()).reshape(U.shape)
 
@@ -559,13 +608,13 @@ def solve_coupled_sg(problem: problems.CoupledProblem, p: int | None = None) -> 
     G2 = pcb.triple_moment_stack(fam, rows2, idx).dense()
     B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
     B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
-    A11 = feti.kron_sum(s1.modes, feti.block_values(s1.modes, G1))
-    A22 = feti.kron_sum(s2.modes, feti.block_values(s2.modes, G2))
+    A11 = reference.kron_sum(s1.modes, feti.block_values(s1.modes, G1))
+    A22 = reference.kron_sum(s2.modes, feti.block_values(s2.modes, G2))
     A = sp.bmat([[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc")
     rhs = np.zeros(n_unknowns)
     rhs[: s1.n_dofs] = s1.f
     rhs[P * s1.n_dofs : P * s1.n_dofs + s2.n_dofs] = s2.f
-    x = feti.factorize(A, "combined-basis saddle system")(rhs)
+    x = factorize(A, "combined-basis saddle system")(rhs)
     n1 = P * s1.n_dofs
     n2 = P * s2.n_dofs
     return CoupledSGSolution(

@@ -246,6 +246,36 @@ def test_deterministic_update_continuity():
     assert np.abs(gap).max() < 1e-8 * max(np.abs(upd.u1).max(), np.abs(upd.u2).max())
 
 
+def second_moment(W, U):
+    """E[|sum_l U[l] phi1^l phi2^l|^2] for the factor Gram product W."""
+    return float(np.sum(W * (U @ U.T)))
+
+
+@pytest.mark.parametrize("example", ["lshape", "beam"])
+def test_interface_violation_after_direct_update_and_on_perturbed_factors(example):
+    prob = desk_problem(example=example)
+    sol = random_solution(prob, rank=3, seed=31)
+    upd = arr.deterministic_update(prob, sol, method="direct")
+    W = (upd.phi1 @ upd.phi1.T) * (upd.phi2 @ upd.phi2.T)
+    scale = second_moment(W, upd.u1) + second_moment(W, upd.u2)
+    assert arr.interface_violation(prob, upd) <= 1e-24 * scale
+    # perturbed factors: the dense E|C1^T u1 - C2^T u2|^2 from the Gram matrices
+    rng = np.random.default_rng(32)
+    moved = arr.SeparatedSolution(
+        u1=upd.u1 + 1e-3 * rng.standard_normal(upd.u1.shape),
+        u2=upd.u2,
+        lam=upd.lam,
+        phi1=upd.phi1 + 0.1 * rng.standard_normal(upd.phi1.shape),
+        phi2=upd.phi2,
+    )
+    C1, C2 = prob.sub[0].C.toarray(), prob.sub[1].C.toarray()
+    D = moved.u1 @ C1 - moved.u2 @ C2
+    W = (moved.phi1 @ moved.phi1.T) * (moved.phi2 @ moved.phi2.T)
+    want = second_moment(W, D)
+    assert want > 1e-12 * scale
+    assert arr.interface_violation(prob, moved) == pytest.approx(want, rel=1e-12)
+
+
 def test_proposition_chain_on_sweeps():
     # deterministic update lowers pi for frozen lambda; the multiplier update
     # never lowers it (equality holds when per-factor continuity is exact)

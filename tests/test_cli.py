@@ -285,3 +285,28 @@ def test_run_solver_error_exit_3(tmp_path, desk_config, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "singular" in err
     assert not (out / "solution.json").exists()
+
+
+def test_run_pcpg_zero_factor_exit_3(tmp_path, capsys, monkeypatch):
+    # a zero stochastic factor makes the local blocks singular: the banded
+    # local factor of the interface iteration refuses it, and run exits 3
+    from sepfeti import arr
+
+    start = arr._append_random_factor
+
+    def zero_factor(problem, solution, rng):
+        grown = start(problem, solution, rng)
+        grown.phi1[-1] = 0.0
+        return grown
+
+    monkeypatch.setattr(arr, "_append_random_factor", zero_factor)
+    cfg = problems.profile_config("lshape-desk")
+    cfg["solver"].update({"det_update": "pcpg", "rank_max": 1, "n_mc_residual": 400})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(path), "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "block operator is singular: the leading minor" in err
+    assert not (out / "solution.json").exists()

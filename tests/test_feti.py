@@ -87,8 +87,9 @@ def test_rank_one_constant_factor_reduces_to_mean():
     np.testing.assert_allclose(ops.fhat1[0], prob.sub[0].f)
     rng = np.random.default_rng(1)
     u = rng.standard_normal((1, ops.M1))
+    K1hat, _ = oracles.block_operators(ops)
     np.testing.assert_allclose(
-        oracles.apply_Khat(ops.K1hat, u)[0], prob.sub[0].K_modes[0] @ u[0], rtol=1e-12
+        oracles.apply_Khat(K1hat, u)[0], prob.sub[0].K_modes[0] @ u[0], rtol=1e-12
     )
 
 
@@ -147,7 +148,8 @@ def test_K1_inverse_roundtrip():
     _, ops, _ = lshape_ops(rank=2, seed=7)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, ops.M1))
-    y = feti.apply_K1_inverse(ops, oracles.apply_Khat(ops.K1hat, x))
+    K1hat, _ = oracles.block_operators(ops)
+    y = feti.apply_K1_inverse(ops, oracles.apply_Khat(K1hat, x))
     np.testing.assert_allclose(y, x, atol=1e-10 * np.abs(x).max())
 
 
@@ -171,9 +173,10 @@ def test_K2_null_space_annihilated():
 def test_K2_pseudoinverse_definition_and_svd_oracle():
     _, ops, _ = beam_ops(rank=2, seed=10)
     rng = np.random.default_rng(10)
-    b = oracles.apply_Khat(ops.K2hat, rng.standard_normal((2, ops.M2)))  # compatible by range
+    _, K2hat = oracles.block_operators(ops)
+    b = oracles.apply_Khat(K2hat, rng.standard_normal((2, ops.M2)))  # compatible by range
     y = feti.apply_K2_pseudoinverse(ops, b)
-    resid = oracles.apply_Khat(ops.K2hat, y) - b
+    resid = oracles.apply_Khat(K2hat, y) - b
     assert np.abs(resid).max() < 1e-9 * np.abs(b).max()
     assert np.abs(y @ ops.R2).max() < 1e-9 * np.abs(y).max()
     K2 = dense_blockK(ops.H2, ops.modes2.views)
@@ -247,8 +250,9 @@ def test_block_saddle_residual_invariant():
         ip = feti.build_interface_problem(ops)
         lam, _ = feti.pcpg_solve(ip, eps=1e-12)
         u1, u2, _ = feti.recover_primal(ip, lam)
-        r1 = oracles.apply_Khat(ops.K1hat, u1) - ops.apply_C1(lam) - ops.fhat1
-        r2 = oracles.apply_Khat(ops.K2hat, u2) + ops.apply_C2(lam) - ops.fhat2
+        K1hat, K2hat = oracles.block_operators(ops)
+        r1 = oracles.apply_Khat(K1hat, u1) - ops.apply_C1(lam) - ops.fhat1
+        r2 = oracles.apply_Khat(K2hat, u2) + ops.apply_C2(lam) - ops.fhat2
         gap = ops.apply_C2T(u2) - ops.apply_C1T(u1)
         scale = max(np.abs(ops.fhat1).max(), np.abs(ops.fhat2).max())
         assert np.abs(r1).max() < 1e-8 * scale

@@ -1,6 +1,7 @@
-"""The direct deterministic update: one banded Cholesky factorization of the
-multiplier-free primal system, checked against the whole saddle system
-factored by a sparse LU."""
+"""The banded deterministic updates: one banded Cholesky factorization of
+the multiplier-free primal system, checked against the whole saddle system
+factored by a sparse LU, and the bands of the local solves of the
+interface iteration, written by the same band writer."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbsv
 
 import oracles
-from sepfeti import arr, feti, problems
+from sepfeti import arr, feti, problems, reference
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +72,31 @@ def test_primal_route_matches_saddle_reference(profile_problem, name, rank):
 def test_signed_extractor_pair_matches_reference(profile_problem, name):
     flipped = signed(profile_problem(name))
     p2 = flipped.sub[1].C.tocoo().row
-    np.testing.assert_array_equal(flipped.primal_layout.scale2[p2], -1.0)
+    np.testing.assert_array_equal(flipped.primal_layout.maps[1][1][p2], -1.0)
     (u1, u2, _, _), _ = assert_matches_reference(operators(flipped, 3, seed=47))
     C1, C2 = flipped.sub[0].C, flipped.sub[1].C
     np.testing.assert_allclose(
         (C1.T @ u1.T).T, (C2.T @ u2.T).T, rtol=0, atol=1e-12 * np.abs(u1).max()
     )
+
+
+def band_order(lay, r, dofs, M):
+    """Position in the rank-major order of a block operator on M dofs of
+    each band unknown: unknown (g, l), factor l of band dof g, is number
+    inv[g] r + l and stands for dof ``dofs[g]`` of factor l."""
+    order = np.empty(r * lay.n, dtype=np.intp)
+    order[(lay.inv[None, :] * r + np.arange(r)[:, None]).ravel()] = (
+        np.arange(r)[:, None] * M + dofs
+    ).ravel()
+    return order
+
+
+def unpack(ab, shape):
+    """The upper triangle held in LAPACK upper band storage: A[i, j], i <= j,
+    sits in row kd + i - j of column j, the diagonal format with offset
+    j - i = kd - row."""
+    kd = ab.shape[0] - 1
+    return sp.dia_matrix((ab, kd - np.arange(kd + 1)), shape=shape).toarray()
 
 
 @pytest.mark.parametrize("name, rank", [("lshape-desk", 2), ("beam-desk", 3)])
@@ -86,28 +107,82 @@ def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, flip):
         problem = signed(problem)
     ops = operators(problem, rank, seed=48)
     lay, r = problem.primal_layout, rank
+    (dof1, _), (dof2, scale2) = lay.maps
+    np.testing.assert_array_equal(dof1, np.arange(ops.M1))
     # the primal matrix in the rank-major order of Khat: each side's dofs
     # mapped to the merged dofs, with the side-2 scale
     Q1 = sp.eye(ops.M1, lay.n, format="csr")
-    Q2 = sp.csr_matrix((lay.scale2, (np.arange(ops.M2), lay.dof2)), shape=(ops.M2, lay.n))
+    Q2 = sp.csr_matrix((scale2, (np.arange(ops.M2), dof2)), shape=(ops.M2, lay.n))
     E1, E2 = (sp.kron(sp.identity(r), Q, format="csr") for Q in (Q1, Q2))
-    A = E1.T @ ops.K1hat @ E1 + E2.T @ ops.K2hat @ E2
+    K1hat, K2hat = reference.kron_sum(ops.modes1, ops.V1), reference.kron_sum(ops.modes2, ops.V2)
+    A = E1.T @ K1hat @ E1 + E2.T @ K2hat @ E2
     f = E1.T @ ops.fhat1.ravel() + E2.T @ ops.fhat2.ravel()
-    # unknown (g, l) is number inv[g] r + l of the band
-    order = np.empty(r * lay.n, dtype=np.intp)
-    order[(lay.inv[None, :] * r + np.arange(r)[:, None]).ravel()] = np.arange(r * lay.n)
+    order = band_order(lay, r, np.arange(lay.n), lay.n)
     permuted = A[order][:, order]
-    ab, rhs = feti._primal_band(ops)
+    ab = feti._primal_band(lay, (ops.V1, ops.V2))
     kd = ab.shape[0] - 1
     assert kd == r * (lay.b + 1) - 1
     rows, cols = permuted.nonzero()
     assert np.abs(rows - cols).max() <= kd
-    # upper band storage: A[i, j], i <= j, sits in row kd + i - j of column j,
-    # the diagonal format with offset j - i = kd - row
-    unpacked = sp.dia_matrix((ab, kd - np.arange(kd + 1)), shape=permuted.shape)
-    np.testing.assert_array_equal(unpacked.toarray(), sp.triu(permuted).toarray())
+    np.testing.assert_array_equal(unpack(ab, permuted.shape), sp.triu(permuted).toarray())
     # fw[l] (f1 + f2) against fw[l] f1 + fw[l] f2 on the interface
-    np.testing.assert_allclose(rhs[:, 0], f[order], rtol=0, atol=1e-15 * np.abs(f).max())
+    rhs = feti._primal_load(ops)
+    np.testing.assert_allclose(rhs.ravel(), f, rtol=0, atol=1e-15 * np.abs(f).max())
+
+    # the two local bands: each side's Khat, the floating side without the
+    # rows and columns of its pinned dofs
+    sides = zip(problem.local_layouts, (ops.V1, ops.V2), (ops.H1, ops.H2))
+    for side, (local, V, H) in enumerate(sides):
+        (dmap, scale), = local.maps
+        kept = np.flatnonzero(dmap >= 0)
+        np.testing.assert_array_equal(dmap[kept], np.arange(local.n))
+        np.testing.assert_array_equal(scale, 1.0)
+        pinned = side == 1 and ops.floating
+        assert dmap.size - kept.size == (ops.R2.shape[1] if pinned else 0)
+        if pinned:  # the pins leave the rigid-body modes full rank
+            assert np.linalg.matrix_rank(np.delete(ops.R2, kept, axis=0)) == ops.R2.shape[1]
+        Khat = oracles.kron_reference(H, oracles.per_mode_assembly(problem, side))
+        order = band_order(local, r, kept, dmap.size)
+        permuted = Khat[order][:, order]
+        ab = feti._primal_band(local, (V,))
+        kd = ab.shape[0] - 1
+        assert kd == r * (local.b + 1) - 1
+        rows, cols = permuted.nonzero()
+        assert np.abs(rows - cols).max() <= kd
+        want = sp.triu(permuted).toarray()
+        np.testing.assert_allclose(
+            unpack(ab, permuted.shape), want, rtol=0, atol=1e-13 * np.abs(want).max()
+        )
+
+
+def test_direct_route_bit_for_bit(profile_problem):
+    # the factors are LAPACK's one-call banded solve (pbsv) of the band and
+    # the load, and the multiplier is side 1's interface rows of Khat_1 u1
+    # summed over each row's stored entries in storage order, bit for bit
+    for name, rank in (("lshape-desk", 10), ("beam-desk", 3), ("beam", 2)):
+        ops = operators(profile_problem(name), rank, seed=50)
+        u1, u2, lam, _ = feti.direct_saddle_solve(ops)
+        lay = ops.problem.primal_layout
+        b = feti._primal_load(ops)[:, lay.perm].T.reshape(-1, 1)
+        _, x, info = dpbsv(feti._primal_band(lay, (ops.V1, ops.V2)), b)
+        assert info == 0
+        u = x.reshape(lay.n, rank)[lay.inv].T
+        assert np.array_equal(u1, u[:, : ops.M1]), name
+        assert np.array_equal(u2, u[:, lay.maps[1][0]] * lay.maps[1][1]), name
+        p1, c1 = ops.problem.sub[0].extractor_entries
+        m = ops.modes1
+        lo, length = m.indptr[p1], np.diff(m.indptr)[p1]
+        starts = np.append(0, np.cumsum(length)[:-1])
+        e = np.repeat(lo - starts, length) + np.arange(length.sum())
+        Ku = np.einsum("lme,me->le", ops.V1[:, :, e], u1[:, m.indices[e]])
+        Wlam = (np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[p1])) / c1
+        assert np.array_equal(lam, np.linalg.solve(ops.W, Wlam)), name
+        # the same rows of the whole product, to rounding
+        np.testing.assert_allclose(
+            feti.apply_blocks(m, ops.V1, u1, np.arange(m.n))[:, p1],
+            np.add.reduceat(Ku, starts, axis=1),
+            rtol=1e-13, atol=1e-13 * np.abs(Ku).max(),
+        )
 
 
 def test_direct_route_refuses_systems_over_the_size_cap(profile_problem):

@@ -11,13 +11,15 @@ covered; the beam's second sub-domain floats.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
-from sepfeti import arr, fem2d, feti, problems, reference
+from sepfeti import arr, feti, problems, reference
 
 PROFILES = ["lshape-desk", "beam-desk"]
 
@@ -27,34 +29,11 @@ def problem(request):
     return problems.build_from_config(problems.profile_config(request.param))
 
 
-def assemble(prob, mesh, coeffs):
-    """The problem's stiffness modes on ``mesh`` for the nodal fields ``coeffs``."""
-    if prob.kind == problems.KIND_DIFFUSION:
-        return fem2d.assemble_diffusion_mode(mesh, coeffs)
-    return fem2d.assemble_elasticity_mode(mesh, coeffs, prob.config["field"]["nu"])
-
-
-def per_mode_assembly(prob, side):
-    """Reduced stiffness modes assembled one per call, as CSR matrices."""
-    mesh = prob.sub[side].mesh
-    field = prob.fields[side]
-    keep = prob.sub[side].free_dofs
-    modes = []
-    for j, coeff in enumerate(field.coeff_fields):
-        K = assemble(prob, mesh, coeff + field.shift if j == 0 else coeff).views[0]
-        modes.append(K[keep][:, keep].tocsr())
-    return modes
-
-
 def random_ops(prob, rank, seed):
     rng = np.random.default_rng(seed)
     phi1 = rng.standard_normal((rank, len(prob.idx_solution[0])))
     phi2 = rng.standard_normal((rank, len(prob.idx_solution[1])))
     return feti.build_block_operators(prob, phi1, phi2)
-
-
-def kron_reference(H, modes):
-    return sum(sp.kron(sp.csr_matrix(H[j]), K) for j, K in enumerate(modes))
 
 
 def rel_diff(A, B) -> float:
@@ -65,7 +44,7 @@ def rel_diff(A, B) -> float:
 def test_stacked_views_equal_per_mode_assembly(problem):
     for side in range(2):
         sub = problem.sub[side]
-        expected = per_mode_assembly(problem, side)
+        expected = oracles.per_mode_assembly(problem, side)
         assert len(sub.K_modes) == len(expected)
         for K, ref in zip(sub.K_modes, expected):
             np.testing.assert_array_equal(K.toarray(), ref.toarray())
@@ -89,7 +68,7 @@ def test_stacked_assembly_equals_per_mode_coo_assembly(problem):
     for side in range(2):
         mesh = problem.sub[side].mesh
         coeffs = rng.standard_normal((5, mesh.n_nodes))
-        stack = assemble(problem, mesh, coeffs)
+        stack = oracles.assemble_modes(problem, mesh, coeffs)
         ref = oracles.mode_stack_from_modes([coo_mode(mesh, c) for c in coeffs])
         np.testing.assert_array_equal(stack.indptr, ref.indptr)
         np.testing.assert_array_equal(stack.indices, ref.indices)
@@ -97,20 +76,21 @@ def test_stacked_assembly_equals_per_mode_coo_assembly(problem):
             assert rel_diff(got, expected) < 1e-14
         # one mode per call gives the rows of the stacked call bit for bit
         for c, K in zip(coeffs, stack.views):
-            one = assemble(problem, mesh, c)
+            one = oracles.assemble_modes(problem, mesh, c)
             np.testing.assert_array_equal(one.views[0].toarray(), K.toarray())
         # a scalar is one constant mode
         np.testing.assert_array_equal(
-            assemble(problem, mesh, 2.0).data,
-            assemble(problem, mesh, np.full(mesh.n_nodes, 2.0)).data,
+            oracles.assemble_modes(problem, mesh, 2.0).data,
+            oracles.assemble_modes(problem, mesh, np.full(mesh.n_nodes, 2.0)).data,
         )
 
 
 @pytest.mark.parametrize("rank", [1, 3])
 def test_kron_sum_equals_kronecker_reference(problem, rank):
     ops = random_ops(problem, rank, seed=rank)
-    for Khat, H, side in ((ops.K1hat, ops.H1, 0), (ops.K2hat, ops.H2, 1)):
-        ref = kron_reference(H, per_mode_assembly(problem, side))
+    for modes, V, H, side in ((ops.modes1, ops.V1, ops.H1, 0), (ops.modes2, ops.V2, ops.H2, 1)):
+        Khat = reference.kron_sum(modes, V)
+        ref = oracles.kron_reference(H, oracles.per_mode_assembly(problem, side))
         assert Khat.has_canonical_format
         assert rel_diff(Khat.toarray(), ref.toarray()) < 1e-13
 
@@ -118,8 +98,8 @@ def test_kron_sum_equals_kronecker_reference(problem, rank):
 def test_factored_local_solves_equal_dense_kronecker_solves(problem):
     ops = random_ops(problem, 3, seed=7)
     rng = np.random.default_rng(7)
-    K1 = kron_reference(ops.H1, per_mode_assembly(problem, 0)).toarray()
-    K2 = kron_reference(ops.H2, per_mode_assembly(problem, 1)).toarray()
+    K1 = oracles.kron_reference(ops.H1, oracles.per_mode_assembly(problem, 0)).toarray()
+    K2 = oracles.kron_reference(ops.H2, oracles.per_mode_assembly(problem, 1)).toarray()
     b1 = rng.standard_normal((3, ops.M1))
     x1 = np.linalg.solve(K1, b1.ravel())
     assert rel_diff(feti.apply_K1_inverse(ops, b1).ravel(), x1) < 1e-10
@@ -147,19 +127,9 @@ def test_pcpg_update_rejects_zero_factor():
     phi1[1] = 0.0
     sol = arr.SeparatedSolution.zeros(prob, rank=2)
     sol.phi1[:], sol.phi2[:] = phi1, phi2
-    with pytest.raises(feti.SolverError, match="singular"):
+    # the banded local factor meets the zero block first
+    with pytest.raises(feti.SolverError, match="block operator is singular: the leading minor"):
         arr.deterministic_update(prob, sol, method="pcpg")
-
-
-def test_interface_blocks_equal_per_mode_triple_products(problem):
-    ops = random_ops(problem, 2, seed=11)
-    for modes, C, side in ((ops.modes1, ops.C1, 0), (ops.modes2, ops.C2, 1)):
-        per_mode = per_mode_assembly(problem, side)
-        for sign in (1.0, -1.0):
-            KI = feti._interface_modes(modes, sign * C)
-            for got, K in zip(KI.views, per_mode):
-                ref = (sign * C).T @ K @ (sign * C)
-                np.testing.assert_allclose(got.toarray(), ref.toarray(), rtol=0, atol=0)
 
 
 def test_energy_quadratic_form_equals_assembled_blocks(problem):
@@ -174,7 +144,7 @@ def test_energy_quadratic_form_equals_assembled_blocks(problem):
     )
     quad = 0.0
     for U, H, side in ((sol.u1, ops.H1, 0), (sol.u2, ops.H2, 1)):
-        K = kron_reference(H, per_mode_assembly(problem, side))
+        K = oracles.kron_reference(H, oracles.per_mode_assembly(problem, side))
         quad += U.ravel() @ (K @ U.ravel())
     loads = ops.fw @ (sol.u1 @ ops.f1) + ops.fw @ (sol.u2 @ ops.f2)
     assert arr.energy(problem, sol, ops=ops) == pytest.approx(0.5 * quad - loads, rel=1e-12)
@@ -192,7 +162,7 @@ def test_stochastic_updates_equal_per_mode_reference(problem):
     )
     stacks = feti.galerkin_mode_matrices(problem)
     G = [stack.dense() for stack in stacks]
-    K = [per_mode_assembly(problem, side) for side in range(2)]
+    K = [oracles.per_mode_assembly(problem, side) for side in range(2)]
     U, f = (sol.u1, sol.u2), tuple(s.f for s in problem.sub)
 
     def reference(own, phi_other):
@@ -214,22 +184,27 @@ def test_stochastic_updates_equal_per_mode_reference(problem):
 
 
 def test_preconditioner_equals_per_mode_reference(problem):
-    ops = random_ops(problem, 3, seed=13)
-    Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
-    terms = []
-    for H, C, side in ((ops.H1, ops.C1, 0), (ops.H2, ops.C2, 1)):
-        A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
-        KI = np.stack([(C.T @ K @ C).toarray() for K in per_mode_assembly(problem, side)])
-        terms.append((A, KI))
+    # sign -1 negates the second extractor: its interface blocks are the
+    # principal sub-matrices scaled by the extractor entries
+    s1, s2 = problem.sub
+    for sign in (1.0, -1.0):
+        signed = dataclasses.replace(problem, sub=(s1, dataclasses.replace(s2, C=sign * s2.C)))
+        ops = random_ops(signed, 3, seed=13)
+        Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
+        terms = []
+        for H, C, side in ((ops.H1, ops.C1, 0), (ops.H2, ops.C2, 1)):
+            A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
+            per_mode = oracles.per_mode_assembly(problem, side)
+            terms.append((A, np.stack([(C.T @ K @ C).toarray() for K in per_mode])))
 
-    def reference_apply(lam):
-        A = Winv2 @ lam
-        B = sum(np.einsum("jlk,km,jmn->ln", Aj, A, KI) for Aj, KI in terms)
-        return Winv2 @ B
+        def reference_apply(lam):
+            A = Winv2 @ lam
+            B = sum(np.einsum("jlk,km,jmn->ln", Aj, A, KI) for Aj, KI in terms)
+            return Winv2 @ B
 
-    precond = feti.build_preconditioner(ops)
-    lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
-    assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12
+        precond = feti.build_preconditioner(ops)
+        lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
+        assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12, sign
 
 
 def test_merged_modes_equal_scattered_sub_domain_modes(problem):
@@ -242,7 +217,7 @@ def test_merged_modes_equal_scattered_sub_domain_modes(problem):
         pos = restrict[side]
         return sp.csr_matrix((K.data, (pos[K.row], pos[K.col])), shape=(n, n))
 
-    K1, K2 = (per_mode_assembly(problem, side) for side in range(2))
+    K1, K2 = (oracles.per_mode_assembly(problem, side) for side in range(2))
     expected = [scatter(K1[0], 0) + scatter(K2[0], 1)]
     expected += [scatter(K, 0) for K in K1[1:]]
     expected += [scatter(K, 1) for K in K2[1:]]
@@ -273,7 +248,13 @@ def test_direct_saddle_solve_rejects_zero_factor():
         feti.direct_saddle_solve(ops)
 
 
-def test_factorize_rejects_non_finite_solution():
-    A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(feti.SolverError, match="non-finite"):
-        feti.factorize(A, "test system")(np.array([1.0, np.nan]))
+def test_band_solve_rejects_non_finite_solution(problem):
+    ops = random_ops(problem, 2, seed=29)
+    B = np.zeros((2, ops.M1))
+    B[1, 0] = np.nan
+    with pytest.raises(feti.SolverError, match="first-block operator has a non-finite solution"):
+        feti.apply_K1_inverse(ops, B)
+    B = np.zeros((2, ops.M2))
+    B[0, -1] = np.nan
+    with pytest.raises(feti.SolverError, match="second-block operator has a non-finite solution"):
+        feti.apply_K2_pseudoinverse(ops, B, check=False)
