@@ -199,9 +199,9 @@ def interface_violation(problem: CoupledProblem, solution: SeparatedSolution) ->
 
 
 def _interface_gap(problem: CoupledProblem, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-    """Rows C2^T u2[l] - C1^T u1[l], gathered through the extractors' entries."""
-    (dofs1, values1), (dofs2, values2) = (s.extractor_entries for s in problem.sub)
-    return U2[:, dofs2] * values2 - U1[:, dofs1] * values1
+    """Rows C2^T u2[l] - C1^T u1[l], gathered from the interface dofs."""
+    s1, s2 = problem.sub
+    return U2[:, s2.iface] - U1[:, s1.iface]
 
 
 def deterministic_update(
@@ -496,8 +496,7 @@ def _residual_operator(
     k = 1 + r + len(sub.K_modes) * r
     B = np.zeros((k, M))
     B[0] = sub.f
-    dofs, values = sub.extractor_entries
-    B[1 : 1 + r, dofs] = sign * (values * solution.lam)
+    B[1 : 1 + r, sub.iface] = sign * solution.lam
     # One sparse product per mode: forming the rows from the stacked mode
     # data in one product needs a (J*r, nnz) intermediate and is slower.
     for j, K in enumerate(sub.K_modes):

@@ -4,8 +4,8 @@ Provides meshes whose interface nodes are bit-identical across neighbouring
 sub-domain meshes (coordinates are computed from one global integer lattice),
 stiffness assembly for scalar diffusion and plane-strain elasticity (all PC
 modes of a coefficient at once, as one product with a fixed per-element
-operator), consistent loads, Dirichlet elimination, interface extraction
-matrices and rigid-body modes, plus the bandwidth-reducing ordering of a
+operator), consistent loads, Dirichlet elimination, the interface dofs of
+both sides and rigid-body modes, plus the bandwidth-reducing ordering of a
 sparsity pattern and the positions of its entries in LAPACK band storage.
 """
 
@@ -397,13 +397,18 @@ class ModeStack(SparsePattern):
 
 @dataclass
 class SubdomainProblem:
-    """One sub-domain's discrete operators, after optional Dirichlet elimination."""
+    """One sub-domain's discrete operators, after optional Dirichlet elimination.
+
+    ``iface[k]`` is the dof that interface column k picks: the Boolean
+    extractor C has a single 1 at (iface[k], k), so ``C^T u`` is the gather
+    ``u[iface]`` and ``C lam`` scatters lam into those dofs.
+    """
 
     mesh: Mesh
     ncomp: int
     modes: ModeStack
     f: np.ndarray
-    C: sp.csr_matrix                   # (n_free_dofs, M_I)
+    iface: np.ndarray                  # (M_I,) distinct dof ids
     R: np.ndarray                      # (n_free_dofs, n_rigid) orthonormal, possibly 0 cols
     floating: bool
     free_dofs: np.ndarray              # original dof ids kept (identity before elimination)
@@ -412,19 +417,13 @@ class SubdomainProblem:
     def K_modes(self) -> list[sp.csr_matrix]:
         return self.modes.views
 
-    @cached_property
-    def extractor_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dof and the value of each column of ``C``: ``C^T U^T`` is
-        the gather ``U[:, dofs] * values``."""
-        return extractor_entries(self.C)
-
     @property
     def n_dofs(self) -> int:
         return self.f.shape[0]
 
     @property
     def n_interface(self) -> int:
-        return self.C.shape[1]
+        return self.iface.size
 
 
 def make_subdomain_problem(
@@ -432,7 +431,7 @@ def make_subdomain_problem(
     ncomp: int,
     modes: ModeStack,
     f: np.ndarray,
-    C: sp.csr_matrix,
+    iface: np.ndarray,
 ) -> SubdomainProblem:
     n = ncomp * mesh.n_nodes
     return SubdomainProblem(
@@ -440,7 +439,7 @@ def make_subdomain_problem(
         ncomp=ncomp,
         modes=modes,
         f=f,
-        C=C,
+        iface=iface,
         R=rigid_body_modes(mesh, ncomp),
         floating=True,
         free_dofs=np.arange(n, dtype=np.intp),
@@ -453,17 +452,11 @@ def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainPr
     Homogeneous data only: rows and columns are removed outright. Interface
     dofs must stay free, so eliminating one is an error.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.intp))
-    if problem.ncomp == 1:
-        drop = nodes
-    else:
-        drop = np.concatenate([2 * nodes, 2 * nodes + 1])
-    drop = np.unique(drop)
+    drop = np.unique(node_dofs(nodes, problem.ncomp))
     n = problem.n_dofs
     if drop.size and (drop.min() < 0 or drop.max() >= n):
         raise ValueError("Dirichlet node outside mesh")
-    interface_rows = np.unique(problem.C.tocoo().row)
-    clash = np.intersect1d(drop, interface_rows)
+    clash = np.intersect1d(drop, problem.iface)
     if clash.size:
         raise ValueError(
             f"cannot eliminate interface dofs {clash.tolist()}; interface must stay free"
@@ -471,17 +464,24 @@ def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainPr
     keep = np.setdiff1d(np.arange(n, dtype=np.intp), drop)
     if keep.size == 0:
         raise ValueError("Dirichlet elimination would remove every dof")
-    C = problem.C[keep].tocsr()
     return SubdomainProblem(
         mesh=problem.mesh,
         ncomp=problem.ncomp,
         modes=problem.modes.restrict(keep),
         f=problem.f[keep],
-        C=C,
+        iface=np.searchsorted(keep, problem.iface),
         R=np.zeros((keep.size, 0)),
         floating=False,
         free_dofs=problem.free_dofs[keep],
     )
+
+
+def node_dofs(nodes: np.ndarray, ncomp: int) -> np.ndarray:
+    """The dofs of the nodes, components fastest."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    if ncomp == 1:
+        return nodes
+    return np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
 
 
 def interface_nodes(mesh1: Mesh, mesh2: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -518,51 +518,17 @@ def interface_nodes(mesh1: Mesh, mesh2: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_interface_extractors(
-    mesh1: Mesh,
-    mesh2: Mesh,
-    ncomp: int = 1,
-    exclude_nodes1: np.ndarray | None = None,
-    exclude_nodes2: np.ndarray | None = None,
-) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Boolean extractors C_1, C_2 with a shared interface-column ordering.
+    mesh1: Mesh, ids1: np.ndarray, ids2: np.ndarray, ncomp: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interface dofs of both sides in one shared column order, from the
+    matched node pairs (ids1[k] on ``mesh1``, ids2[k] on the other mesh).
 
     Columns are ordered by the interface node coordinates (lexicographic in
-    (x, y)), components fastest. Nodes in the exclusion sets (Dirichlet nodes
-    sitting on the interface closure) are dropped from the interface.
-    Returns (C_1, C_2, interface coordinates per column-node).
+    (x, y)), components fastest. Returns (iface1, iface2, interface
+    coordinates per column-node).
     """
-    ids1, ids2 = interface_nodes(mesh1, mesh2)
-    if exclude_nodes1 is not None and len(exclude_nodes1):
-        m = ~np.isin(ids1, np.asarray(exclude_nodes1, dtype=np.intp))
-        ids1, ids2 = ids1[m], ids2[m]
-    if exclude_nodes2 is not None and len(exclude_nodes2):
-        m = ~np.isin(ids2, np.asarray(exclude_nodes2, dtype=np.intp))
-        ids1, ids2 = ids1[m], ids2[m]
     if ids1.size == 0:
         raise ValueError("meshes share no interface nodes")
     coords = mesh1.nodes[ids1]
     order = np.lexsort((coords[:, 1], coords[:, 0]))
-    ids1, ids2, coords = ids1[order], ids2[order], coords[order]
-
-    def extractor(mesh: Mesh, ids: np.ndarray) -> sp.csr_matrix:
-        n = ncomp * mesh.n_nodes
-        m_i = ncomp * ids.size
-        rows = (
-            ids
-            if ncomp == 1
-            else np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
-        )
-        cols = np.arange(m_i)
-        data = np.ones(m_i)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, m_i))
-
-    return extractor(mesh1, ids1), extractor(mesh2, ids2), coords
-
-
-def extractor_entries(C: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The dof and the value of each column of an interface extractor, which
-    must hold exactly one entry per column."""
-    Cc = sp.csc_matrix(C)
-    if not np.all(np.diff(Cc.indptr) == 1):
-        raise ValueError("each interface extractor column must pick one dof")
-    return Cc.indices, Cc.data
+    return node_dofs(ids1[order], ncomp), node_dofs(ids2[order], ncomp), coords[order]

@@ -6,9 +6,12 @@ blocks are expectation-weighted sums of the sub-domain stiffness modes:
 
     Khat_i(l, l') = sum_j H_i[j, l, l'] K_{i,j},   Chat_i = W (x) C_i.
 
-Each sub-domain stores its modes once, as a (J, nnz) data array on one
-sparsity pattern (``fem2d.ModeStack``), so the values of all blocks of
-``Khat_i`` come from one (r*r, J) x (J, nnz) product (``block_values``).
+The extractor C_i is Boolean: its column k picks the one dof ``iface[k]``
+of sub-domain i (``fem2d.SubdomainProblem``), so Chat_i scatters W lambda
+into those dofs and Chat_i^T gathers them, with no matrix stored. Each
+sub-domain stores its modes once, as a (J, nnz) data array on one sparsity
+pattern (``fem2d.ModeStack``), so the values of all blocks of ``Khat_i``
+come from one (r*r, J) x (J, nnz) product (``block_values``).
 The system is solved by one of two routes.
 
 The direct route (``direct_saddle_solve``) drops the multiplier. W is
@@ -53,7 +56,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fem2d import ModeStack, SparsePattern, band_index
@@ -121,9 +123,11 @@ class BlockOperators:
     j, each germ's own mode weights (``mode_weights``) times the other
     germ's Gram matrix; ``T2`` keeps the second germ's mode weights, which
     the first germ's factor update reads. ``W`` weights the coupling blocks;
-    ``fw`` weights the load. The block values ``V1``/``V2`` and the banded
-    factorizations behind ``K1_solve``/``K2_solve`` are built on first use,
-    on the band layouts that ``problem`` builds once.
+    ``fw`` weights the load; ``apply_C1``/``apply_C2`` scatter W lambda into
+    a side's interface dofs and ``apply_C1T``/``apply_C2T`` gather W U from
+    them. The block values ``V1``/``V2`` and the banded factorizations
+    behind ``K1_solve``/``K2_solve`` are built on first use, on the band
+    layouts that ``problem`` builds once.
     """
 
     rank: int
@@ -134,8 +138,6 @@ class BlockOperators:
     fw: np.ndarray
     modes1: ModeStack
     modes2: ModeStack
-    C1: sp.csr_matrix
-    C2: sp.csr_matrix
     f1: np.ndarray
     f2: np.ndarray
     R2: np.ndarray | None
@@ -151,7 +153,7 @@ class BlockOperators:
 
     @property
     def M_I(self) -> int:
-        return self.C1.shape[1]
+        return self.problem.sub[0].n_interface
 
     @property
     def floating(self) -> bool:
@@ -174,16 +176,28 @@ class BlockOperators:
         return block_values(self.modes2, self.H2)
 
     def apply_C1(self, lam: np.ndarray) -> np.ndarray:
-        return (self.C1 @ (self.W @ lam).T).T
+        return self._scatter(0, self.W @ lam)
 
     def apply_C2(self, lam: np.ndarray) -> np.ndarray:
-        return (self.C2 @ (self.W @ lam).T).T
+        return self._scatter(1, self.W @ lam)
 
     def apply_C1T(self, U: np.ndarray) -> np.ndarray:
-        return (self.C1.T @ (self.W @ U).T).T
+        return (self.W @ U)[:, self.problem.sub[0].iface]
 
     def apply_C2T(self, U: np.ndarray) -> np.ndarray:
-        return (self.C2.T @ (self.W @ U).T).T
+        return (self.W @ U)[:, self.problem.sub[1].iface]
+
+    def _scatter(self, side: int, A: np.ndarray) -> np.ndarray:
+        """The (r, M) block that holds A on side ``side``'s interface dofs.
+
+        It is column-major: the floating side's BLAS products ``B @ R2``
+        round according to the memory order of B, and the interface
+        iteration's outputs are pinned to this order.
+        """
+        sub = self.problem.sub[side]
+        out = np.zeros((A.shape[0], sub.n_dofs), order="F")
+        out[:, sub.iface] = A
+        return out
 
     def project_null2(self, U: np.ndarray) -> np.ndarray:
         """Remove the rigid-body content of every second-block factor."""
@@ -202,7 +216,7 @@ class BlockOperators:
         with I (x) R2 instead would add dense columns to the factor)."""
         lay = self.problem.local_layouts[1]
         what = "pinned second-block operator" if self.floating else "second-block operator"
-        return _band_solve(lay, (self.V2,), what, dofs=np.flatnonzero(lay.maps[0][0] >= 0))
+        return _band_solve(lay, (self.V2,), what, dofs=np.flatnonzero(lay.maps[0] >= 0))
 
 
 def build_block_operators(
@@ -242,8 +256,6 @@ def build_block_operators(
         fw=phi1[:, 0] * phi2[:, 0],
         modes1=problem.sub[0].modes,
         modes2=s2.modes,
-        C1=problem.sub[0].C,
-        C2=s2.C,
         f1=problem.sub[0].f,
         f2=s2.f,
         R2=s2.R if s2.floating else None,
@@ -291,8 +303,8 @@ class PcpgTrace:
 class InterfaceProblem:
     """Implicit interface operator, projector, and preconditioner.
 
-    ``C2I = C2^T R2`` is the interface image of the floating side's
-    rigid-body modes, None when no side floats.
+    ``C2I = C2^T R2``, the interface rows of R2, is the interface image of
+    the floating side's rigid-body modes, None when no side floats.
     """
 
     ops: BlockOperators
@@ -305,7 +317,7 @@ class InterfaceProblem:
     def __post_init__(self):
         ops = self.ops
         if ops.floating:
-            self.C2I = ops.C2.T @ ops.R2
+            self.C2I = ops.R2[ops.problem.sub[1].iface]
             SR = np.kron(ops.W @ ops.W, self.C2I.T @ self.C2I)
             try:
                 self._SR = scipy.linalg.cho_factor(SR)
@@ -352,26 +364,26 @@ class InterfaceProblem:
 def build_preconditioner(ops: BlockOperators) -> Callable[[np.ndarray], np.ndarray]:
     """Stiffness-scaled interface preconditioner S^{-1}(C^T Khat C summed) S^{-1}.
 
-    S = Chat_1^T Chat_1 + Chat_2^T Chat_2 = 2 W^2 (x) I because the Boolean
-    extractors satisfy C_i^T C_i = I (each interface dof is shared by exactly
-    the two sub-domains). It is the one preconditioner of the interface
-    iteration; an unpreconditioned ``InterfaceProblem`` takes the identity
-    as ``precond``.
+    S = Chat_1^T Chat_1 + Chat_2^T Chat_2 = 2 W^2 (x) I because each side's
+    interface dofs are distinct, so C_i^T C_i = I (each interface dof is
+    shared by exactly the two sub-domains). It is the one preconditioner of
+    the interface iteration; an unpreconditioned ``InterfaceProblem`` takes
+    the identity as ``precond``.
     """
     Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
     # the interface blocks KI_j = C_i^T K_j C_i are symmetric, so
-    # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A); with p, c the
-    # extractor's dofs and entries, KI_j A is c times the rows p of K_j (c A at p)
-    sides = [(s.modes, V, *s.extractor_entries) for s, V in zip(ops.problem.sub, (ops.V1, ops.V2))]
+    # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A); with p the
+    # interface dofs, KI_j A is the rows p of K_j applied to A placed at p
+    sides = [(s.modes, V, s.iface) for s, V in zip(ops.problem.sub, (ops.V1, ops.V2))]
     W = ops.W
 
     def apply(lam: np.ndarray) -> np.ndarray:
         A = W @ (Winv2 @ lam)
         S = np.zeros_like(A)
-        for modes, V, p, c in sides:
+        for modes, V, p in sides:
             U = np.zeros((A.shape[0], modes.n))
-            U[:, p] = A * c
-            S += c * apply_blocks(modes, V, U, p)
+            U[:, p] = A
+            S += apply_blocks(modes, V, U, p)
         return Winv2 @ (W @ S)
 
     return apply
@@ -483,18 +495,18 @@ def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
     l = np.arange(r)
     up = np.triu_indices(r)
     # no position repeats within one side; the sides meet on the interface
-    for V, ((e, i, j, w), (d, k, wd)) in zip(values, lay.upper):
+    for V, ((e, i, j), (d, k)) in zip(values, lay.upper):
         rows, cols = r * i + l[:, None, None], r * j + l[None, :, None]
-        flat[band_index(rows, cols, kd + 1, kd)] += V[:, :, e] * w
+        flat[band_index(rows, cols, kd + 1, kd)] += V[:, :, e]
         rows, cols = r * k + up[0][:, None], r * k + up[1][:, None]
-        flat[band_index(rows, cols, kd + 1, kd)] += V[up][:, d] * wd
+        flat[band_index(rows, cols, kd + 1, kd)] += V[up][:, d]
     return ab
 
 
 def _primal_load(ops: BlockOperators) -> np.ndarray:
     """The (r, n) load fw (x) f of ``direct_saddle_solve`` on the merged dofs."""
     lay = ops.problem.primal_layout
-    f = np.bincount(lay.maps[1][0], weights=lay.maps[1][1] * ops.f2, minlength=lay.n)
+    f = np.bincount(lay.maps[1], weights=ops.f2, minlength=lay.n)
     f[: ops.M1] += ops.f1
     return np.outer(ops.fw, f)
 
@@ -536,7 +548,7 @@ def direct_saddle_solve(
 
     W is nonsingular whenever the saddle system is, so the continuity rows
     say C1^T u1[l] = C2^T u2[l] for every factor l, and each side-2
-    interface dof is its side-1 partner scaled by c1_k / c2_k
+    interface dof is its side-1 partner
     (``problems.CoupledProblem.primal_layout``, built once per problem).
     What is left is the symmetric positive definite system of the n merged
     dofs and r factors, which ``_primal_band`` writes straight into LAPACK
@@ -546,9 +558,8 @@ def direct_saddle_solve(
     (``beam-desk``), 1 100 and 26r - 1 (``beam``), 1 640 and 23r - 1
     (``lshape``); at r = 10 on ``beam-desk`` that is a 140 x 2 400 band.
     The multiplier follows from side 1's interface equilibrium,
-    W lambda = C1^T (Khat_1 u1 - fhat1) / c1^2 with c1 the extractor
-    entries, and alpha = R2hat^T u2. A singular system (a zero stochastic
-    factor, say) raises ``SolverError``.
+    W lambda = C1^T (Khat_1 u1 - fhat1), and alpha = R2hat^T u2. A singular
+    system (a zero stochastic factor, say) raises ``SolverError``.
     """
     r = ops.rank
     n = r * (ops.M1 + ops.M2 + ops.M_I)
@@ -559,13 +570,11 @@ def direct_saddle_solve(
         )
     lay = ops.problem.primal_layout
     u = _band_solve(lay, (ops.V1, ops.V2), "block saddle system")(_primal_load(ops))
-    dof2, scale2 = lay.maps[1]
-    u1, u2 = u[:, : ops.M1], u[:, dof2] * scale2
+    u1, u2 = u[:, : ops.M1], u[:, lay.maps[1]]
     # side 1's equilibrium at interface dof p1_k: (Khat_1 u1 - fhat1)[p1_k]
-    # = c1_k (W lambda)[k]
-    p1, c1 = ops.problem.sub[0].extractor_entries
-    Ku = apply_blocks(ops.modes1, ops.V1, u1, p1)
-    Wlam = (Ku - np.outer(ops.fw, ops.f1[p1])) / c1
+    # = (W lambda)[k]
+    p1 = ops.problem.sub[0].iface
+    Wlam = apply_blocks(ops.modes1, ops.V1, u1, p1) - np.outer(ops.fw, ops.f1[p1])
     lam = np.linalg.solve(ops.W, Wlam)
     alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
     return u1, u2, lam, alpha

@@ -188,7 +188,9 @@ class CoupledProblem:
 
     ``sub`` holds the reduced (post-Dirichlet) problems used by the solvers;
     ``f_full`` keeps each sub-domain's load before Dirichlet elimination, for
-    monolithic merging and reaction recovery. Factors of the separated
+    monolithic merging and reaction recovery. ``dirichlet_nodes`` are each
+    side's fixed nodes: a shared node that either side's wall holds is
+    fixed on both and is no interface node. Factors of the separated
     representation for germ i live in the span of ``idx_solution[i]``.
     """
 
@@ -209,19 +211,14 @@ class CoupledProblem:
     @cached_property
     def primal_layout(self) -> "PrimalLayout":
         """The sub-domains merged along the interface (``feti.direct_saddle_solve``):
-        continuity C1^T u1 = C2^T u2 ties side-2 interface dof p2_k to its
-        side-1 partner p1_k as u2[p2_k] = (c1_k / c2_k) u1[p1_k], with c_k
-        the extractor entries; side-1 dof i is merged dof i."""
+        continuity C1^T u1 = C2^T u2 makes side-2 interface dof iface2[k] its
+        side-1 partner iface1[k]; side-1 dof i is merged dof i."""
         s1, s2 = self.sub
-        p1, c1 = s1.extractor_entries
-        p2, c2 = s2.extractor_entries
         dof2 = np.full(s2.n_dofs, -1, dtype=np.intp)
-        dof2[p2] = p1
+        dof2[s2.iface] = s1.iface
         fresh = np.flatnonzero(dof2 < 0)
         dof2[fresh] = s1.n_dofs + np.arange(fresh.size)
-        scale2 = np.ones(s2.n_dofs)
-        scale2[p2] = c1 / c2
-        return primal_layout([_whole(s1), (s2.modes, dof2, scale2)])
+        return primal_layout([_whole(s1), (s2.modes, dof2)])
 
     @cached_property
     def local_layouts(self) -> tuple["PrimalLayout", "PrimalLayout"]:
@@ -234,7 +231,7 @@ class CoupledProblem:
             pins = scipy.linalg.qr(s2.R.T, pivoting=True)[2][: s2.R.shape[1]]
             dof2 = np.cumsum(~np.isin(dof2, pins)) - 1
             dof2[pins] = -1
-        return primal_layout([_whole(s1)]), primal_layout([(s2.modes, dof2, np.ones(s2.n_dofs))])
+        return primal_layout([_whole(s1)]), primal_layout([(s2.modes, dof2)])
 
 
 @dataclass(frozen=True)
@@ -242,34 +239,33 @@ class PrimalLayout:
     """The stiffness modes of one or more sides on one symmetric band of n
     dofs, the rank-independent part of a banded solve (``feti._primal_band``).
 
-    Side s puts its dof a on band dof ``maps[s][0][a]`` with the factor
-    ``maps[s][1][a]``; a dof mapped to -1 is dropped with its row and
-    column. ``perm``/``inv`` are a reverse Cuthill-McKee ordering of the
-    band dofs, b the half-bandwidth of the ordered pattern. ``upper[s]``
-    picks side s's stored entries (a, b) on or above the diagonal, as
-    ``(strict, diag)``: ``(entries, inv of a, inv of b, scale)`` off the
-    diagonal and ``(entries, inv of a, scale)`` on it.
+    Side s puts its dof a on band dof ``maps[s][a]``; a dof mapped to -1 is
+    dropped with its row and column. ``perm``/``inv`` are a reverse
+    Cuthill-McKee ordering of the band dofs, b the half-bandwidth of the
+    ordered pattern. ``upper[s]`` picks side s's stored entries (a, b) on or
+    above the diagonal, as ``(strict, diag)``: ``(entries, inv of a, inv of
+    b)`` off the diagonal and ``(entries, inv of a)`` on it.
     """
 
     n: int
     b: int
     perm: np.ndarray
     inv: np.ndarray
-    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    maps: tuple[np.ndarray, ...]
     upper: tuple[tuple, ...]
 
 
-def _whole(sub: SubdomainProblem) -> tuple[ModeStack, np.ndarray, np.ndarray]:
-    """A sub-domain as a side of a band with all its dofs, unscaled."""
-    return sub.modes, np.arange(sub.n_dofs), np.ones(sub.n_dofs)
+def _whole(sub: SubdomainProblem) -> tuple[ModeStack, np.ndarray]:
+    """A sub-domain as a side of a band with all its dofs."""
+    return sub.modes, np.arange(sub.n_dofs)
 
 
-def primal_layout(sides: list[tuple[ModeStack, np.ndarray, np.ndarray]]) -> PrimalLayout:
-    """Band layout of the sides (stiffness modes, dof map, scale)."""
-    maps = tuple((dmap, scale) for _, dmap, scale in sides)
-    n = 1 + max(int(dmap.max()) for dmap, _ in maps)
+def primal_layout(sides: list[tuple[ModeStack, np.ndarray]]) -> PrimalLayout:
+    """Band layout of the sides (stiffness modes, dof map)."""
+    maps = tuple(dmap for _, dmap in sides)
+    n = 1 + max(int(dmap.max()) for dmap in maps)
     kept = []
-    for modes, dmap, _ in sides:
+    for modes, dmap in sides:
         i, j = dmap[modes.rows], dmap[modes.indices]
         e = np.flatnonzero((i >= 0) & (j >= 0))
         kept.append((e, i[e], j[e]))
@@ -277,12 +273,10 @@ def primal_layout(sides: list[tuple[ModeStack, np.ndarray, np.ndarray]]) -> Prim
         n, np.concatenate([i for _, i, _ in kept]), np.concatenate([j for _, _, j in kept])
     )
     upper = []
-    for (modes, _, s), (e, i, j) in zip(sides, kept):
-        i, j, w = inv[i], inv[j], s[modes.rows[e]] * s[modes.indices[e]]
+    for e, i, j in kept:
+        i, j = inv[i], inv[j]
         strict, diag = np.flatnonzero(i < j), np.flatnonzero(i == j)
-        upper.append(
-            ((e[strict], i[strict], j[strict], w[strict]), (e[diag], i[diag], w[diag]))
-        )
+        upper.append(((e[strict], i[strict], j[strict]), (e[diag], i[diag])))
     return PrimalLayout(n=n, b=b, perm=perm, inv=inv, maps=maps, upper=tuple(upper))
 
 
@@ -316,26 +310,6 @@ def _assemble_modes(
     return fem2d.assemble_elasticity_mode(mesh, coeffs, nu)
 
 
-def _dirichlet_coord_exclusions(
-    meshes: list[Mesh], dirichlet: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Interface nodes must be dropped if their location is constrained in
-    either sub-domain (shared corner nodes)."""
-    taken = set()
-    for mesh, nodes in zip(meshes, dirichlet):
-        for n in nodes:
-            taken.add((float(mesh.nodes[n, 0]), float(mesh.nodes[n, 1])))
-    out = []
-    for mesh in meshes:
-        ids = [
-            n
-            for n in range(mesh.n_nodes)
-            if (float(mesh.nodes[n, 0]), float(mesh.nodes[n, 1])) in taken
-        ]
-        out.append(np.array(ids, dtype=np.intp))
-    return out
-
-
 def _finish(
     kind: str,
     ncomp: int,
@@ -346,14 +320,17 @@ def _finish(
     config: dict[str, Any],
 ) -> CoupledProblem:
     nu = config["field"]["nu"]
-    excl = _dirichlet_coord_exclusions(meshes, dirichlet)
-    C1, C2, coords = fem2d.build_interface_extractors(
-        meshes[0], meshes[1], ncomp=ncomp, exclude_nodes1=excl[0], exclude_nodes2=excl[1]
+    ids1, ids2 = fem2d.interface_nodes(meshes[0], meshes[1])
+    # a shared node that either side's wall holds is fixed on both sides
+    fixed = np.isin(ids1, dirichlet[0]) | np.isin(ids2, dirichlet[1])
+    dirichlet = [np.union1d(dn, ids[fixed]) for dn, ids in zip(dirichlet, (ids1, ids2))]
+    iface1, iface2, coords = fem2d.build_interface_extractors(
+        meshes[0], ids1[~fixed], ids2[~fixed], ncomp
     )
     reduced = []
-    for mesh, pc_field, f, C, dn in zip(meshes, fields, loads, (C1, C2), dirichlet):
+    for mesh, pc_field, f, iface, dn in zip(meshes, fields, loads, (iface1, iface2), dirichlet):
         modes = _assemble_modes(mesh, pc_field, kind, nu)
-        prob = fem2d.make_subdomain_problem(mesh, ncomp, modes, f, C)
+        prob = fem2d.make_subdomain_problem(mesh, ncomp, modes, f, iface)
         reduced.append(fem2d.apply_dirichlet(prob, dn) if dn.size else prob)
     idx = (
         build_index_set(fields[0].n_dims, int(config["pc"]["p1"])),
@@ -467,13 +444,6 @@ class MonolithicProblem:
     restrict2: np.ndarray
 
 
-def _dof_expand(nodes: np.ndarray, ncomp: int) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=np.intp)
-    if ncomp == 1:
-        return nodes
-    return np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-
-
 def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     """Merge the two sub-domains into one conforming problem.
 
@@ -492,8 +462,8 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     local2glob2[fresh] = n1 + np.arange(fresh.size)
     n_nodes = n1 + fresh.size
 
-    dmap1 = _dof_expand(np.arange(n1), ncomp)
-    dmap2 = _dof_expand(local2glob2, ncomp)
+    dmap1 = fem2d.node_dofs(np.arange(n1), ncomp)
+    dmap2 = fem2d.node_dofs(local2glob2, ncomp)
     n_dofs = ncomp * n_nodes
 
     d1, d2 = problem.fields[0].n_dims, problem.fields[1].n_dims
@@ -512,8 +482,8 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
 
     fixed = np.concatenate(
         [
-            _dof_expand(problem.dirichlet_nodes[0], ncomp),
-            dmap2[_dof_expand(problem.dirichlet_nodes[1], ncomp)],
+            fem2d.node_dofs(problem.dirichlet_nodes[0], ncomp),
+            dmap2[fem2d.node_dofs(problem.dirichlet_nodes[1], ncomp)],
         ]
     )
     free_glob = np.setdiff1d(np.arange(n_dofs), fixed)

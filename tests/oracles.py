@@ -12,8 +12,10 @@ probe-point sampling with kernel density estimates and their L1 gap
 (criterion 9), the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
 Gaussian kernel by its broadcast formula and the KL eigenproblem solved
-for all n pairs by a dense solve, a sub-domain's unreduced mean stiffness
-and extractor (the problem keeps only the reduced ones), the
+for all n pairs by a dense solve, the Boolean extractor matrix of a
+sub-domain's interface dofs (the library keeps only the dof list), a
+sub-domain's unreduced mean stiffness and interface dofs (the problem keeps
+only the reduced ones), the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) to
@@ -367,16 +369,23 @@ def dense_kl(
     return random_field.KLBasis(eigenvalues=tau, modes=modes, mass=fem2d.mass_matrix(mesh))
 
 
+def extractor(sub: fem2d.SubdomainProblem) -> sp.csr_matrix:
+    """The Boolean interface extractor C of a sub-domain: column k holds a
+    single 1, at dof ``sub.iface[k]``."""
+    k = np.arange(sub.n_interface)
+    return sp.csr_matrix((np.ones(k.size), (sub.iface, k)), shape=(sub.n_dofs, k.size))
+
+
 def unreduced_mean_subdomain(
     problem: problems.CoupledProblem, side: int
 ) -> fem2d.SubdomainProblem:
     """Sub-domain ``side`` before Dirichlet elimination, with its mean
-    stiffness mode only, its unreduced load and its unreduced extractor."""
+    stiffness mode only, its unreduced load and its unreduced interface
+    dofs: the matched node pairs without the Dirichlet nodes."""
     meshes = [sub.mesh for sub in problem.sub]
-    excl = problems._dirichlet_coord_exclusions(meshes, list(problem.dirichlet_nodes))
-    C = fem2d.build_interface_extractors(
-        *meshes, ncomp=problem.ncomp, exclude_nodes1=excl[0], exclude_nodes2=excl[1]
-    )[side]
+    ids1, ids2 = fem2d.interface_nodes(*meshes)
+    free = ~(np.isin(ids1, problem.dirichlet_nodes[0]) | np.isin(ids2, problem.dirichlet_nodes[1]))
+    iface = fem2d.build_interface_extractors(meshes[0], ids1[free], ids2[free], problem.ncomp)[side]
     field = problem.fields[side]
     mean = field.coeff_fields[0] + field.shift
     mesh = meshes[side]
@@ -384,7 +393,7 @@ def unreduced_mean_subdomain(
         modes = fem2d.assemble_diffusion_mode(mesh, mean)
     else:
         modes = fem2d.assemble_elasticity_mode(mesh, mean, problem.config["field"]["nu"])
-    return fem2d.make_subdomain_problem(mesh, problem.ncomp, modes, problem.f_full[side], C)
+    return fem2d.make_subdomain_problem(mesh, problem.ncomp, modes, problem.f_full[side], iface)
 
 
 def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
@@ -515,8 +524,7 @@ def saddle_solve_superlu(
             f"direct saddle solve of size {n} exceeds the cap {feti._DIRECT_SIZE_CAP}; "
             "use the interface iteration"
         )
-    C1 = sp.kron(sp.csr_matrix(ops.W), ops.C1)
-    C2 = sp.kron(sp.csr_matrix(ops.W), ops.C2)
+    C1, C2 = (sp.kron(sp.csr_matrix(ops.W), extractor(s)) for s in ops.problem.sub)
     K1hat, K2hat = block_operators(ops)
     A = sp.bmat([[K1hat, None, -C1], [None, K2hat, C2], [-C1.T, C2.T, None]], format="csc")
     b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
@@ -606,8 +614,7 @@ def solve_coupled_sg(problem: problems.CoupledProblem, p: int | None = None) -> 
     rows2 = np.pad(problem.fields[1].idx_set.indices, ((0, 0), (d1, 0)))
     G1 = pcb.triple_moment_stack(fam, rows1, idx).dense()
     G2 = pcb.triple_moment_stack(fam, rows2, idx).dense()
-    B1 = sp.kron(sp.identity(P, format="csr"), s1.C)
-    B2 = sp.kron(sp.identity(P, format="csr"), s2.C)
+    B1, B2 = (sp.kron(sp.identity(P, format="csr"), extractor(s)) for s in (s1, s2))
     A11 = reference.kron_sum(s1.modes, feti.block_values(s1.modes, G1))
     A22 = reference.kron_sum(s2.modes, feti.block_values(s2.modes, G2))
     A = sp.bmat([[A11, None, -B1], [None, A22, B2], [-B1.T, B2.T, None]], format="csc")
@@ -656,7 +663,7 @@ def residual_norm(
         sub = problem.sub[i]
         fnorm = float(np.linalg.norm(sub.f))
         U = factors[i]
-        dofs, values = fem2d.extractor_entries(sub.C)
+        C = extractor(sub)
         KU = np.stack([np.asarray((K @ U.T).T) for K in sub.K_modes])
         J, r, M = KU.shape
         KU = KU.reshape(J * r, M)
@@ -666,7 +673,7 @@ def residual_norm(
             Psi = pcb.eval_multivariate_batch(fam, problem.fields[i].idx_set, xi[i][start:stop])
             Z = (Psi[:, :, None] * c[start:stop, None, :]).reshape(stop - start, J * r)
             R = np.tile(sub.f, (stop - start, 1))
-            R[:, dofs] += signs[i] * (values * lam_vals[start:stop])
+            R += signs[i] * (C @ lam_vals[start:stop].T).T
             R -= Z @ KU
             sq[start:stop] = np.einsum("nm,nm->n", R, R)
         m = float(sq.mean())

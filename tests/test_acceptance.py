@@ -121,8 +121,7 @@ def dense_saddle_multiplier(ops):
         np.kron(ops.H2[j], ops.modes2.views[j].toarray())
         for j in range(len(ops.modes2.views))
     )
-    C1 = np.kron(ops.W, ops.C1.toarray())
-    C2 = np.kron(ops.W, ops.C2.toarray())
+    C1, C2 = (np.kron(ops.W, oracles.extractor(s).toarray()) for s in ops.problem.sub)
     n1, n2, m = K1.shape[0], K2.shape[0], C1.shape[1]
     A = np.zeros((n1 + n2 + m, n1 + n2 + m))
     A[:n1, :n1] = K1

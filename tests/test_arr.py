@@ -68,8 +68,7 @@ def quadrature_energy(problem, sol, n_quad=12):
     s1, s2 = problem.sub
     K1 = [K.toarray() for K in s1.K_modes]
     K2 = [K.toarray() for K in s2.K_modes]
-    C1 = s1.C.toarray()
-    C2 = s2.C.toarray()
+    C1, C2 = (oracles.extractor(s).toarray() for s in (s1, s2))
     total = 0.0
     for q1, w1 in enumerate(w):
         phi1_val = sol.phi1 @ t1[idx1.indices[:, 0], q1]
@@ -241,7 +240,7 @@ def test_deterministic_update_continuity():
     prob = desk_problem(example="beam")
     sol = random_solution(prob, rank=2, seed=7)
     upd = arr.deterministic_update(prob, sol, method="pcpg", pcpg_eps=1e-12)
-    C1, C2 = prob.sub[0].C.toarray(), prob.sub[1].C.toarray()
+    C1, C2 = (oracles.extractor(s).toarray() for s in prob.sub)
     gap = upd.u2 @ C2 - upd.u1 @ C1
     assert np.abs(gap).max() < 1e-8 * max(np.abs(upd.u1).max(), np.abs(upd.u2).max())
 
@@ -268,7 +267,7 @@ def test_interface_violation_after_direct_update_and_on_perturbed_factors(exampl
         phi1=upd.phi1 + 0.1 * rng.standard_normal(upd.phi1.shape),
         phi2=upd.phi2,
     )
-    C1, C2 = prob.sub[0].C.toarray(), prob.sub[1].C.toarray()
+    C1, C2 = (oracles.extractor(s).toarray() for s in prob.sub)
     D = moved.u1 @ C1 - moved.u2 @ C2
     W = (moved.phi1 @ moved.phi1.T) * (moved.phi2 @ moved.phi2.T)
     want = second_moment(W, D)

@@ -167,6 +167,21 @@ def test_reference_sg_and_compare_self(tmp_path, desk_config, capsys):
     assert payload["std_defined"] is True
 
 
+def test_one_sided_dirichlet_interface_node_run_reference_compare(tmp_path, one_sided_config):
+    config = tmp_path / "one-sided.json"
+    config.write_text(json.dumps(one_sided_config))
+    run, ref = tmp_path / "run", tmp_path / "ref"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(run)]) == 0
+    assert (
+        cli.main(["reference", "--config", str(config), "--method", "sg", "--out-dir", str(ref)])
+        == 0
+    )
+    out = tmp_path / "cmp.json"
+    args = ["--candidate", str(run / "moments.csv"), "--reference", str(ref / "moments.csv")]
+    assert cli.main(["compare", *args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["eps_mean"] < 1e-2
+
+
 def test_reference_mc_summary(tmp_path, desk_config):
     ref_dir = tmp_path / "ref"
     assert (

@@ -5,28 +5,13 @@ interface iteration, written by the same band writer."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv
 
 import oracles
-from sepfeti import arr, feti, problems, reference
-
-
-@pytest.fixture(scope="module")
-def profile_problem():
-    """Built-in profiles by name, each built once for the module."""
-    built = {}
-
-    def get(name):
-        if name not in built:
-            built[name] = problems.build_from_config(problems.profile_config(name))
-        return built[name]
-
-    return get
+from sepfeti import arr, feti, reference
 
 
 def operators(problem, rank, seed):
@@ -47,12 +32,6 @@ def assert_matches_reference(ops, rtol=1e-10):
     return got, want
 
 
-def signed(problem):
-    """The same problem with the second extractor negated, c1/c2 = -1."""
-    s1, s2 = problem.sub
-    return dataclasses.replace(problem, sub=(s1, dataclasses.replace(s2, C=-s2.C)))
-
-
 @pytest.mark.parametrize(
     "name, rank",
     [
@@ -66,18 +45,6 @@ def test_primal_route_matches_saddle_reference(profile_problem, name, rank):
     ops = operators(profile_problem(name), rank, seed=40 + rank)
     assert ops.floating == name.startswith("beam")
     assert_matches_reference(ops)
-
-
-@pytest.mark.parametrize("name", ["lshape-desk", "beam-desk"])
-def test_signed_extractor_pair_matches_reference(profile_problem, name):
-    flipped = signed(profile_problem(name))
-    p2 = flipped.sub[1].C.tocoo().row
-    np.testing.assert_array_equal(flipped.primal_layout.maps[1][1][p2], -1.0)
-    (u1, u2, _, _), _ = assert_matches_reference(operators(flipped, 3, seed=47))
-    C1, C2 = flipped.sub[0].C, flipped.sub[1].C
-    np.testing.assert_allclose(
-        (C1.T @ u1.T).T, (C2.T @ u2.T).T, rtol=0, atol=1e-12 * np.abs(u1).max()
-    )
 
 
 def band_order(lay, r, dofs, M):
@@ -100,19 +67,23 @@ def unpack(ab, shape):
 
 
 @pytest.mark.parametrize("name, rank", [("lshape-desk", 2), ("beam-desk", 3)])
-@pytest.mark.parametrize("flip", [False, True])
-def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, flip):
+@pytest.mark.parametrize("swap", [False, True])
+def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, swap):
+    # swap exchanges the two sub-domains, so the other one's dofs are the
+    # merged band's first block (on beam-desk, the floating one's)
     problem = profile_problem(name)
-    if flip:
-        problem = signed(problem)
+    if swap:
+        problem = oracles.swap_subdomains(problem)
     ops = operators(problem, rank, seed=48)
     lay, r = problem.primal_layout, rank
-    (dof1, _), (dof2, scale2) = lay.maps
+    dof1, dof2 = lay.maps
     np.testing.assert_array_equal(dof1, np.arange(ops.M1))
+    s1, s2 = problem.sub
+    np.testing.assert_array_equal(dof2[s2.iface], s1.iface)
     # the primal matrix in the rank-major order of Khat: each side's dofs
-    # mapped to the merged dofs, with the side-2 scale
+    # mapped to the merged dofs
     Q1 = sp.eye(ops.M1, lay.n, format="csr")
-    Q2 = sp.csr_matrix((scale2, (np.arange(ops.M2), dof2)), shape=(ops.M2, lay.n))
+    Q2 = sp.csr_matrix((np.ones(ops.M2), (np.arange(ops.M2), dof2)), shape=(ops.M2, lay.n))
     E1, E2 = (sp.kron(sp.identity(r), Q, format="csr") for Q in (Q1, Q2))
     K1hat, K2hat = reference.kron_sum(ops.modes1, ops.V1), reference.kron_sum(ops.modes2, ops.V2)
     A = E1.T @ K1hat @ E1 + E2.T @ K2hat @ E2
@@ -133,10 +104,9 @@ def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, flip):
     # rows and columns of its pinned dofs
     sides = zip(problem.local_layouts, (ops.V1, ops.V2), (ops.H1, ops.H2))
     for side, (local, V, H) in enumerate(sides):
-        (dmap, scale), = local.maps
+        dmap, = local.maps
         kept = np.flatnonzero(dmap >= 0)
         np.testing.assert_array_equal(dmap[kept], np.arange(local.n))
-        np.testing.assert_array_equal(scale, 1.0)
         pinned = side == 1 and ops.floating
         assert dmap.size - kept.size == (ops.R2.shape[1] if pinned else 0)
         if pinned:  # the pins leave the rigid-body modes full rank
@@ -168,14 +138,14 @@ def test_direct_route_bit_for_bit(profile_problem):
         assert info == 0
         u = x.reshape(lay.n, rank)[lay.inv].T
         assert np.array_equal(u1, u[:, : ops.M1]), name
-        assert np.array_equal(u2, u[:, lay.maps[1][0]] * lay.maps[1][1]), name
-        p1, c1 = ops.problem.sub[0].extractor_entries
+        assert np.array_equal(u2, u[:, lay.maps[1]]), name
+        p1 = ops.problem.sub[0].iface
         m = ops.modes1
         lo, length = m.indptr[p1], np.diff(m.indptr)[p1]
         starts = np.append(0, np.cumsum(length)[:-1])
         e = np.repeat(lo - starts, length) + np.arange(length.sum())
         Ku = np.einsum("lme,me->le", ops.V1[:, :, e], u1[:, m.indices[e]])
-        Wlam = (np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[p1])) / c1
+        Wlam = np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[p1])
         assert np.array_equal(lam, np.linalg.solve(ops.W, Wlam)), name
         # the same rows of the whole product, to rounding
         np.testing.assert_allclose(

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from sepfeti import fem2d, problems
+from sepfeti import arr, feti, problems, reference, stats
 
 
 def lshape_desk(**field_over):
@@ -100,6 +100,74 @@ def test_lshape_interface_excludes_shared_corner():
     assert prob.interface_coords.shape == (4, 2)
 
 
+def _node_at(mesh, xy):
+    return int(np.flatnonzero((mesh.nodes == xy).all(axis=1))[0])
+
+
+@pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam", "one-sided"])
+def test_interface_dofs_pair_one_node_and_component(profile_problem, one_sided_config, name):
+    if name == "one-sided":
+        prob = problems.build_from_config(one_sided_config)
+    else:
+        prob = profile_problem(name)
+    nc, coords = prob.ncomp, prob.interface_coords
+    for s in prob.sub:
+        assert np.unique(s.iface).size == s.n_interface == nc * len(coords)
+        assert s.iface.min() >= 0 and s.iface.max() < s.n_dofs
+        C = oracles.extractor(s)
+        np.testing.assert_array_equal((C.T @ C).toarray(), np.eye(s.n_interface))
+        # column k is component k % nc of the k // nc-th interface node
+        node, comp = np.divmod(s.free_dofs[s.iface], nc)
+        np.testing.assert_array_equal(s.mesh.nodes[node], np.repeat(coords, nc, axis=0))
+        np.testing.assert_array_equal(comp, np.tile(np.arange(nc), len(coords)))
+    # the coupling blocks (W (x) C_i) lam = C_i (W lam) and their transposes
+    rng = np.random.default_rng(5)
+    ops = feti.build_block_operators(
+        prob, *(rng.standard_normal((3, len(idx))) for idx in prob.idx_solution)
+    )
+    lam = rng.standard_normal((3, ops.M_I))
+    sides = ((ops.apply_C1, ops.apply_C1T), (ops.apply_C2, ops.apply_C2T))
+    for s, (apply_C, apply_CT) in zip(prob.sub, sides):
+        C = oracles.extractor(s)
+        U = rng.standard_normal((3, s.n_dofs))
+        assert np.array_equal(apply_C(lam), (C @ (ops.W @ lam).T).T)
+        assert np.array_equal(apply_CT(U), (C.T @ (ops.W @ U).T).T)
+
+
+@pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam"])
+def test_profile_dirichlet_nodes_are_the_walls(profile_problem, name):
+    prob = profile_problem(name)
+    m1, m2 = (s.mesh for s in prob.sub)
+    if name.startswith("lshape"):
+        walls = (m1.nodes_on_side("right"), m2.nodes_on_side("right"))
+    else:
+        walls = (m1.nodes_on_side("left"), np.array([], dtype=np.intp))
+    for nodes, wall in zip(prob.dirichlet_nodes, walls):
+        np.testing.assert_array_equal(nodes, wall)
+
+
+def test_one_sided_dirichlet_interface_node_fixed_on_both_sides(one_sided_config):
+    prob = problems.build_from_config(one_sided_config)
+    for s, nodes in zip(prob.sub, prob.dirichlet_nodes):
+        corner = _node_at(s.mesh, (2.0, 1.0))
+        assert corner in nodes
+        assert corner not in s.free_dofs and corner not in s.free_dofs[s.iface]
+    s1, s2 = prob.sub
+    assert (s1.n_interface, s2.n_dofs) == (4, 71)
+    mono = problems.as_monolithic(prob)
+    assert mono.n_free == s1.n_dofs + s2.n_dofs - s1.n_interface
+    # criterion 1's thresholds against the combined-basis Galerkin oracle
+    solution, _ = arr.arr_run(prob, eps=1e-2, r_max=10)
+    sg = reference.solve_monolithic_sg(prob)
+    metrics = stats.error_metrics(
+        stats.report_separated(prob, solution),
+        stats.report_reference(prob, sg.mean(), sg.std(), label="galerkin"),
+    )
+    assert solution.rank <= 10
+    assert metrics.eps_mean < 1e-2
+    assert metrics.std_defined and metrics.eps_std < 5e-2
+
+
 def test_lshape_sigma_zero_deterministic():
     prob = lshape_desk(sigma1=0.0, sigma2=0.0)
     for side in range(2):
@@ -160,8 +228,7 @@ def _dense_saddle_solve(prob):
     s1, s2 = prob.sub
     K1 = s1.K_modes[0].toarray()
     K2 = s2.K_modes[0].toarray()
-    C1 = s1.C.toarray()
-    C2 = s2.C.toarray()
+    C1, C2 = (oracles.extractor(s).toarray() for s in (s1, s2))
     n1, n2, m = K1.shape[0], K2.shape[0], C1.shape[1]
     # the continuity rows pin any floating modes, so no extra unknowns
     A = np.zeros((n1 + n2 + m, n1 + n2 + m))
@@ -197,10 +264,10 @@ def test_beam_reaction_resultant():
     r = full.K_modes[0] @ u1_full - full.f
     clamped = np.setdiff1d(np.arange(full.n_dofs), prob.sub[0].free_dofs)
     # interface tractions do not act on the clamped wall
-    assert full.C[clamped].count_nonzero() == 0
+    assert not np.isin(full.iface, clamped).any()
     assert r[clamped][0::2].sum() == pytest.approx(0.0, abs=1e-9)
     assert r[clamped][1::2].sum() == pytest.approx(0.4, rel=1e-9)
-    assert np.abs(r[prob.sub[0].free_dofs] - (prob.sub[0].C @ lam)).max() < 1e-9
+    assert np.abs(r[prob.sub[0].free_dofs] - (oracles.extractor(prob.sub[0]) @ lam)).max() < 1e-9
 
 
 def test_lshape_sigma_zero_matches_monolithic():

@@ -83,7 +83,7 @@ def test_coupled_sg_lambda_is_interface_flux():
     u_det = spla.spsolve(oracles.mono_K_modes(mono)[0].tocsc(), mono.f)
     s1 = prob.sub[0]
     u1 = u_det[mono.restrict1]
-    flux = s1.C.T @ (s1.K_modes[0] @ u1 - s1.f)
+    flux = oracles.extractor(s1).T @ (s1.K_modes[0] @ u1 - s1.f)
     scale = max(np.abs(flux).max(), 1e-30)
     np.testing.assert_allclose(coup.lam[0], flux, atol=1e-8 * scale)
     assert np.abs(coup.lam[1:]).max() <= 1e-10 * scale

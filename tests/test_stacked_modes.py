@@ -11,8 +11,6 @@ covered; the beam's second sub-domain floats.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -184,27 +182,23 @@ def test_stochastic_updates_equal_per_mode_reference(problem):
 
 
 def test_preconditioner_equals_per_mode_reference(problem):
-    # sign -1 negates the second extractor: its interface blocks are the
-    # principal sub-matrices scaled by the extractor entries
-    s1, s2 = problem.sub
-    for sign in (1.0, -1.0):
-        signed = dataclasses.replace(problem, sub=(s1, dataclasses.replace(s2, C=sign * s2.C)))
-        ops = random_ops(signed, 3, seed=13)
-        Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
-        terms = []
-        for H, C, side in ((ops.H1, ops.C1, 0), (ops.H2, ops.C2, 1)):
-            A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
-            per_mode = oracles.per_mode_assembly(problem, side)
-            terms.append((A, np.stack([(C.T @ K @ C).toarray() for K in per_mode])))
+    ops = random_ops(problem, 3, seed=13)
+    Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
+    terms = []
+    for H, side in ((ops.H1, 0), (ops.H2, 1)):
+        A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
+        C = oracles.extractor(problem.sub[side])
+        per_mode = oracles.per_mode_assembly(problem, side)
+        terms.append((A, np.stack([(C.T @ K @ C).toarray() for K in per_mode])))
 
-        def reference_apply(lam):
-            A = Winv2 @ lam
-            B = sum(np.einsum("jlk,km,jmn->ln", Aj, A, KI) for Aj, KI in terms)
-            return Winv2 @ B
+    def reference_apply(lam):
+        A = Winv2 @ lam
+        B = sum(np.einsum("jlk,km,jmn->ln", Aj, A, KI) for Aj, KI in terms)
+        return Winv2 @ B
 
-        precond = feti.build_preconditioner(ops)
-        lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
-        assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12, sign
+    precond = feti.build_preconditioner(ops)
+    lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
+    assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12
 
 
 def test_merged_modes_equal_scattered_sub_domain_modes(problem):
