@@ -12,6 +12,15 @@ or by the paper's FETI interface iteration when ``solver.det_update`` is
 "pcpg"), then one Galerkin update per germ for the stochastic factors. The
 rank grows one factor pair at a time until a Monte-Carlo estimate of the
 sub-domain equilibrium residual meets the target.
+
+A germ's Galerkin update is a symmetric positive definite system of size
+r P, whose (a, b) blocks sum_j C_j G_j[a, b] are nonzero only where the
+triple-moment stack is. It is solved in one of two ways, by its size: below
+r P = ``_CG_MIN_SIZE`` (300) it is filled densely and factored by Cholesky;
+from there on it is a block-sparse (BSR) matrix of (r, r) blocks, solved by
+conjugate gradients (``feti.pcg``) preconditioned by its diagonal blocks and
+started from the germ's current factors. ``_CG_MIN_SIZE`` gives the measured
+per-call times of both solves.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .fem2d import ModeStack
 from .feti import (
@@ -31,6 +41,7 @@ from .feti import (
     direct_saddle_solve,
     galerkin_mode_matrices,
     mode_weights,
+    pcg,
     pcpg_solve,
     recover_primal,
 )
@@ -261,6 +272,45 @@ def _factor_forms(
     return _quadratic_forms(s1.modes, solution.u1), _quadratic_forms(s2.modes, solution.u2)
 
 
+_CG_MIN_SIZE = 300
+"""Smallest stochastic factor system, in unknowns r P, that ``_factor_update``
+solves by CG (``_factor_cg``) instead of the dense fill and Cholesky.
+
+Per call, dense vs CG, on one core of an Intel Xeon with one BLAS thread,
+at seeded random factors after one deterministic update (CG takes 5 to 22
+iterations from there):
+
+| profile | side | P | r | r P | dense | CG |
+|---|---|---|---|---|---|---|
+| full ``beam`` | 1 | 220 | 1 | 220 | 0.72 ms | 0.72 ms |
+| full ``beam`` | 2 | 364 | 1 | 364 | 1.9 ms | 0.56 ms |
+| full ``beam`` | 1 | 220 | 3 | 660 | 15.3 ms | 1.5 ms |
+| full ``beam`` | 2 | 364 | 3 | 1092 | 36.3 ms | 1.5 ms |
+| full ``beam`` | 2 | 364 | 5 | 1820 | 127 ms | 2.2 ms |
+| full ``lshape`` | 2 | 84 | 1 | 84 | 0.18 ms | 0.68 ms |
+| full ``lshape`` | 2 | 84 | 4 | 336 | 1.9 ms | 2.3 ms |
+| full ``lshape`` | 2 | 84 | 8 | 672 | 10.0 ms | 6.8 ms |
+| full ``lshape`` | 1 | 35 | 10 | 350 | 2.2 ms | 4.1 ms |
+| desk profiles | both | 6 | 3 and 10 | 18 and 60 | 0.06 to 0.15 ms | 0.36 to 1.1 ms |
+
+The full ``beam`` stack has few pairs per block row (2 080 of 364^2 on
+side 2), so CG wins there from r P of about 220 on. The full ``lshape``
+stack fills every (a, b), so there the dense solve wins up to r P of about
+500; its whole runs to rank 10 take the same time with either solve from
+r P = 300 on. The cut keeps every desk system and full ``lshape`` at rank 1
+on the dense solve.
+"""
+
+_FACTOR_CG_EPS = 1e-12
+"""Relative residual at which ``_factor_cg`` stops."""
+
+_SINGULAR = "stochastic factor system is singular (degenerate deterministic factors)"
+
+
+def _factor_error(what: str) -> SolverError:
+    return SolverError(f"{what}; re-initialize the factors with a different seed")
+
+
 def _factor_matrix(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The (r P, r P) matrix whose block (l, m) is sum_j C[j, l, m] G[j] +
     S[l, m] I, for (J, r, r) weights C: one sparse product over the stack's
@@ -274,11 +324,64 @@ def _factor_matrix(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> np.ndarray
     return A.transpose(2, 0, 3, 1).reshape(r * P, r * P)
 
 
+def _factor_blocks(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> sp.bsr_matrix:
+    """The matrix of ``_factor_matrix`` with its unknowns ordered by basis
+    function, (a, l) at a r + l: a BSR matrix of (r, r) blocks on the pairs
+    of ``G.blocks``, their values from one sparse product with the (J, r, r)
+    weights C, and S added to the blocks (a, a)."""
+    J, r, _ = C.shape
+    values, indptr, indices, diag = G.blocks
+    blocks = (values @ C.reshape(J, r * r)).reshape(-1, r, r)
+    blocks[diag] += S
+    return sp.bsr_matrix((blocks, indices, indptr), shape=(G.P * r, G.P * r))
+
+
+def _factor_cg(
+    G: GalerkinStack, C: np.ndarray, S: np.ndarray, b: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """The (r, P) solution of the system of ``_factor_matrix`` with the
+    right-hand side ``b`` (r, P), by CG on ``_factor_blocks`` from the (r, P)
+    factors ``start``, to relative residual ``_FACTOR_CG_EPS`` in at most
+    r P iterations.
+
+    The preconditioner is the diagonal blocks (a, a), each factored by
+    Cholesky and applied as the product with its inverse.
+    """
+    r, P = b.shape
+    A = _factor_blocks(G, C, S)
+    diag = G.blocks[3]
+    try:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(A.data[diag]))
+    except np.linalg.LinAlgError:
+        raise _factor_error(_SINGULAR) from None
+    if not b.any():  # the minimizer is zero, where ``pcg`` returns its start
+        return np.zeros_like(b)
+    M = sp.bsr_matrix(
+        (inv_chol.transpose(0, 2, 1) @ inv_chol, np.arange(P), np.arange(P + 1)),
+        shape=A.shape,
+    )
+    try:
+        x, _ = pcg(
+            lambda v: (A @ v.ravel()).reshape(P, r),
+            b.T,
+            lambda w: (M @ w.ravel()).reshape(P, r),
+            _FACTOR_CG_EPS,
+            r * P,
+            "stochastic factor iteration",
+            x=start.T,
+        )
+    except SolverError as err:
+        raise _factor_error(str(err)) from None
+    # a copy: from a start that meets the tolerance, pcg returns the start
+    return x.T.copy()
+
+
 def _factor_update(
     Q_own: np.ndarray,
     U_own: np.ndarray,
     G_own: GalerkinStack,
     f_own: np.ndarray,
+    phi_own: np.ndarray,
     Q_other: np.ndarray,
     U_other: np.ndarray,
     T_other: np.ndarray,
@@ -293,23 +396,30 @@ def _factor_update(
     per factor (the coupling weights are nonsingular), and that property does
     not involve the factors being updated, so the coupling contribution
     vanishes identically in the unknowns. ``T_other`` holds the other germ's
-    mode weights ``mode_weights(phi_other, G_other)``.
+    mode weights ``mode_weights(phi_other, G_other)``; ``phi_own`` holds the
+    germ's current factors.
+
+    Below ``_CG_MIN_SIZE`` unknowns the system is filled densely
+    (``_factor_matrix``) and solved by one Cholesky factorization; from
+    there on it is solved by block-Jacobi CG on its nonzero blocks
+    (``_factor_cg``), started from ``phi_own``. From that start every CG
+    iterate lowers the functional, so the update never raises the energy.
+    ``_CG_MIN_SIZE`` gives the measured per-call times of both solves.
     """
     r = U_own.shape[0]
-    A = _factor_matrix(
-        G_own,
-        Q_own * (phi_other @ phi_other.T),
-        np.einsum("jlm,jlm->lm", Q_other, T_other),
-    )
+    C = Q_own * (phi_other @ phi_other.T)
+    S = np.einsum("jlm,jlm->lm", Q_other, T_other)
     b = np.zeros((r, G_own.P))
     b[:, 0] = (U_own @ f_own + U_other @ f_other) * phi_other[:, 0]
+    if r * G_own.P >= _CG_MIN_SIZE:
+        return _factor_cg(G_own, C, S, b, phi_own)
+    A = _factor_matrix(G_own, C, S)
     try:
         x = sla.cho_solve(sla.cho_factor(A), b.ravel())
     except sla.LinAlgError:
-        raise SolverError(
-            "stochastic factor system is singular (degenerate deterministic "
-            "factors); re-initialize the factors with a different seed"
-        ) from None
+        raise _factor_error(_SINGULAR) from None
+    except ValueError:  # cho_factor's finiteness check
+        raise _factor_error("stochastic factor system has non-finite entries") from None
     return x.reshape(b.shape)
 
 
@@ -333,7 +443,7 @@ def stochastic_update_phi1(
         T_other = mode_weights(solution.phi2, g_modes[1])
     s1, s2 = problem.sub
     return _factor_update(
-        quad[0], solution.u1, g_modes[0], s1.f,
+        quad[0], solution.u1, g_modes[0], s1.f, solution.phi1,
         quad[1], solution.u2, T_other, solution.phi2, s2.f,
     )
 
@@ -353,7 +463,7 @@ def stochastic_update_phi2(
         quad = _factor_forms(problem, solution)
     s1, s2 = problem.sub
     return _factor_update(
-        quad[1], solution.u2, g_modes[1], s2.f,
+        quad[1], solution.u2, g_modes[1], s2.f, solution.phi2,
         quad[0], solution.u1, mode_weights(solution.phi1, g_modes[0]), solution.phi1, s1.f,
     )
 

@@ -410,8 +410,9 @@ def pcg(
     With the rigid-body projector of the interface problem this is the
     projected iteration (PCPG) of classical FETI; with the identity it is
     plain preconditioned CG. Returns the solution and the relative residual
-    after each iteration. Running out of iterations or meeting a direction
-    of non-positive curvature raises ``SolverError`` naming ``what``.
+    after each iteration. Running out of iterations, a residual that is not
+    finite or a direction of non-positive curvature raises ``SolverError``
+    naming ``what``.
     """
     start = np.zeros_like(b) if x is None else x
     bnorm = np.linalg.norm(b)
@@ -420,7 +421,9 @@ def pcg(
     w = project(b if x is None else b - apply_A(x))
     x, p, num_old, residuals = start, None, 0.0, []
     rel = np.linalg.norm(w) / bnorm
-    while rel >= eps:
+    while not rel < eps:
+        if not np.isfinite(rel):
+            raise SolverError(f"{what} has a non-finite residual ({rel})")
         if len(residuals) >= max_iters:
             raise SolverError(
                 f"{what} exceeded {max_iters} iterations (relative residual "

@@ -207,8 +207,9 @@ class GalerkinStack:
     ``by_mode`` is a (J, P*P) CSR matrix: row j holds the nonzeros of G_j at
     columns a P + b, in increasing order. The other properties are views of
     it, made once: ``by_pair`` is its (P*P, J) transpose, ``by_entry`` the
-    (J, nnz) matrix with entry e of ``by_mode`` in column e, and ``pairs``
-    the (a, b) of each entry.
+    (J, nnz) matrix with entry e of ``by_mode`` in column e, ``pairs`` the
+    (a, b) of each entry, and ``blocks`` the block-sparse pattern of the
+    pairs at which some G_j is nonzero.
     """
 
     P: int
@@ -226,6 +227,30 @@ class GalerkinStack:
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return np.divmod(self.by_mode.indices, self.P)
+
+    @cached_property
+    def blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, indptr, indices, diag)`` of the n pairs (a, b) at which
+        some G_j is nonzero, in increasing a P + b order: ``values`` is the
+        (n, J) matrix with G_j[a, b] in row k, column j for the k-th pair,
+        ``indptr`` and ``indices`` the block-row pointers and block columns
+        b of a BSR matrix over P block rows with those pairs as its blocks,
+        and ``diag`` the position of each pair (a, a). Every pair (a, a) must
+        be present; it is when mode 0 is the constant, as in every
+        ``random_field`` expansion, since then G_0 = I.
+
+        ``values @ C.reshape(J, -1)`` gives the blocks of sum_j G_j (x) C_j
+        in that BSR order, whatever the size of C_j.
+        """
+        G, P = self.by_mode, self.P
+        pair = np.unique(G.indices)
+        # by_mode with its columns renumbered by pair is the (J, n) transpose
+        values = sp.csr_matrix(
+            (G.data, np.searchsorted(pair, G.indices), G.indptr), shape=(G.shape[0], pair.size)
+        ).T.tocsr()
+        a, b = np.divmod(pair, P)
+        diag = np.searchsorted(pair, np.arange(P) * (P + 1))
+        return values, np.searchsorted(a, np.arange(P + 1)), b, diag
 
     def dense(self) -> np.ndarray:
         """The (J, P, P) array of the matrices."""

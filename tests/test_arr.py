@@ -311,6 +311,83 @@ def test_factor_matrix_matches_einsum():
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
+# ---------------------------------------------------------------------------
+# stochastic factor CG: full beam at rank 3, where both germs' systems
+# (r P = 660 and 1092) pass arr._CG_MIN_SIZE
+
+
+def beam_cg_state(profile_problem, seed):
+    prob = profile_problem("beam")
+    assert min(3 * len(idx) for idx in prob.idx_solution) >= arr._CG_MIN_SIZE
+    sol = random_solution(prob, rank=3, seed=seed, zero_lam=True)
+    return prob, arr.deterministic_update(prob, sol)
+
+
+def test_factor_blocks_match_einsum(profile_problem):
+    r = 3
+    for G in feti.galerkin_mode_matrices(profile_problem("beam")):
+        rng = np.random.default_rng(G.P)
+        C = rng.standard_normal((G.by_mode.shape[0], r, r))
+        S = rng.standard_normal((r, r))
+        want = oracles.factor_matrix(G.dense(), C, S)
+        # the oracle orders the unknowns (l, a), the blocks (a, l)
+        want = want.reshape(r, G.P, r, G.P).transpose(1, 0, 3, 2).reshape(r * G.P, -1)
+        got = arr._factor_blocks(G, C, S).toarray()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+def test_cg_factor_updates_match_dense_solve(profile_problem):
+    prob, sol = beam_cg_state(profile_problem, seed=12)
+    dense = [G.dense() for G in feti.galerkin_mode_matrices(prob)]
+    U = (sol.u1, sol.u2)
+    phi = (sol.phi1, sol.phi2)
+    Q = [np.stack([U[i] @ (K @ U[i].T) for K in s.K_modes]) for i, s in enumerate(prob.sub)]
+    load = sum(U[i] @ s.f for i, s in enumerate(prob.sub))
+    for own, update in ((0, arr.stochastic_update_phi1), (1, arr.stochastic_update_phi2)):
+        other = 1 - own
+        C = Q[own] * (phi[other] @ phi[other].T)
+        S = np.einsum("jlm,jlm->lm", Q[other], oracles.mode_weights(phi[other], dense[other]))
+        b = np.zeros_like(phi[own])
+        b[:, 0] = load * phi[other][:, 0]
+        A = oracles.factor_matrix(dense[own], C, S)
+        want = np.linalg.solve(A, b.ravel()).reshape(b.shape)
+        got = update(prob, sol)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_cg_factor_updates_never_increase_energy(profile_problem):
+    prob, sol = beam_cg_state(profile_problem, seed=4)
+    pi0 = arr.energy(prob, sol)
+    sol.phi1[:] = arr.stochastic_update_phi1(prob, sol)
+    pi1 = arr.energy(prob, sol)
+    assert pi1 <= pi0 + 1e-12 * abs(pi0)
+    sol.phi2[:] = arr.stochastic_update_phi2(prob, sol)
+    pi2 = arr.energy(prob, sol)
+    assert pi2 <= pi1 + 1e-12 * abs(pi1)
+
+
+def test_cg_degenerate_factors_rejected(profile_problem):
+    prob = profile_problem("beam")
+    sol = arr.SeparatedSolution.zeros(prob, rank=3)
+    sol.phi1[:, 0] = sol.phi2[:, 0] = 1.0
+    # zero deterministic factors leave the diagonal blocks zero
+    with pytest.raises(feti.SolverError, match="re-initial"):
+        arr.stochastic_update_phi1(prob, sol)
+    with pytest.raises(feti.SolverError, match="re-initial"):
+        arr.stochastic_update_phi2(prob, sol)
+
+
+@pytest.mark.parametrize("name", ["lshape-desk", "beam"])
+def test_nonfinite_factor_system_rejected(profile_problem, name):
+    # lshape-desk takes the dense solve, the full beam at rank 3 the CG one
+    prob = profile_problem(name)
+    sol = random_solution(prob, rank=3, seed=13)
+    sol.u2[1, 5] = np.nan
+    for update in (arr.stochastic_update_phi1, arr.stochastic_update_phi2):
+        with pytest.raises(feti.SolverError, match="re-initial"):
+            update(prob, sol)
+
+
 def test_sweep_reuses_are_exact():
     # arr_run takes pi(u_old, lam_new) from pi_before's primal part and the
     # phi1 update's weights T(phi2) from the sweep's block operators

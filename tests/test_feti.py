@@ -282,6 +282,15 @@ def test_pcg_indefinite_operator_loses_positivity():
         feti.pcg(lambda v: -v, b, lambda v: v, 1e-8, 10, "test solve")
 
 
+def test_pcg_nonfinite_residual_raises():
+    b = np.ones((2, 3))
+    nan = lambda v: np.full_like(v, np.nan)
+    # from a start, the first residual is already NaN; from zero, the first step
+    for kw in ({"x": np.zeros_like(b)}, {}):
+        with pytest.raises(feti.SolverError, match="test solve has a non-finite residual"):
+            feti.pcg(nan, b, lambda v: v, 1e-8, 10, "test solve", **kw)
+
+
 def test_pcg_iteration_cap_names_the_caller(monkeypatch):
     _, ops, _ = beam_ops(rank=2, seed=17)
     ip = feti.build_interface_problem(ops)
