@@ -151,8 +151,12 @@ def _stack_modes(
     ``ke`` (T, k, k) holds the element matrices for a unit coefficient and
     ``dofs`` (T, k) their dofs among n. The centroid value is the mean of the
     three vertex values, so mode j's entries are ``c_j @ N`` for one fixed
-    sparse (n_nodes, nnz) operator N. Entries that are zero in every mode
-    (on structured meshes, up to a quarter of them) are dropped.
+    sparse (n_nodes, nnz) operator N. Pattern entries whose column of N is
+    zero (on structured meshes, up to a quarter of them) are dropped from N
+    before the product, so the pattern does not depend on the coefficients.
+    The product comes out with each entry's J values contiguous, and one
+    transpose copy, in blocks of entries that stay in cache, makes the
+    C-ordered (J, nnz) ``data``.
     """
     coeffs = _nodal_modes(mesh, modes)
     T, k = dofs.shape
@@ -169,11 +173,21 @@ def _stack_modes(
         ),
         shape=(mesh.n_nodes, keys.size),
     )
-    data = coeffs @ N
-    live = np.flatnonzero(data.any(axis=0))
+    N.eliminate_zeros()  # a zero term leaves every sum of the product as it is
+    count = np.bincount(N.indices, minlength=keys.size)
+    live = np.flatnonzero(count)
+    # N without its dead columns, transposed: the same arrays read as CSC
+    NT = sp.csc_matrix(
+        (N.data, (np.cumsum(count > 0) - 1)[N.indices], N.indptr),
+        shape=(live.size, mesh.n_nodes),
+    )
     rows, cols = np.divmod(keys[live], n)
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
-    return ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1))
+    values = NT @ coeffs.T  # (nnz, J)
+    data = np.empty(values.shape[::-1])
+    for lo in range(0, live.size, 256):
+        data[:, lo : lo + 256] = values[lo : lo + 256].T
+    return ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data)
 
 
 def assemble_diffusion_mode(mesh: Mesh, coeff_modes: np.ndarray | float) -> ModeStack:

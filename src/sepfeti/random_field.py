@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .fem2d import Mesh, mass_matrix
 from .pc_basis import (
@@ -72,17 +73,53 @@ class KLBasis:
         return (self.eigenvalues[:, None] * self.modes**2).sum(axis=0)
 
 
+_LANCZOS_MIN_NODES = 500
+"""Smallest mesh, in nodes, whose KL eigenproblem ``discretize_kl`` solves
+by implicitly restarted Lanczos (ARPACK) instead of the dense subset driver.
+
+Per call, dense vs Lanczos, on one core of an Intel Xeon with one BLAS
+thread (medians of 5 calls above 400 nodes, of 21 below; the profiles' own
+kernels and truncations d, and sigma = 0.5, corr_len = 1/3 on the 0.05
+lattice meshes of height 1):
+
+| mesh | n | d | dense | Lanczos |
+|---|---|---|---|---|
+| full ``lshape``, side 1 | 861 | 4 | 121 ms | 30 ms |
+| full ``lshape``, side 2 | 861 | 6 | 119 ms | 43 ms |
+| 1.5 x 1 | 651 | 4 and 6 | 57 and 59 ms | 29 and 31 ms |
+| 1.2 x 1 | 525 | 4 and 6 | 29 and 30 ms | 16 and 15 ms |
+| 1 x 1 | 441 | 4 and 6 | 22 and 20 ms | 12 and 11 ms |
+| full ``beam``, side 1 | 286 | 9 | 8.8 ms | 5.9 ms |
+| full ``beam``, side 2 | 286 | 11 | 9.0 ms | 9.4 ms |
+| desk profiles | 45 and 66 | 2 | 0.6 to 1.0 ms | 2.8 to 4.3 ms |
+
+Lanczos wins from about 400 nodes on. The cut lies above the full ``beam``
+meshes, where the two tie, so every desk and ``beam`` mesh keeps the dense
+solve and its bits.
+"""
+
+
 def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     """Solve the Galerkin eigenproblem (M C M) g = tau M g on mesh nodes.
 
     Returns the ``n_modes`` largest eigenpairs, eigenvalues descending and
     eigenvectors mass-orthonormal, each with its first entry above 1e-8 of
     its largest magnitude positive (on symmetric meshes the largest entry
-    ties with its mirror image at rounding level, so it fixes no sign). Only those d pairs are computed (LAPACK's subset driver), so
-    the cost is the O(n^3) reduction to tridiagonal form plus O(n^2 d) for
-    the pairs, where all n pairs cost a further O(n^3): about half the time
-    at n = 861. A = M C M takes two sparse-dense products, O(n^2) times
-    the mass matrix's row length, instead of two dense O(n^3) products.
+    ties with its mirror image at rounding level, so it fixes no sign).
+
+    Only those d pairs are computed, by one of two routes:
+
+    * from ``_LANCZOS_MIN_NODES`` nodes on, when ARPACK's Lanczos basis of
+      2d + 1 vectors fits below n, by ARPACK (``eigsh``, largest algebraic,
+      tol = 0) on the operator x -> M (C (M x)) with the mass matrix as the
+      inner product, started from the all-ones vector so that reruns repeat
+      their bits; each step costs one dense kernel product, O(n^2);
+    * otherwise by LAPACK's subset driver on the dense A = M C M (two
+      sparse-dense products): the O(n^3) reduction to tridiagonal form plus
+      O(n^2 d) for the pairs.
+
+    The two routes agree to rounding: eigenvalues within 1e-15 of the
+    largest, modes within 1e-13 (``_LANCZOS_MIN_NODES`` gives the times).
     """
     n = mesh.n_nodes
     if not 0 <= n_modes <= n:
@@ -90,10 +127,15 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     M = mass_matrix(mesh)
     if n_modes == 0:
         return KLBasis(eigenvalues=np.empty(0), modes=np.empty((0, n)), mass=M)
-    # C is symmetric, so M C M = M (M C)^T: two sparse-dense products
-    A = M @ (M @ kernel.matrix(mesh.nodes)).T
-    A = 0.5 * (A + A.T)
-    tau, vecs = scipy.linalg.eigh(A, M.toarray(), subset_by_index=[n - n_modes, n - 1])
+    C = kernel.matrix(mesh.nodes)
+    if n >= _LANCZOS_MIN_NODES and 2 * n_modes + 1 < n:
+        op = spla.LinearOperator((n, n), matvec=lambda x: M @ (C @ (M @ x)), dtype=float)
+        tau, vecs = spla.eigsh(op, k=n_modes, M=M, which="LA", tol=0, v0=np.ones(n))
+    else:
+        # C is symmetric, so M C M = M (M C)^T: two sparse-dense products
+        A = M @ (M @ C).T
+        A = 0.5 * (A + A.T)
+        tau, vecs = scipy.linalg.eigh(A, M.toarray(), subset_by_index=[n - n_modes, n - 1])
     tau = tau[::-1]
     modes = vecs[:, ::-1].T.copy()
     tol = 1e-12 * max(tau[0], 1.0)
@@ -160,9 +202,13 @@ def lognormal_pc_coefficients(
     powers = np.ones((idx.shape[0], sg.shape[1]))
     for j in range(kl.n_modes):
         powers *= table[idx[:, j], j]
-    inv_sqrt_fact = np.array(
-        [1.0 / math.sqrt(math.prod(math.factorial(k) for k in row)) for row in idx]
+    # i! = prod_j i_j! <= order! is exact in int64 up to order 20 (Python
+    # integers above), and sqrt rounds correctly: 1 / sqrt of the exact i!
+    fact = np.array(
+        [math.factorial(k) for k in range(order + 1)],
+        dtype=np.int64 if order <= 20 else object,
     )
+    inv_sqrt_fact = 1.0 / np.sqrt(fact[idx].prod(axis=1).astype(float))
     coeff = mean_field[None, :] * powers * inv_sqrt_fact[:, None]
     return RandomFieldPC(
         kind=LOGNORMAL_SHIFTED, idx_set=idx_set, coeff_fields=coeff, shift=shift

@@ -171,10 +171,12 @@ def monte_carlo_reference(
     """Per-sample deterministic solves of the merged problem.
 
     Each seeded germ sample weights the two sub-domains' stacked stiffness
-    modes straight into band storage (no re-assembly), and the sample system
-    is solved by a banded LU with partial pivoting (LAPACK ``gbsv``) on one
-    reverse Cuthill-McKee ordering of the merged pattern, computed once per
-    call, so no sample repeats an ordering or a symbolic analysis. A sample
+    modes straight into band storage (no re-assembly; the band and the
+    chunk of sample values are allocated once per call), and the sample
+    system is solved by a banded LU with partial pivoting (LAPACK ``gbsv``)
+    on one reverse Cuthill-McKee ordering of the merged pattern, computed
+    once per call, so no sample repeats an ordering or a symbolic analysis
+    and no sample allocates its band. A sample
     with n merged free dofs and half-bandwidth b costs O(n b^2). The built-in
     profiles are two structured rectangles with b <= 25: n, b = 72, 6
     (``lshape-desk``), 240, 13 (``beam-desk``), 1 100, 25 (``beam``) and
@@ -205,15 +207,19 @@ def monte_carlo_reference(
     side_index = [band_index[pos] for pos in merged.positions]
     f = mono.f[perm]
     u = np.empty(mono.n_free)
+    # one band and one chunk of sample values per call, written over by
+    # every sample and chunk: gbsv factors the band in place, so it is
+    # zeroed before each sample is written
+    ab = np.empty((3 * b + 1, mono.n_free), order="F")
+    flat = ab.ravel(order="F")  # a view
+    chunk = min(n_samples, _MC_CHUNK)
+    values = [np.empty((chunk, side.data.shape[1])) for side in merged.sides]
     for n in range(n_samples):
         if n % _MC_CHUNK == 0:
             weights = Psi[n : n + _MC_CHUNK]
-            values = [
-                weights[:, cols] @ side.data
-                for side, cols in zip(merged.sides, merged.columns)
-            ]
-        ab = np.zeros((3 * b + 1, mono.n_free), order="F")
-        flat = ab.ravel(order="F")  # a view
+            for side, cols, out in zip(merged.sides, merged.columns, values):
+                np.matmul(weights[:, cols], side.data, out=out[: len(weights)])
+        flat.fill(0.0)
         for index, side in zip(side_index, values):
             flat[index] += side[n % _MC_CHUNK]  # no index repeats within a side
         _, _, x, info = dgbsv(b, b, ab, f, overwrite_ab=1)

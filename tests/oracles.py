@@ -12,14 +12,16 @@ probe-point sampling with kernel density estimates and their L1 gap
 (criterion 9), the sub-domain swap used by the symmetry tests,
 plain-text dumps of a mesh, a KL basis and a PCPG residual history, the
 Gaussian kernel by its broadcast formula and the KL eigenproblem solved
-for all n pairs by a dense solve, the Boolean extractor matrix of a
+for all n pairs by a dense solve, the shifted-lognormal coefficients with
+their factorial weights formed row by row, the Boolean extractor matrix of a
 sub-domain's interface dofs (the library keeps only the dof list), a
 sub-domain's unreduced mean stiffness and interface dofs (the problem keeps
 only the reduced ones), the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
-at a time (a COO assembly per mode, stacked on their shared pattern) to
-check the one-product assembly against, the reduced modes assembled one
+at a time (a COO assembly per mode, stacked on their shared pattern) and
+the one-product assembly with its dead entries taken out of the product
+afterwards, to check the one-product assembly against, the reduced modes assembled one
 per call and the block operators sum_j H_j (x) K_j as sums of Kronecker
 products, which the bands of the direct route and of the local solves are
 checked against, a sparse LU solve (SuperLU) that rejects a singular
@@ -369,6 +371,31 @@ def dense_kl(
     return random_field.KLBasis(eigenvalues=tau, modes=modes, mass=fem2d.mass_matrix(mesh))
 
 
+def lognormal_pc_coefficients_loop(
+    kl: random_field.KLBasis, mean_log: float, shift: float, order: int
+) -> random_field.RandomFieldPC:
+    """``random_field.lognormal_pc_coefficients`` with each multi-index's
+    weight 1 / sqrt(i!) formed by its own product of Python factorials."""
+    idx_set = pcb.build_index_set(kl.n_modes, order)
+    sg = np.sqrt(kl.eigenvalues)[:, None] * kl.modes
+    mean_field = np.exp(mean_log + kl.pointwise_variance() / 2.0)
+    idx = idx_set.indices
+    table = np.empty((order + 1,) + sg.shape)
+    table[0] = 1.0
+    for k in range(1, order + 1):
+        table[k] = table[k - 1] * sg
+    powers = np.ones((idx.shape[0], sg.shape[1]))
+    for j in range(kl.n_modes):
+        powers *= table[idx[:, j], j]
+    inv_sqrt_fact = np.array(
+        [1.0 / math.sqrt(math.prod(math.factorial(k) for k in row)) for row in idx]
+    )
+    coeff = mean_field[None, :] * powers * inv_sqrt_fact[:, None]
+    return random_field.RandomFieldPC(
+        kind=random_field.LOGNORMAL_SHIFTED, idx_set=idx_set, coeff_fields=coeff, shift=shift
+    )
+
+
 def extractor(sub: fem2d.SubdomainProblem) -> sp.csr_matrix:
     """The Boolean interface extractor C of a sub-domain: column k holds a
     single 1, at dof ``sub.iface[k]``."""
@@ -411,6 +438,33 @@ def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
     stack = fem2d.ModeStack(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
     live = np.flatnonzero(stack.data.any(axis=0))
     return stack._entries(live, stack.rows, stack.indices, stack.n)
+
+
+def take_stack_modes(
+    mesh: fem2d.Mesh, modes, ke: np.ndarray, dofs: np.ndarray, n: int
+) -> fem2d.ModeStack:
+    """``fem2d._stack_modes`` by the full product ``coeffs @ N`` on every
+    pattern entry, the entries that are zero in every mode then taken out
+    of the (F-ordered) product by a strided copy."""
+    coeffs = fem2d._nodal_modes(mesh, modes)
+    T, k = dofs.shape
+    keys = np.repeat(dofs, k, axis=1).astype(np.int64) * n + np.tile(dofs, (1, k))
+    keys, entry = np.unique(keys, return_inverse=True)
+    N = sp.csr_matrix(
+        (
+            np.tile(ke.reshape(T, k * k) / 3.0, (1, 3)).ravel(),
+            (
+                np.repeat(mesh.triangles, k * k, axis=1).ravel(),
+                np.tile(entry.reshape(T, k * k), (1, 3)).ravel(),
+            ),
+        ),
+        shape=(mesh.n_nodes, keys.size),
+    )
+    data = coeffs @ N
+    live = np.flatnonzero(data.any(axis=0))
+    rows, cols = np.divmod(keys[live], n)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    return fem2d.ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1))
 
 
 def coo_diffusion_mode(mesh: fem2d.Mesh, coeff_mode: np.ndarray | float) -> sp.csr_matrix:

@@ -158,6 +158,52 @@ def test_nu_out_of_range():
 
 
 # ---------------------------------------------------------------------------
+# the mode stack of the built-in profiles
+
+PROFILES = ["lshape-desk", "beam-desk", "lshape", "beam"]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mode_stack_equals_take_assembly(profile_problem, profile, side, monkeypatch):
+    # every sub-domain mesh of the four profiles, with its own coefficient
+    # modes: the dead entries dropped from N before the product give the
+    # pattern and the values of the product taken afterwards, bit for bit
+    prob = profile_problem(profile)
+    mesh, field = prob.sub[side].mesh, prob.fields[side]
+    coeffs = field.coeff_fields.copy()
+    coeffs[0] += field.shift
+    stack = oracles.assemble_modes(prob, mesh, coeffs)
+    monkeypatch.setattr(fem2d, "_stack_modes", oracles.take_stack_modes)
+    ref = oracles.assemble_modes(prob, mesh, coeffs)
+    assert stack.data.shape == ref.data.shape
+    np.testing.assert_array_equal(stack.indptr, ref.indptr)
+    np.testing.assert_array_equal(stack.indices, ref.indices)
+    np.testing.assert_array_equal(stack.data, ref.data)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_mode_stack_data_c_contiguous(profile_problem, profile):
+    for sub in profile_problem(profile).sub:
+        data = sub.modes.data
+        assert data.dtype == np.float64
+        assert data.flags.c_contiguous
+
+
+def test_zero_coefficient_keeps_pattern():
+    # the pattern comes from the element matrices, not from the values
+    mesh = unit_square(0.25)
+    for assemble in (
+        fem2d.assemble_diffusion_mode,
+        lambda m, c: fem2d.assemble_elasticity_mode(m, c, 0.3),
+    ):
+        unit, zero = assemble(mesh, 1.0), assemble(mesh, 0.0)
+        np.testing.assert_array_equal(zero.indptr, unit.indptr)
+        np.testing.assert_array_equal(zero.indices, unit.indices)
+        assert not zero.data.any()
+
+
+# ---------------------------------------------------------------------------
 # loads
 
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import oracles
 from sepfeti import fem2d, pc_basis, problems, random_field
@@ -104,10 +106,8 @@ def test_sign_convention_reproducible():
     assert (kl1.modes[np.arange(5), first] > 0).all()
 
 
-@pytest.mark.parametrize("side", [1, 2])
-@pytest.mark.parametrize("profile", ["lshape-desk", "beam-desk", "lshape", "beam"])
-def test_leading_pairs_match_dense_solve(profile, side):
-    # every sub-domain mesh and KL truncation of the four profiles
+def profile_kernel(profile, side):
+    """A profile's config and side ``side``'s mesh and kernel."""
     cfg = problems.profile_config(profile)
     rect = problems._two_rects(cfg)[side - 1]
     mesh = fem2d.build_rect_mesh(*rect, float(cfg["mesh"][f"h{side}"]))
@@ -115,7 +115,15 @@ def test_leading_pairs_match_dense_solve(profile, side):
     kernel = random_field.GaussianKernel(
         sigma=float(fld[f"sigma{side}"]), corr_len=float(fld[f"lc{side}"])
     )
-    d = int(fld[f"d{side}"])
+    return cfg, mesh, kernel
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("profile", ["lshape-desk", "beam-desk", "lshape", "beam"])
+def test_leading_pairs_match_dense_solve(profile, side):
+    # every sub-domain mesh and KL truncation of the four profiles
+    cfg, mesh, kernel = profile_kernel(profile, side)
+    d = int(cfg["field"][f"d{side}"])
     kl = random_field.discretize_kl(kernel, mesh, d)
     ref = oracles.dense_kl(kernel, mesh, d)
     tau1 = ref.eigenvalues[0]
@@ -124,6 +132,80 @@ def test_leading_pairs_match_dense_solve(profile, side):
     assert np.abs(kl.modes - ref.modes).max() <= 1e-10
     gram = kl.modes @ (kl.mass @ kl.modes.T)
     assert np.abs(gram - np.eye(d)).max() <= 1e-12
+
+
+def above_cut_mesh():
+    """The smallest 0.05-lattice rectangle of height 1 on the Lanczos route."""
+    mesh = fem2d.build_rect_mesh((0.0, 1.2), (0.0, 1.0), 0.05)
+    assert mesh.n_nodes >= random_field._LANCZOS_MIN_NODES
+    return mesh
+
+
+def forbid(monkeypatch, module, name):
+    """Make ``module.name`` raise, so that a call shows which route ran."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+@pytest.mark.parametrize("fit_limit", [False, True], ids=["d1", "fit-limit"])
+def test_lanczos_route_matches_dense_solve(fit_limit, monkeypatch):
+    # a short correlation length keeps all 261 leading eigenvalues well
+    # above rounding (tau_261 / tau_1 ~ 1e-3), so every mode is defined
+    mesh = above_cut_mesh()
+    n = mesh.n_nodes
+    d = (n - 2) // 2 if fit_limit else 1
+    assert 2 * d + 1 < n  # ARPACK's basis fits
+    kernel = random_field.GaussianKernel(sigma=0.5, corr_len=0.1)
+    ref = oracles.dense_kl(kernel, mesh, d)
+    forbid(monkeypatch, scipy.linalg, "eigh")
+    kl = random_field.discretize_kl(kernel, mesh, d)
+    tau1 = ref.eigenvalues[0]
+    assert np.abs(kl.eigenvalues - ref.eigenvalues).max() <= 1e-13 * tau1
+    # signed: both meet the sign rule on the same entry; the trailing modes
+    # of the fit limit sit at relative eigenvalue gaps near 1e-3
+    assert np.abs(kl.modes - ref.modes).max() <= (1e-8 if fit_limit else 1e-10)
+    gram = kl.modes @ (kl.mass @ kl.modes.T)
+    assert np.abs(gram - np.eye(d)).max() <= 1e-12
+
+
+def test_dense_route_beyond_fit_limit(monkeypatch):
+    # 2d + 1 = n leaves ARPACK no room: the subset driver takes the call
+    mesh = above_cut_mesh()
+    d = (mesh.n_nodes - 1) // 2
+    assert 2 * d + 1 >= mesh.n_nodes
+    kernel = random_field.GaussianKernel(sigma=0.5, corr_len=0.1)
+    ref = oracles.dense_kl(kernel, mesh, d)
+    forbid(monkeypatch, scipy.sparse.linalg, "eigsh")
+    kl = random_field.discretize_kl(kernel, mesh, d)
+    assert np.abs(kl.eigenvalues - ref.eigenvalues).max() <= 1e-13 * ref.eigenvalues[0]
+
+
+@pytest.mark.parametrize("profile", ["lshape-desk", "beam-desk", "beam"])
+def test_dense_route_below_cut(profile, monkeypatch):
+    # every desk and full beam mesh stays on the subset driver
+    forbid(monkeypatch, scipy.sparse.linalg, "eigsh")
+    prob = problems.build_from_config(problems.profile_config(profile))
+    assert max(sub.mesh.n_nodes for sub in prob.sub) < random_field._LANCZOS_MIN_NODES
+
+
+def test_lshape_rebuild_repeats_bits_across_kl_calls():
+    # ARPACK carries its random state from call to call; the fixed start
+    # vector keeps a rebuild's Lanczos KL modes, and so its fields and
+    # stiffness modes, bit for bit
+    cfg = problems.profile_config("lshape")
+    first = problems.build_from_config(cfg)
+    kernel = random_field.GaussianKernel(sigma=0.3, corr_len=0.5)
+    random_field.discretize_kl(kernel, above_cut_mesh(), 3)
+    second = problems.build_from_config(cfg)
+    for side in range(2):
+        assert first.sub[side].mesh.n_nodes >= random_field._LANCZOS_MIN_NODES
+        np.testing.assert_array_equal(
+            first.fields[side].coeff_fields, second.fields[side].coeff_fields
+        )
+        np.testing.assert_array_equal(first.sub[side].modes.data, second.sub[side].modes.data)
 
 
 def test_kernel_matrix_equals_broadcast_formula():
@@ -222,6 +304,21 @@ def test_lognormal_power_table_matches_float_powers():
     expected = mean_field * powers / np.sqrt(fact)[:, None]
     assert len(pc.idx_set) == 924
     np.testing.assert_allclose(pc.coeff_fields, expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_lognormal_factorial_table_matches_row_products(side):
+    # the full lshape index sets (d = 4 and 6, order 6): the integer table's
+    # weights give the row-by-row factorial products' coefficients bit for bit
+    cfg, mesh, kernel = profile_kernel("lshape", side)
+    fld = cfg["field"]
+    kl = random_field.discretize_kl(kernel, mesh, int(fld[f"d{side}"]))
+    order = 2 * int(cfg["pc"][f"p{side}"])
+    args = (kl, float(fld["mean"]), float(fld["shift"]), order)
+    pc = random_field.lognormal_pc_coefficients(*args)
+    ref = oracles.lognormal_pc_coefficients_loop(*args)
+    assert len(pc.idx_set) == (210, 924)[side - 1]
+    np.testing.assert_array_equal(pc.coeff_fields, ref.coeff_fields)
 
 
 def test_lognormal_zero_field():
