@@ -102,12 +102,6 @@ class SeparatedSolution:
             phi2=np.zeros((rank, len(problem.idx_solution[1]))),
         )
 
-    def copy(self) -> "SeparatedSolution":
-        return SeparatedSolution(
-            u1=self.u1.copy(), u2=self.u2.copy(), lam=self.lam.copy(),
-            phi1=self.phi1.copy(), phi2=self.phi2.copy(),
-        )
-
     def to_json(self) -> str:
         payload = {
             "rank": self.rank,
@@ -239,7 +233,7 @@ def deterministic_update(
             problem, solution.phi1, solution.phi2, galerkin_mode_matrices(problem)
         )
     if method == "direct":
-        u1, u2, lam, _ = direct_saddle_solve(ops)
+        u1, u2, lam = direct_saddle_solve(ops)
         iters = 0
     elif method == "pcpg":
         ip = build_interface_problem(ops)

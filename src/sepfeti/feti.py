@@ -508,10 +508,7 @@ def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
 
 def _primal_load(ops: BlockOperators) -> np.ndarray:
     """The (r, n) load fw (x) f of ``direct_saddle_solve`` on the merged dofs."""
-    lay = ops.problem.primal_layout
-    f = np.bincount(lay.maps[1], weights=ops.f2, minlength=lay.n)
-    f[: ops.M1] += ops.f1
-    return np.outer(ops.fw, f)
+    return np.outer(ops.fw, ops.problem.merged_load)
 
 
 def _band_solve(
@@ -543,16 +540,15 @@ def _band_solve(
     return solve
 
 
-def direct_saddle_solve(
-    ops: BlockOperators,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def direct_saddle_solve(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact solve of the block saddle system through its multiplier-free
-    primal form: one banded Cholesky factorization (small cases only).
+    primal form: one banded Cholesky factorization, refused above
+    ``_DIRECT_SIZE_CAP`` = 40 000 unknowns r (M1 + M2 + M_I).
 
     W is nonsingular whenever the saddle system is, so the continuity rows
     say C1^T u1[l] = C2^T u2[l] for every factor l, and each side-2
-    interface dof is its side-1 partner
-    (``problems.CoupledProblem.primal_layout``, built once per problem).
+    interface dof is its side-1 partner (``problems.CoupledProblem.merge_map``;
+    its band, ``primal_layout``, is built once per problem).
     What is left is the symmetric positive definite system of the n merged
     dofs and r factors, which ``_primal_band`` writes straight into LAPACK
     band storage and ``pbtrf`` factors: n r unknowns, half-bandwidth
@@ -561,8 +557,8 @@ def direct_saddle_solve(
     (``beam-desk``), 1 100 and 26r - 1 (``beam``), 1 640 and 23r - 1
     (``lshape``); at r = 10 on ``beam-desk`` that is a 140 x 2 400 band.
     The multiplier follows from side 1's interface equilibrium,
-    W lambda = C1^T (Khat_1 u1 - fhat1), and alpha = R2hat^T u2. A singular
-    system (a zero stochastic factor, say) raises ``SolverError``.
+    W lambda = C1^T (Khat_1 u1 - fhat1). Returns (u1, u2, lambda). A
+    singular system (a zero stochastic factor, say) raises ``SolverError``.
     """
     r = ops.rank
     n = r * (ops.M1 + ops.M2 + ops.M_I)
@@ -578,6 +574,4 @@ def direct_saddle_solve(
     # = (W lambda)[k]
     p1 = ops.problem.sub[0].iface
     Wlam = apply_blocks(ops.modes1, ops.V1, u1, p1) - np.outer(ops.fw, ops.f1[p1])
-    lam = np.linalg.solve(ops.W, Wlam)
-    alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
-    return u1, u2, lam, alpha
+    return u1, u2, np.linalg.solve(ops.W, Wlam)

@@ -187,8 +187,8 @@ class CoupledProblem:
     """Two coupled sub-domain problems plus their stochastic metadata.
 
     ``sub`` holds the reduced (post-Dirichlet) problems used by the solvers;
-    ``f_full`` keeps each sub-domain's load before Dirichlet elimination, for
-    monolithic merging and reaction recovery. ``dirichlet_nodes`` are each
+    ``f_full`` keeps each sub-domain's load before Dirichlet elimination, the
+    whole applied load. ``dirichlet_nodes`` are each
     side's fixed nodes: a shared node that either side's wall holds is
     fixed on both and is no interface node. Factors of the separated
     representation for germ i live in the span of ``idx_solution[i]``.
@@ -209,16 +209,31 @@ class CoupledProblem:
         return self.fields[0].family_kind
 
     @cached_property
-    def primal_layout(self) -> "PrimalLayout":
-        """The sub-domains merged along the interface (``feti.direct_saddle_solve``):
-        continuity C1^T u1 = C2^T u2 makes side-2 interface dof iface2[k] its
-        side-1 partner iface1[k]; side-1 dof i is merged dof i."""
+    def merge_map(self) -> np.ndarray:
+        """The sub-domains merged along the interface, the one merge of the
+        direct route and both oracles: side-1 dof i is merged dof i, and
+        side-2 dof a is merged dof ``merge_map[a]``. Continuity
+        C1^T u1 = C2^T u2 makes side-2 interface dof iface2[k] its side-1
+        partner iface1[k]; side 2's other dofs follow side 1's in order."""
         s1, s2 = self.sub
         dof2 = np.full(s2.n_dofs, -1, dtype=np.intp)
         dof2[s2.iface] = s1.iface
         fresh = np.flatnonzero(dof2 < 0)
         dof2[fresh] = s1.n_dofs + np.arange(fresh.size)
-        return primal_layout([_whole(s1), (s2.modes, dof2)])
+        return dof2
+
+    @cached_property
+    def merged_load(self) -> np.ndarray:
+        """The load on the merged dofs of ``merge_map``: both sides' summed."""
+        s1, s2 = self.sub
+        f = np.bincount(self.merge_map, weights=s2.f, minlength=s1.n_dofs)
+        f[: s1.n_dofs] += s1.f
+        return f
+
+    @cached_property
+    def primal_layout(self) -> "PrimalLayout":
+        """The band of the merged dofs (``feti.direct_saddle_solve``)."""
+        return primal_layout([_whole(self.sub[0]), (self.sub[1].modes, self.merge_map)])
 
     @cached_property
     def local_layouts(self) -> tuple["PrimalLayout", "PrimalLayout"]:
@@ -445,27 +460,16 @@ class MonolithicProblem:
 
 
 def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
-    """Merge the two sub-domains into one conforming problem.
+    """Merge the two sub-domains into one conforming problem on the merged
+    dofs of ``CoupledProblem.merge_map``, the direct route's: side 1's dofs
+    keep their numbers and side 2's are read off the interface dof lists.
 
     Stiffness modes of each sub-domain are placed on the merged pattern
     (``MergedModes``, no copy) and tagged with their multi-index embedded
     into the combined germ (the other germ's block padded with zeros); the
     two mean modes combine.
     """
-    m1, m2 = problem.sub[0].mesh, problem.sub[1].mesh
-    ncomp = problem.ncomp
-    ids1, ids2 = fem2d.interface_nodes(m1, m2)
-    n1, n2 = m1.n_nodes, m2.n_nodes
-    local2glob2 = np.full(n2, -1, dtype=np.intp)
-    local2glob2[ids2] = ids1
-    fresh = np.where(local2glob2 < 0)[0]
-    local2glob2[fresh] = n1 + np.arange(fresh.size)
-    n_nodes = n1 + fresh.size
-
-    dmap1 = fem2d.node_dofs(np.arange(n1), ncomp)
-    dmap2 = fem2d.node_dofs(local2glob2, ncomp)
-    n_dofs = ncomp * n_nodes
-
+    sides = (problem.sub[0].modes, problem.sub[1].modes)
     d1, d2 = problem.fields[0].n_dims, problem.fields[1].n_dims
     idx1 = problem.fields[0].idx_set.indices
     idx2 = problem.fields[1].idx_set.indices
@@ -475,34 +479,12 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
             np.pad(idx2[1:], ((0, 0), (d1, 0))),
         ]
     )
-
-    f = np.zeros(n_dofs)
-    np.add.at(f, dmap1, problem.f_full[0])
-    np.add.at(f, dmap2, problem.f_full[1])
-
-    fixed = np.concatenate(
-        [
-            fem2d.node_dofs(problem.dirichlet_nodes[0], ncomp),
-            dmap2[fem2d.node_dofs(problem.dirichlet_nodes[1], ncomp)],
-        ]
-    )
-    free_glob = np.setdiff1d(np.arange(n_dofs), fixed)
-    f_red = f[free_glob]
-
-    def restriction(sub: SubdomainProblem, dmap: np.ndarray) -> np.ndarray:
-        glob = dmap[sub.free_dofs]
-        pos = np.searchsorted(free_glob, glob)
-        if not (free_glob[pos] == glob).all():
-            raise AssertionError("sub-domain free dof missing from merged system")
-        return pos
-
-    restrict = tuple(map(restriction, problem.sub, (dmap1, dmap2)))
-    # each side's free dofs are exactly its dofs that stay free when merged,
-    # so the merged free-dof modes are the reduced stacks scattered
-    n_free = free_glob.size
+    f = problem.merged_load
+    n_free = f.size
+    restrict = (np.arange(problem.sub[0].n_dofs), problem.merge_map)
     keys = [
         res[stack.rows].astype(np.int64) * n_free + res[stack.indices]
-        for stack, res in zip((s.modes for s in problem.sub), restrict)
+        for stack, res in zip(sides, restrict)
     ]
     merged = np.unique(np.concatenate(keys))
     rows, cols = np.divmod(merged, n_free)
@@ -510,7 +492,7 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
     modes = MergedModes(
         indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_free))]),
         indices=cols,
-        sides=(problem.sub[0].modes, problem.sub[1].modes),
+        sides=sides,
         positions=(np.searchsorted(merged, keys[0]), np.searchsorted(merged, keys[1])),
         columns=(np.arange(J1), np.append(0, J1 + np.arange(idx2.shape[0] - 1))),
     )
@@ -521,7 +503,7 @@ def as_monolithic(problem: CoupledProblem) -> MonolithicProblem:
         d2=d2,
         field_indices=field_indices,
         modes=modes,
-        f=f_red,
+        f=f,
         n_free=n_free,
         restrict1=restrict[0],
         restrict2=restrict[1],

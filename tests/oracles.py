@@ -31,8 +31,9 @@ of ``feti.direct_saddle_solve`` is checked against, the combined-basis
 Galerkin solve of the two-field saddle formulation, which the merged
 single-domain oracle is checked against, the Monte-Carlo residual
 estimate with every sample's residual formed at full length, which the
-span form of ``arr.residual_norm`` is checked against, and small
-accessors: the merged
+span form of ``arr.residual_norm`` is checked against, the merged
+problem matched by node coordinates, which ``problems.as_monolithic`` is
+checked against, and small accessors: the merged
 stiffness modes as matrices, the merged free dof at a mesh node, a block
 operator applied to a factor block, the germ count and the config as JSON.
 """
@@ -564,12 +565,13 @@ def factorize(A: sp.spmatrix, what: str):
 
 def saddle_solve_superlu(
     ops: feti.BlockOperators,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble and factor the whole block saddle system (small cases only).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble and factor the whole block saddle system (small cases only),
+    returning (u1, u2, lambda).
 
     The continuity rows pin the floating side's rigid modes, so the system is
-    nonsingular without extra unknowns; alpha is read off as R2hat^T u2. A
-    singular system (a zero stochastic factor, say) raises ``SolverError``.
+    nonsingular without extra unknowns. A singular system (a zero stochastic
+    factor, say) raises ``SolverError``.
     """
     r = ops.rank
     n = r * (ops.M1 + ops.M2 + ops.M_I)
@@ -586,9 +588,7 @@ def saddle_solve_superlu(
     n1, n2 = r * ops.M1, r * ops.M2
     u1 = x[:n1].reshape(r, ops.M1)
     u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
-    lam = x[n1 + n2 :].reshape(r, ops.M_I)
-    alpha = u2 @ ops.R2 if ops.floating else np.zeros((r, 0))
-    return u1, u2, lam, alpha
+    return u1, u2, x[n1 + n2 :].reshape(r, ops.M_I)
 
 
 def d_total(problem: problems.CoupledProblem) -> int:
@@ -604,6 +604,76 @@ def apply_Khat(Khat: sp.spmatrix, U: np.ndarray) -> np.ndarray:
     """A block operator such as Khat_1 of ``block_operators`` applied to the
     (r, M) factor block U."""
     return (Khat @ U.ravel()).reshape(U.shape)
+
+
+def coordinate_matched_monolithic(problem: problems.CoupledProblem) -> problems.MonolithicProblem:
+    """``problems.as_monolithic`` by an independent route: the two meshes
+    matched again by node coordinates, one global node numbering (side 1's
+    nodes first, then side 2's unmatched ones), the free dofs those left by
+    both sides' Dirichlet nodes, and the unreduced loads summed on it."""
+    m1, m2 = problem.sub[0].mesh, problem.sub[1].mesh
+    ncomp = problem.ncomp
+    ids1, ids2 = fem2d.interface_nodes(m1, m2)
+    n1, n2 = m1.n_nodes, m2.n_nodes
+    local2glob2 = np.full(n2, -1, dtype=np.intp)
+    local2glob2[ids2] = ids1
+    fresh = np.where(local2glob2 < 0)[0]
+    local2glob2[fresh] = n1 + np.arange(fresh.size)
+    dmap1 = fem2d.node_dofs(np.arange(n1), ncomp)
+    dmap2 = fem2d.node_dofs(local2glob2, ncomp)
+    n_dofs = ncomp * (n1 + fresh.size)
+
+    d1, d2 = problem.fields[0].n_dims, problem.fields[1].n_dims
+    idx1 = problem.fields[0].idx_set.indices
+    idx2 = problem.fields[1].idx_set.indices
+    field_indices = np.vstack(
+        [np.pad(idx1, ((0, 0), (0, d2))), np.pad(idx2[1:], ((0, 0), (d1, 0)))]
+    )
+
+    f = np.zeros(n_dofs)
+    np.add.at(f, dmap1, problem.f_full[0])
+    np.add.at(f, dmap2, problem.f_full[1])
+    fixed = np.concatenate(
+        [
+            fem2d.node_dofs(problem.dirichlet_nodes[0], ncomp),
+            dmap2[fem2d.node_dofs(problem.dirichlet_nodes[1], ncomp)],
+        ]
+    )
+    free_glob = np.setdiff1d(np.arange(n_dofs), fixed)
+
+    def restriction(sub: fem2d.SubdomainProblem, dmap: np.ndarray) -> np.ndarray:
+        glob = dmap[sub.free_dofs]
+        pos = np.searchsorted(free_glob, glob)
+        assert (free_glob[pos] == glob).all(), "sub-domain free dof missing from merged system"
+        return pos
+
+    restrict = tuple(map(restriction, problem.sub, (dmap1, dmap2)))
+    n_free = free_glob.size
+    keys = [
+        res[stack.rows].astype(np.int64) * n_free + res[stack.indices]
+        for stack, res in zip((s.modes for s in problem.sub), restrict)
+    ]
+    merged = np.unique(np.concatenate(keys))
+    rows, cols = np.divmod(merged, n_free)
+    J1 = idx1.shape[0]
+    modes = problems.MergedModes(
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_free))]),
+        indices=cols,
+        sides=(problem.sub[0].modes, problem.sub[1].modes),
+        positions=(np.searchsorted(merged, keys[0]), np.searchsorted(merged, keys[1])),
+        columns=(np.arange(J1), np.append(0, J1 + np.arange(idx2.shape[0] - 1))),
+    )
+    return problems.MonolithicProblem(
+        family_kind=problem.family_kind,
+        d1=d1,
+        d2=d2,
+        field_indices=field_indices,
+        modes=modes,
+        f=f[free_glob],
+        n_free=n_free,
+        restrict1=restrict[0],
+        restrict2=restrict[1],
+    )
 
 
 def mono_K_modes(mono: problems.MonolithicProblem) -> list[sp.csr_matrix]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -416,7 +417,7 @@ def test_arr_sweep_records_equal_direct_energies(monkeypatch):
 
     def recorded(problem, solution, **kwargs):
         out = update(problem, solution, **kwargs)
-        seen.append((solution.copy(), out.copy(), kwargs["ops"]))
+        seen.append((copy.deepcopy(solution), copy.deepcopy(out), kwargs["ops"]))
         return out
 
     monkeypatch.setattr(arr, "deterministic_update", recorded)

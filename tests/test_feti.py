@@ -405,7 +405,7 @@ def test_zero_load_gives_zero_solution():
 def test_direct_route_matches_pcpg():
     for make in (lshape_ops, beam_ops):
         _, ops, _ = make(rank=2, seed=23)
-        u1_d, u2_d, lam_d, alpha_d = feti.direct_saddle_solve(ops)
+        u1_d, u2_d, lam_d = feti.direct_saddle_solve(ops)
         ip = feti.build_interface_problem(ops)
         lam, _ = feti.pcpg_solve(ip, eps=1e-12)
         u1, u2, alpha = feti.recover_primal(ip, lam)
@@ -413,6 +413,7 @@ def test_direct_route_matches_pcpg():
         np.testing.assert_allclose(u1, u1_d, atol=1e-7 * np.abs(u1_d).max())
         np.testing.assert_allclose(u2, u2_d, atol=1e-7 * np.abs(u2_d).max())
         if alpha.size:
+            alpha_d = u2_d @ ops.R2
             np.testing.assert_allclose(
                 alpha, alpha_d, atol=1e-7 * max(np.abs(alpha_d).max(), 1.0)
             )

@@ -284,6 +284,25 @@ def test_lshape_sigma_zero_matches_monolithic():
 # monolithic merge
 
 
+@pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam", "one-sided"])
+def test_merge_matches_coordinate_matched_reference(profile_problem, one_sided_config, name):
+    # the merge read off the interface dof lists against the meshes matched
+    # again by node coordinates, array for array
+    if name == "one-sided":
+        prob = problems.build_from_config(one_sided_config)
+    else:
+        prob = profile_problem(name)
+    got, want = problems.as_monolithic(prob), oracles.coordinate_matched_monolithic(prob)
+    assert got.n_free == want.n_free
+    for field in ("restrict1", "restrict2", "f", "field_indices"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(got.modes.indptr, want.modes.indptr)
+    assert np.array_equal(got.modes.indices, want.modes.indices)
+    for field in ("positions", "columns"):
+        for x, y in zip(getattr(got.modes, field), getattr(want.modes, field), strict=True):
+            assert np.array_equal(x, y), field
+
+
 def test_monolithic_dof_count():
     prob = lshape_desk()
     mono = problems.as_monolithic(prob)
