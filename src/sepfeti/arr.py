@@ -46,7 +46,7 @@ from .feti import (
     recover_primal,
 )
 from .pc_basis import LEGENDRE, GalerkinStack, eval_multivariate_batch, family
-from .problems import CoupledProblem
+from .problems import CoupledProblem, check_solver_settings
 
 __all__ = [
     "ArrTrace",
@@ -656,6 +656,7 @@ def arr_run(
     tol_rank, max_sweeps = float(cfg["sweep_tol"]), int(cfg["max_sweeps"])
     if eps <= 0.0:
         raise ValueError("the residual target must be positive")
+    check_solver_settings(dict(rank_max=r_max, max_sweeps=max_sweeps, n_mc_residual=n_mc_residual))
 
     g_modes = galerkin_mode_matrices(problem)
     rng = np.random.default_rng([seed, 0xA11])

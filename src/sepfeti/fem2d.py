@@ -366,13 +366,6 @@ def band_ordering(
     return perm, inv, int(np.abs(inv[rows] - inv[cols]).max(initial=0))
 
 
-def band_index(i: np.ndarray, j: np.ndarray, ldab: int, diag: int) -> np.ndarray:
-    """Position of entry (i, j) in the flat Fortran-order view of a LAPACK
-    band array with ``ldab`` rows and the diagonal in row ``diag``: entry
-    (i, j) sits in row ``diag + i - j`` of column j."""
-    return ldab * j + diag + i - j
-
-
 @dataclass(frozen=True, eq=False)
 class ModeStack(SparsePattern):
     """J stiffness modes stored once: mode j is ``matrix(data[j])``.

@@ -23,7 +23,9 @@ reverse Cuthill-McKee ordering (half-bandwidth r (b + 1) - 1 for a merged
 pattern of half-bandwidth b), is filled straight from the block values and
 factored by one banded Cholesky; the multiplier follows from side 1's
 interface equilibrium. ``direct_saddle_solve`` gives n and the band width
-of each built-in profile.
+of each built-in profile. This band writer and Cholesky (``_band_solve``)
+are the package's one banded solve; both oracles of ``reference`` run them
+on the same merged band with one factor.
 
 The iterative route solves the interface problem
 
@@ -52,13 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fem2d import ModeStack, SparsePattern, band_index
+from .fem2d import ModeStack, SparsePattern
 from .pc_basis import GalerkinStack, family, triple_moment_stack
 from .problems import CoupledProblem, PrimalLayout
 
@@ -207,7 +209,8 @@ class BlockOperators:
 
     @cached_property
     def K1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _band_solve(self.problem.local_layouts[0], (self.V1,), "first-block operator")
+        lay = self.problem.local_layouts[0]
+        return _band_solve(lay, _primal_band(lay, (self.V1,)), "first-block operator")
 
     @cached_property
     def K2_solve(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -216,7 +219,8 @@ class BlockOperators:
         with I (x) R2 instead would add dense columns to the factor)."""
         lay = self.problem.local_layouts[1]
         what = "pinned second-block operator" if self.floating else "second-block operator"
-        return _band_solve(lay, (self.V2,), what, dofs=np.flatnonzero(lay.maps[0] >= 0))
+        ab = _primal_band(lay, (self.V2,))
+        return _band_solve(lay, ab, what, dofs=np.flatnonzero(lay.maps[0] >= 0))
 
 
 def build_block_operators(
@@ -482,28 +486,43 @@ def recover_primal(
 _DIRECT_SIZE_CAP = 40_000
 
 
-def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
-    """The blocks of the sides of ``lay``, side s with the block values
-    ``values[s]``, summed on the band dofs, in LAPACK upper band storage.
-
-    Unknown (g, l), factor l of band dof g, is number ``inv[g] r + l``, so
-    entry (a, b) of block (l, l') sits at (r inv[a] + l, r inv[b] + l') and
-    the half-bandwidth is kd = r (b + 1) - 1. Returns the Fortran-order
-    (kd + 1, n r) band array.
-    """
-    r = values[0].shape[0]
+def _band_positions(lay: PrimalLayout, r: int) -> Iterator[tuple]:
+    """Where each side's block values go in the band of ``lay`` with r
+    factors. Unknown (g, l), factor l of band dof g, is number inv[g] r + l,
+    so the half-bandwidth is kd = r (b + 1) - 1 and the band is the
+    Fortran-order (kd + 1, n r) array of LAPACK upper band storage. Yields
+    two ``(s, src, index)`` per side s, whose entries ``src`` of the flat
+    (r, r, nnz) block values go to ``index`` of the flat band: every block
+    (l, l') of the entries off the diagonal, the blocks l <= l' of those on
+    it."""
     kd = r * (lay.b + 1) - 1
-    ab = np.zeros((kd + 1, r * lay.n), order="F")
-    flat = ab.ravel(order="F")  # a view
     l = np.arange(r)
-    up = np.triu_indices(r)
+    up0, up1 = np.triu_indices(r)
+    for s, (nnz, ((e, i, j), (d, k))) in enumerate(zip(lay.nnz, lay.upper)):
+        # unknown (p, q), p <= q, sits in row kd + p - q of band column q
+        src = (r * l[:, None] + l)[:, :, None] * nnz + e
+        yield s, src, kd * (r * j + l[:, None] + 1) + r * i + l[:, None, None]
+        src = (r * up0 + up1)[:, None] * nnz + d
+        yield s, src, kd * (r * k + up1[:, None] + 1) + r * k + up0[:, None]
+
+
+def _band_write(ab: np.ndarray, positions: Iterable, values: Sequence[np.ndarray]) -> np.ndarray:
+    """Overwrite and return the band ``ab``: the sides' blocks, side s with
+    the block values ``values[s]``, summed at ``_band_positions``."""
+    ab.fill(0.0)
+    flat = ab.ravel(order="F")  # a view
     # no position repeats within one side; the sides meet on the interface
-    for V, ((e, i, j), (d, k)) in zip(values, lay.upper):
-        rows, cols = r * i + l[:, None, None], r * j + l[None, :, None]
-        flat[band_index(rows, cols, kd + 1, kd)] += V[:, :, e]
-        rows, cols = r * k + up[0][:, None], r * k + up[1][:, None]
-        flat[band_index(rows, cols, kd + 1, kd)] += V[up][:, d]
+    for s, src, index in positions:
+        flat[index] += values[s].take(src)
     return ab
+
+
+def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
+    """The blocks of the sides of ``lay``, side s with the (r, r, nnz)
+    block values ``values[s]``, summed on its band of r factors."""
+    r = values[0].shape[0]
+    ab = np.empty((r * (lay.b + 1), r * lay.n), order="F")
+    return _band_write(ab, _band_positions(lay, r), values)
 
 
 def _primal_load(ops: BlockOperators) -> np.ndarray:
@@ -512,15 +531,17 @@ def _primal_load(ops: BlockOperators) -> np.ndarray:
 
 
 def _band_solve(
-    lay: PrimalLayout, values: Sequence[np.ndarray], what: str, dofs: np.ndarray | None = None
+    lay: PrimalLayout, ab: np.ndarray, what: str, dofs: np.ndarray | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One banded Cholesky factorization of ``_primal_band(lay, values)``,
-    returned as the solve of (r, M) blocks whose columns ``dofs`` (all when
-    None) are the band dofs; the other columns solve to zero. A singular
-    factor or a non-finite solution raises ``SolverError`` naming
-    ``what``."""
+    """One unpivoted banded Cholesky factorization of the filled band ``ab``
+    of ``lay`` (overwritten), returned as the solve of (r k, M) blocks, row
+    l k + t holding factor l of right-hand side t, whose columns ``dofs`` (all
+    when None) are the band dofs; the other columns solve to zero. A band that
+    is not positive definite or a non-finite solution raises ``SolverError``
+    naming ``what``."""
+    r = ab.shape[1] // lay.n
     order = lay.perm if dofs is None else dofs[lay.perm]
-    c, info = dpbtrf(_primal_band(lay, values), overwrite_ab=1)
+    c, info = dpbtrf(ab, overwrite_ab=1)
     if info < 0:
         raise RuntimeError(f"pbtrf rejected its argument {-info}")
     if info > 0:
@@ -530,8 +551,8 @@ def _band_solve(
         )
 
     def solve(B: np.ndarray) -> np.ndarray:
-        x, _ = dpbtrs(c, B[:, order].T.reshape(-1, 1), overwrite_b=1)
-        if not np.all(np.isfinite(x)):
+        x, _ = dpbtrs(c, B[:, order].T.reshape(r * lay.n, -1), overwrite_b=1)
+        if not np.isfinite(x).all():
             raise SolverError(f"{what} has a non-finite solution (singular system)")
         X = np.zeros_like(B)
         X[:, order] = x.reshape(-1, B.shape[0]).T
@@ -568,7 +589,8 @@ def direct_saddle_solve(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray, np
             'set solver.det_update to "pcpg" for the interface iteration'
         )
     lay = ops.problem.primal_layout
-    u = _band_solve(lay, (ops.V1, ops.V2), "block saddle system")(_primal_load(ops))
+    ab = _primal_band(lay, (ops.V1, ops.V2))
+    u = _band_solve(lay, ab, "block saddle system")(_primal_load(ops))
     u1, u2 = u[:, : ops.M1], u[:, lay.maps[1]]
     # side 1's equilibrium at interface dof p1_k: (Khat_1 u1 - fhat1)[p1_k]
     # = (W lambda)[k]

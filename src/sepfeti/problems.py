@@ -164,9 +164,17 @@ def _validate(config: dict[str, Any]) -> None:
     for key in ("p1", "p2"):
         if int(pc[key]) < 1:
             raise ConfigError(f"pc.{key} must be >= 1")
+    check_solver_settings(config["solver"])
     route = config["solver"]["det_update"]
     if route not in ("direct", "pcpg"):
         raise ConfigError(f'solver.det_update must be "direct" or "pcpg", not {route!r}')
+
+
+def check_solver_settings(solver: dict[str, Any]) -> None:
+    """Refuse rank or sweep caps below 1 and fewer than two residual samples."""
+    for key, low in (("rank_max", 1), ("max_sweeps", 1), ("n_mc_residual", 2)):
+        if int(solver[key]) < low:
+            raise ConfigError(f"solver.{key} must be >= {low}, not {solver[key]}")
 
 
 def _two_rects(config: dict[str, Any]) -> list[tuple[tuple, tuple]]:
@@ -252,14 +260,15 @@ class CoupledProblem:
 @dataclass(frozen=True)
 class PrimalLayout:
     """The stiffness modes of one or more sides on one symmetric band of n
-    dofs, the rank-independent part of a banded solve (``feti._primal_band``).
+    dofs, the rank-independent part of a banded solve (``feti._band_positions``).
 
     Side s puts its dof a on band dof ``maps[s][a]``; a dof mapped to -1 is
     dropped with its row and column. ``perm``/``inv`` are a reverse
     Cuthill-McKee ordering of the band dofs, b the half-bandwidth of the
     ordered pattern. ``upper[s]`` picks side s's stored entries (a, b) on or
     above the diagonal, as ``(strict, diag)``: ``(entries, inv of a, inv of
-    b)`` off the diagonal and ``(entries, inv of a)`` on it.
+    b)`` off the diagonal and ``(entries, inv of a)`` on it; side s stores
+    ``nnz[s]`` entries.
     """
 
     n: int
@@ -268,6 +277,7 @@ class PrimalLayout:
     inv: np.ndarray
     maps: tuple[np.ndarray, ...]
     upper: tuple[tuple, ...]
+    nnz: tuple[int, ...]
 
 
 def _whole(sub: SubdomainProblem) -> tuple[ModeStack, np.ndarray]:
@@ -292,7 +302,8 @@ def primal_layout(sides: list[tuple[ModeStack, np.ndarray]]) -> PrimalLayout:
         i, j = inv[i], inv[j]
         strict, diag = np.flatnonzero(i < j), np.flatnonzero(i == j)
         upper.append(((e[strict], i[strict], j[strict]), (e[diag], i[diag])))
-    return PrimalLayout(n=n, b=b, perm=perm, inv=inv, maps=maps, upper=tuple(upper))
+    nnz = tuple(modes.indices.size for modes, _ in sides)
+    return PrimalLayout(n=n, b=b, perm=perm, inv=inv, maps=maps, upper=tuple(upper), nnz=nnz)
 
 
 def _build_field(

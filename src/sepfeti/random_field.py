@@ -45,11 +45,12 @@ class GaussianKernel:
             raise ValueError("corr_len must be positive")
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
-        """Kernel evaluated at all point pairs."""
-        dx = points[:, 0, None] - points[None, :, 0]
-        dy = points[:, 1, None] - points[None, :, 1]
-        sq = dx * dx + dy * dy
-        return self.sigma**2 * np.exp(-sq / self.corr_len**2)
+        """Kernel evaluated at all point pairs, with three n x n arrays."""
+        out, dy = (points[:, k, None] - points[None, :, k] for k in (0, 1))
+        out *= out
+        out += dy * dy
+        out /= -self.corr_len**2
+        return np.multiply(self.sigma**2, np.exp(out, out=out), out=out)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from . import problems
 from .arr import SeparatedSolution
 from .problems import ConfigError, CoupledProblem
 
@@ -155,16 +154,14 @@ def report_reference(
     label: str,
     metadata: dict[str, Any] | None = None,
 ) -> MomentReport:
-    """Moment report of monolithic-reference fields, restricted per sub-domain."""
-    mono = problems.as_monolithic(problem)
-    mean_mono = np.asarray(mean_mono, dtype=float)
-    std_mono = np.asarray(std_mono, dtype=float)
-    if mean_mono.shape != (mono.n_free,) or std_mono.shape != (mono.n_free,):
-        raise ValueError(
-            f"reference fields must have {mono.n_free} entries (merged free dofs)"
-        )
-    mean = np.concatenate([mean_mono[mono.restrict1], mean_mono[mono.restrict2]])
-    std = np.concatenate([std_mono[mono.restrict1], std_mono[mono.restrict2]])
+    """Moment report of fields on the merged dofs, restricted per sub-domain."""
+    mean, std = (np.asarray(x, dtype=float) for x in (mean_mono, std_mono))
+    n = problem.merged_load.size
+    if mean.shape != (n,) or std.shape != (n,):
+        raise ValueError(f"reference fields must have {n} entries (merged free dofs)")
+    # side 1's dofs keep their numbers (CoupledProblem.merge_map)
+    restrict = np.append(np.arange(problem.sub[0].n_dofs), problem.merge_map)
+    mean, std = mean[restrict], std[restrict]
     return MomentReport(
         label=label,
         mean=mean,

@@ -325,3 +325,34 @@ def test_run_pcpg_zero_factor_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "block operator is singular: the leading minor" in err
     assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, keyword",
+    [
+        ("rank_max", 0, "r_max"),
+        ("max_sweeps", 0, None),
+        ("n_mc_residual", 1, "n_mc_residual"),
+        ("n_mc_residual", 0, "n_mc_residual"),
+    ],
+)
+def test_unusable_solver_settings_exit_2(tmp_path, desk_config, capsys, key, value, keyword):
+    # no rank or sweep to report, or a residual standard error from fewer
+    # than two samples: refused in the config, and as arr_run arguments
+    from sepfeti import arr
+
+    cfg = json.loads(desk_config.read_text())
+    cfg["solver"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "a")]) == 2
+    assert f"solver.{key} must be >= " in capsys.readouterr().err
+    if keyword is not None:
+        problem = problems.build_from_config(json.loads(desk_config.read_text()))
+        with pytest.raises(ValueError, match=f"solver.{key} must be >= "):
+            arr.arr_run(problem, **{keyword: value})
+    if key == "rank_max":
+        args = ["run", "--config", str(desk_config), "--rank-max", "0"]
+        assert cli.main([*args, "--out-dir", str(tmp_path / "b")]) == 2
+        assert "solver.rank_max must be >= 1, not 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/summary.json"))

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from sepfeti import feti, pc_basis, problems, reference
+from sepfeti import cli, feti, pc_basis, problems, reference
 
 
 def desk_problem(example="lshape", **field_over):
@@ -36,7 +36,8 @@ def test_sg_core_matches_dense_kronecker():
     b[:2] = f
     expected = np.linalg.solve(dense, b).reshape(len(idx), 2)
     modes = oracles.mode_stack_from_modes([K0, K1])
-    got = reference._sg_solve_core(modes, G, f, tol=1e-12)
+    mean_solve = lambda R: np.linalg.solve(K0.toarray(), R.T).T  # noqa: E731
+    got = reference._sg_solve_core(modes, G, f, mean_solve, tol=1e-12)
     np.testing.assert_allclose(got, expected, atol=1e-10 * np.abs(expected).max())
 
 
@@ -152,21 +153,33 @@ def profile_problem():
 
 
 @pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam"])
-def test_band_layout_holds_rcm_permuted_matrix(profile_problem, name):
-    pattern = problems.as_monolithic(profile_problem(name)).modes
-    perm, b, index = reference._band_layout(pattern)
-    n = pattern.n
-    values = np.random.default_rng(4).standard_normal(pattern.indices.size)
-    ab = np.zeros((3 * b + 1, n), order="F")
-    ab.ravel(order="F")[index] = values
-    permuted = pattern.matrix(values)[perm][:, perm]
+def test_mc_band_holds_merged_sample_matrix(profile_problem, name):
+    # the one-factor band that the MC oracle writes from the direct route's
+    # positions against the merged matrix of a germ sample: each side's
+    # sample matrix scattered into the merged dofs
+    problem = profile_problem(name)
+    lay = problem.primal_layout
+    fam = pc_basis.family(problem.family_kind)
+    rng = np.random.default_rng(4)
+    values, A = [], sp.csr_matrix((lay.n, lay.n))
+    for sub, fld, dmap in zip(problem.sub, problem.fields, lay.maps):
+        xi = rng.uniform(-1.0, 1.0, (1, fld.n_dims))
+        values.append(pc_basis.eval_multivariate_batch(fam, fld.idx_set, xi)[0] @ sub.modes.data)
+        P = sp.csr_matrix(
+            (np.ones(sub.n_dofs), (dmap, np.arange(sub.n_dofs))), shape=(lay.n, sub.n_dofs)
+        )
+        A = A + P @ sub.modes.matrix(values[-1]) @ P.T
+    ab = np.empty((lay.b + 1, lay.n), order="F")
+    feti._band_write(ab, feti._band_positions(lay, 1), values)
+    permuted = A[lay.perm][:, lay.perm]
     rows, cols = permuted.nonzero()
-    assert b == np.abs(rows - cols).max()
-    # gbsv band storage: A[i, j] sits in row 2b + i - j of column j, which is
-    # the diagonal format with offset j - i = 2b - row
-    unpacked = sp.dia_matrix((ab, 2 * b - np.arange(3 * b + 1)), shape=(n, n))
-    np.testing.assert_array_equal(unpacked.toarray(), permuted.toarray())
-    assert np.count_nonzero(ab) == values.size  # nothing outside the matrix
+    assert lay.b == np.abs(rows - cols).max()
+    # upper band storage: A[i, j], i <= j, sits in row b + i - j of column j,
+    # the diagonal format with offset j - i = b - row
+    unpacked = sp.dia_matrix((ab, lay.b - np.arange(lay.b + 1)), shape=A.shape)
+    want = sp.triu(permuted).toarray()
+    np.testing.assert_array_equal(unpacked.toarray(), want)
+    assert np.count_nonzero(ab) == np.count_nonzero(want)  # nothing outside the matrix
 
 
 @pytest.mark.parametrize("name", ["beam", "lshape"])
@@ -191,6 +204,30 @@ def test_mc_singular_sample_raises():
     )
     with pytest.raises(feti.SolverError, match="singular"):
         reference.monte_carlo_reference(zero, n_samples=3, seed=1)
+
+
+def test_mc_refuses_indefinite_sample(tmp_path, capsys, monkeypatch):
+    # side 2's stiffness negated: the unpivoted Cholesky refuses the first
+    # sample, naming its germ value, and the command exits with code 3
+    prob = desk_problem()
+    s2 = prob.sub[1]
+    flipped = dataclasses.replace(
+        prob,
+        sub=(
+            prob.sub[0],
+            dataclasses.replace(s2, modes=dataclasses.replace(s2.modes, data=-s2.modes.data)),
+        ),
+    )
+    xi = np.random.default_rng(1).standard_normal((3, oracles.d_total(prob)))
+    with pytest.raises(feti.SolverError, match="not positive definite") as err:
+        reference.monte_carlo_reference(flipped, n_samples=3, seed=1)
+    assert f"germ value {xi[0]}" in str(err.value)
+
+    monkeypatch.setattr(problems, "build_from_config", lambda config: flipped)
+    args = ["reference", "--profile", "lshape-desk", "--method", "mc", "--samples", "3"]
+    assert cli.main([*args, "--seed", "1", "--out-dir", str(tmp_path)]) == 3
+    assert f"germ value {xi[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
 
 
 def test_mc_vs_sg_cross_oracle():
