@@ -15,9 +15,11 @@ sub-domain equilibrium residual meets the target.
 
 A germ's Galerkin update is a symmetric positive definite system of size
 r P, whose (a, b) blocks sum_j C_j G_j[a, b] are nonzero only where the
-triple-moment stack is. It is solved in one of two ways, by its size: below
-r P = ``_CG_MIN_SIZE`` (300) it is filled densely and factored by Cholesky;
-from there on it is a block-sparse (BSR) matrix of (r, r) blocks, solved by
+triple-moment stack is. Those blocks come from one sparse product with the
+stack, which is stored by pair (``pc_basis.GalerkinStack``). The system is
+solved in one of two ways, by its size: below r P = ``_CG_MIN_SIZE`` (300)
+the blocks are scattered into a dense matrix and factored by Cholesky; from
+there on they are a block-sparse (BSR) matrix of (r, r) blocks, solved by
 conjugate gradients (``feti.pcg``) preconditioned by its diagonal blocks and
 started from the germ's current factors. ``_CG_MIN_SIZE`` gives the measured
 per-call times of both solves.
@@ -305,51 +307,47 @@ def _factor_error(what: str) -> SolverError:
     return SolverError(f"{what}; re-initialize the factors with a different seed")
 
 
+def _factor_blocks(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The (r, r) blocks sum_j G[j][a, b] C[j] + [a = b] S of the stochastic
+    factor system at the pairs (a, b) of G, in its order: one sparse product
+    with the (J, r, r) weights C."""
+    J, r, _ = C.shape
+    blocks = (G.values @ C.reshape(J, r * r)).reshape(-1, r, r)
+    blocks[G.diag] += S
+    return blocks
+
+
 def _factor_matrix(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The (r P, r P) matrix whose block (l, m) is sum_j C[j, l, m] G[j] +
-    S[l, m] I, for (J, r, r) weights C: one sparse product over the stack's
-    nonzeros, nnz r^2 operations."""
-    J, r, _ = C.shape
-    P = G.P
-    # A[a, b, l, m] = sum_j G[j, a, b] C[j, l, m]
-    A = (G.by_pair @ C.reshape(J, r * r)).reshape(P, P, r, r)
-    diag = np.arange(P)
-    A[diag, diag] += S
-    return A.transpose(2, 0, 3, 1).reshape(r * P, r * P)
-
-
-def _factor_blocks(G: GalerkinStack, C: np.ndarray, S: np.ndarray) -> sp.bsr_matrix:
-    """The matrix of ``_factor_matrix`` with its unknowns ordered by basis
-    function, (a, l) at a r + l: a BSR matrix of (r, r) blocks on the pairs
-    of ``G.blocks``, their values from one sparse product with the (J, r, r)
-    weights C, and S added to the blocks (a, a)."""
-    J, r, _ = C.shape
-    values, indptr, indices, diag = G.blocks
-    blocks = (values @ C.reshape(J, r * r)).reshape(-1, r, r)
-    blocks[diag] += S
-    return sp.bsr_matrix((blocks, indices, indptr), shape=(G.P * r, G.P * r))
+    S[l, m] I: the ``_factor_blocks`` scattered into a dense matrix with its
+    unknowns ordered by factor, (l, a) at l P + a."""
+    r, P = C.shape[1], G.P
+    A = np.zeros((r, P, r, P))
+    A[:, G.a, :, G.b] = _factor_blocks(G, C, S)
+    return A.reshape(r * P, r * P)
 
 
 def _factor_cg(
     G: GalerkinStack, C: np.ndarray, S: np.ndarray, b: np.ndarray, start: np.ndarray
 ) -> np.ndarray:
     """The (r, P) solution of the system of ``_factor_matrix`` with the
-    right-hand side ``b`` (r, P), by CG on ``_factor_blocks`` from the (r, P)
-    factors ``start``, to relative residual ``_FACTOR_CG_EPS`` in at most
-    r P iterations.
+    right-hand side ``b`` (r, P), by CG from the (r, P) factors ``start``,
+    to relative residual ``_FACTOR_CG_EPS`` in at most r P iterations, on
+    the BSR matrix of the ``_factor_blocks``, its unknowns ordered by basis
+    function, (a, l) at a r + l.
 
     The preconditioner is the diagonal blocks (a, a), each factored by
     Cholesky and applied as the product with its inverse.
     """
     r, P = b.shape
-    A = _factor_blocks(G, C, S)
-    diag = G.blocks[3]
+    blocks = _factor_blocks(G, C, S)
     try:
-        inv_chol = np.linalg.inv(np.linalg.cholesky(A.data[diag]))
+        inv_chol = np.linalg.inv(np.linalg.cholesky(blocks[G.diag]))
     except np.linalg.LinAlgError:
         raise _factor_error(_SINGULAR) from None
     if not b.any():  # the minimizer is zero, where ``pcg`` returns its start
         return np.zeros_like(b)
+    A = sp.bsr_matrix((blocks, G.b, G.indptr), shape=(P * r, P * r))
     M = sp.bsr_matrix(
         (inv_chol.transpose(0, 2, 1) @ inv_chol, np.arange(P), np.arange(P + 1)),
         shape=A.shape,
@@ -393,11 +391,13 @@ def _factor_update(
     mode weights ``mode_weights(phi_other, G_other)``; ``phi_own`` holds the
     germ's current factors.
 
-    Below ``_CG_MIN_SIZE`` unknowns the system is filled densely
-    (``_factor_matrix``) and solved by one Cholesky factorization; from
-    there on it is solved by block-Jacobi CG on its nonzero blocks
-    (``_factor_cg``), started from ``phi_own``. From that start every CG
-    iterate lowers the functional, so the update never raises the energy.
+    The system's blocks at the pairs of ``G_own`` come from one sparse
+    product (``_factor_blocks``). Below ``_CG_MIN_SIZE`` unknowns they are
+    scattered into a dense matrix (``_factor_matrix``), solved by one
+    Cholesky factorization; from there on the system is solved by
+    block-Jacobi CG on them (``_factor_cg``), started from ``phi_own``.
+    From that start every CG iterate lowers the functional, so the update
+    never raises the energy.
     ``_CG_MIN_SIZE`` gives the measured per-call times of both solves.
     """
     r = U_own.shape[0]

@@ -4,7 +4,9 @@ Provides meshes whose interface nodes are bit-identical across neighbouring
 sub-domain meshes (coordinates are computed from one global integer lattice),
 stiffness assembly for scalar diffusion and plane-strain elasticity (all PC
 modes of a coefficient at once, as one product with a fixed per-element
-operator), consistent loads, Dirichlet elimination, the interface dofs of
+operator, on the free dofs only: a clamped sub-domain's fixed dofs never
+enter the product), consistent loads, Dirichlet elimination as a dof map
+(-1 at a fixed dof, the free dofs numbered in order), the interface dofs of
 both sides and rigid-body modes, plus the bandwidth-reducing ordering of a
 sparsity pattern and the positions of its entries in LAPACK band storage.
 """
@@ -143,25 +145,30 @@ def _nodal_modes(mesh: Mesh, modes: np.ndarray | float) -> np.ndarray:
 
 
 def _stack_modes(
-    mesh: Mesh, modes: np.ndarray | float, ke: np.ndarray, dofs: np.ndarray, n: int
+    mesh: Mesh, modes: np.ndarray | float, ke: np.ndarray, dofs: np.ndarray, dof_map: np.ndarray
 ) -> ModeStack:
     """Stiffness modes sum_e c_j(centroid of e) ke[e] for every coefficient
-    mode c_j, in one product.
+    mode c_j, in one product, on the free dofs of ``dof_map``.
 
-    ``ke`` (T, k, k) holds the element matrices for a unit coefficient and
-    ``dofs`` (T, k) their dofs among n. The centroid value is the mean of the
+    ``ke`` (T, k, k) holds the element matrices for a unit coefficient,
+    ``dofs`` (T, k) their dofs among n, and ``dof_map`` (n,) the free dof
+    number of each, -1 at a fixed dof. The centroid value is the mean of the
     three vertex values, so mode j's entries are ``c_j @ N`` for one fixed
-    sparse (n_nodes, nnz) operator N. Pattern entries whose column of N is
-    zero (on structured meshes, up to a quarter of them) are dropped from N
-    before the product, so the pattern does not depend on the coefficients.
-    The product comes out with each entry's J values contiguous, and one
-    transpose copy, in blocks of entries that stay in cache, makes the
-    C-ordered (J, nnz) ``data``.
+    sparse (n_nodes, nnz) operator N. Two kinds of pattern entries are
+    dropped from N before the product: those whose column of N is zero (on
+    structured meshes, up to a quarter of them), so the pattern does not
+    depend on the coefficients, and those in a row or column of a fixed dof.
+    Free dofs keep their order, so the stack is bit for bit the one on all n
+    dofs with the fixed rows and columns taken out. The product comes out
+    with each entry's J values contiguous, and one transpose copy, in blocks
+    of entries that stay in cache, makes the C-ordered (J, nnz) ``data``.
     """
     coeffs = _nodal_modes(mesh, modes)
     T, k = dofs.shape
+    n = dof_map.size
     keys = np.repeat(dofs, k, axis=1).astype(np.int64) * n + np.tile(dofs, (1, k))
     keys, entry = np.unique(keys, return_inverse=True)
+    rows, cols = (dof_map[i] for i in np.divmod(keys, n))
     # each element entry ke[e, a, b] / 3, once per vertex of e
     N = sp.csr_matrix(
         (
@@ -173,6 +180,7 @@ def _stack_modes(
         ),
         shape=(mesh.n_nodes, keys.size),
     )
+    N.data[((rows < 0) | (cols < 0))[N.indices]] = 0.0  # the fixed dofs' entries
     N.eliminate_zeros()  # a zero term leaves every sum of the product as it is
     count = np.bincount(N.indices, minlength=keys.size)
     live = np.flatnonzero(count)
@@ -181,8 +189,8 @@ def _stack_modes(
         (N.data, (np.cumsum(count > 0) - 1)[N.indices], N.indptr),
         shape=(live.size, mesh.n_nodes),
     )
-    rows, cols = np.divmod(keys[live], n)
-    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    rows, cols = rows[live], cols[live]
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=np.count_nonzero(dof_map >= 0))))
     values = NT @ coeffs.T  # (nnz, J)
     data = np.empty(values.shape[::-1])
     for lo in range(0, live.size, 256):
@@ -190,19 +198,25 @@ def _stack_modes(
     return ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data)
 
 
-def assemble_diffusion_mode(mesh: Mesh, coeff_modes: np.ndarray | float) -> ModeStack:
+def assemble_diffusion_mode(
+    mesh: Mesh, coeff_modes: np.ndarray | float, dof_map: np.ndarray | None = None
+) -> ModeStack:
     """Stiffness modes K_j[m,n] = integral of kappa_j grad N_m . grad N_n.
 
     ``coeff_modes`` holds one nodal field kappa_j per row (a scalar or a
     single field is one mode). Each is interpolated at the triangle
     centroids (one-point rule), making assembly linear in the nodal field.
+    The modes are assembled on the free dofs of ``dof_map``
+    (``dirichlet_map``; all dofs when None).
     """
     b, c, area = _triangle_geometry(mesh)
     # element matrices (T,3,3) for a unit coefficient
     ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
         4.0 * area
     )[:, None, None]
-    return _stack_modes(mesh, coeff_modes, ke, mesh.triangles, mesh.n_nodes)
+    if dof_map is None:
+        dof_map = np.arange(mesh.n_nodes)
+    return _stack_modes(mesh, coeff_modes, ke, mesh.triangles, dof_map)
 
 
 def _plane_strain_d(nu: float) -> np.ndarray:
@@ -219,10 +233,11 @@ def _plane_strain_d(nu: float) -> np.ndarray:
 
 
 def assemble_elasticity_mode(
-    mesh: Mesh, modulus_modes: np.ndarray | float, nu: float
+    mesh: Mesh, modulus_modes: np.ndarray | float, nu: float, dof_map: np.ndarray | None = None
 ) -> ModeStack:
     """Plane-strain CST stiffness modes, one per Young's-modulus mode field
-    (a row of ``modulus_modes``; a scalar or a single field is one mode)."""
+    (a row of ``modulus_modes``; a scalar or a single field is one mode), on
+    the free dofs of ``dof_map`` (``dirichlet_map``; all dofs when None)."""
     D = _plane_strain_d(nu)
     b, c, area = _triangle_geometry(mesh)
     T = mesh.triangles.shape[0]
@@ -237,7 +252,9 @@ def assemble_elasticity_mode(
     dofs = np.empty((T, 6), dtype=np.intp)
     dofs[:, 0::2] = 2 * mesh.triangles
     dofs[:, 1::2] = 2 * mesh.triangles + 1
-    return _stack_modes(mesh, modulus_modes, ke, dofs, 2 * mesh.n_nodes)
+    if dof_map is None:
+        dof_map = np.arange(2 * mesh.n_nodes)
+    return _stack_modes(mesh, modulus_modes, ke, dofs, dof_map)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -335,7 +352,7 @@ class SparsePattern:
     def n(self) -> int:
         return self.indptr.size - 1
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
         """Row index of each stored entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -383,28 +400,10 @@ class ModeStack(SparsePattern):
     def views(self) -> list[sp.csr_matrix]:
         return [self.matrix(row) for row in self.data]
 
-    def restrict(self, keep: np.ndarray) -> "ModeStack":
-        """Entry (a, b) of the result is entry (keep[a], keep[b])."""
-        new = np.full(self.n, -1, dtype=np.intp)
-        new[keep] = np.arange(keep.size)
-        rows, cols = new[self.rows], new[self.indices]
-        sel = np.flatnonzero((rows >= 0) & (cols >= 0))
-        return self._entries(sel[np.lexsort((cols[sel], rows[sel]))], rows, cols, keep.size)
-
-    def _entries(self, sel, rows, cols, n: int) -> "ModeStack":
-        """The entries ``sel``, in row-major order of their new ``rows`` and
-        ``cols``, on an n x n pattern."""
-        indptr = np.append(0, np.cumsum(np.bincount(rows[sel], minlength=n)))
-        return ModeStack(
-            indptr.astype(self.indptr.dtype),
-            cols[sel].astype(self.indices.dtype),
-            self.data.take(sel, axis=1),
-        )
-
 
 @dataclass
 class SubdomainProblem:
-    """One sub-domain's discrete operators, after optional Dirichlet elimination.
+    """One sub-domain's discrete operators on its free dofs.
 
     ``iface[k]`` is the dof that interface column k picks: the Boolean
     extractor C has a single 1 at (iface[k], k), so ``C^T u`` is the gather
@@ -418,7 +417,7 @@ class SubdomainProblem:
     iface: np.ndarray                  # (M_I,) distinct dof ids
     R: np.ndarray                      # (n_free_dofs, n_rigid) orthonormal, possibly 0 cols
     floating: bool
-    free_dofs: np.ndarray              # original dof ids kept (identity before elimination)
+    free_dofs: np.ndarray              # original dof ids kept (all when none is fixed)
 
     @property
     def K_modes(self) -> list[sp.csr_matrix]:
@@ -439,31 +438,44 @@ def make_subdomain_problem(
     modes: ModeStack,
     f: np.ndarray,
     iface: np.ndarray,
+    dof_map: np.ndarray | None = None,
 ) -> SubdomainProblem:
+    """A sub-domain from its load f and interface dofs ``iface`` on all its
+    dofs, and its stiffness modes on the free dofs of ``dof_map``
+    (``dirichlet_map``; all dofs when None). f and ``iface`` are taken to
+    the free dofs; a sub-domain with no fixed dof floats."""
     n = ncomp * mesh.n_nodes
+    if dof_map is None:
+        dof_map = np.arange(n, dtype=np.intp)
+    keep = np.flatnonzero(dof_map >= 0)
+    if modes.n != keep.size:
+        raise ValueError("stiffness modes must be assembled on the free dofs")
+    floating = keep.size == n
     return SubdomainProblem(
         mesh=mesh,
         ncomp=ncomp,
         modes=modes,
-        f=f,
-        iface=iface,
-        R=rigid_body_modes(mesh, ncomp),
-        floating=True,
-        free_dofs=np.arange(n, dtype=np.intp),
+        f=f[keep],
+        iface=dof_map[iface],
+        R=rigid_body_modes(mesh, ncomp) if floating else np.zeros((keep.size, 0)),
+        floating=floating,
+        free_dofs=keep,
     )
 
 
-def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainProblem:
-    """Eliminate the dofs of the tagged nodes from every operator.
+def dirichlet_map(mesh: Mesh, ncomp: int, nodes: np.ndarray, iface: np.ndarray) -> np.ndarray:
+    """The dof map that eliminates the dofs of the tagged nodes: the free
+    dofs numbered in order, -1 at a fixed dof (the rule of
+    ``problems.PrimalLayout``).
 
     Homogeneous data only: rows and columns are removed outright. Interface
     dofs must stay free, so eliminating one is an error.
     """
-    drop = np.unique(node_dofs(nodes, problem.ncomp))
-    n = problem.n_dofs
+    n = ncomp * mesh.n_nodes
+    drop = np.unique(node_dofs(nodes, ncomp))
     if drop.size and (drop.min() < 0 or drop.max() >= n):
         raise ValueError("Dirichlet node outside mesh")
-    clash = np.intersect1d(drop, problem.iface)
+    clash = np.intersect1d(drop, iface)
     if clash.size:
         raise ValueError(
             f"cannot eliminate interface dofs {clash.tolist()}; interface must stay free"
@@ -471,16 +483,9 @@ def apply_dirichlet(problem: SubdomainProblem, nodes: np.ndarray) -> SubdomainPr
     keep = np.setdiff1d(np.arange(n, dtype=np.intp), drop)
     if keep.size == 0:
         raise ValueError("Dirichlet elimination would remove every dof")
-    return SubdomainProblem(
-        mesh=problem.mesh,
-        ncomp=problem.ncomp,
-        modes=problem.modes.restrict(keep),
-        f=problem.f[keep],
-        iface=np.searchsorted(keep, problem.iface),
-        R=np.zeros((keep.size, 0)),
-        floating=False,
-        free_dofs=problem.free_dofs[keep],
-    )
+    dof_map = np.full(n, -1, dtype=np.intp)
+    dof_map[keep] = np.arange(keep.size)
+    return dof_map
 
 
 def node_dofs(nodes: np.ndarray, ncomp: int) -> np.ndarray:

@@ -91,14 +91,14 @@ def apply_blocks(
 
 
 def mode_weights(phi: np.ndarray, G: GalerkinStack) -> np.ndarray:
-    """T[j, l, m] = phi[l] . G[j] phi[m] for (r, P) factors: each stored
-    entry G[j][a, b] adds its value times phi[l, a] phi[m, b] to T[j], one
+    """T[j, l, m] = phi[l] . G[j] phi[m] for (r, P) factors: the r^2
+    products phi[l, a] phi[m, b] are formed once per pair (a, b) of the
+    stack, and each stored G[j][a, b] adds its value times them to T[j], one
     sparse product of nnz r^2 operations."""
     r = phi.shape[0]
-    a, b = G.pairs
     factors = np.ascontiguousarray(phi.T)
-    products = (factors[a][:, :, None] * factors[b][:, None, :]).reshape(-1, r * r)
-    return (G.by_entry @ products).reshape(-1, r, r)
+    products = (factors[G.a][:, :, None] * factors[G.b][:, None, :]).reshape(-1, r * r)
+    return (G.values_t @ products).reshape(-1, r, r)
 
 
 def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[GalerkinStack, GalerkinStack]:
@@ -546,8 +546,7 @@ def _band_solve(
         raise RuntimeError(f"pbtrf rejected its argument {-info}")
     if info > 0:
         raise SolverError(
-            f"{what} is singular: the leading minor of order {info} of its band "
-            "is not positive definite"
+            f"{what} is not positive definite (leading minor of order {info})"
         )
 
     def solve(B: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ of the other two. The univariate tensor is set to exactly zero off the rule
 only where the rule holds in every dimension.
 
 A Galerkin stack G_j[a, b] = E[psi_{m_j} psi_a psi_b] is stored by its
-nonzeros only (``GalerkinStack``): one (J, P*P) CSR matrix whose row j holds
-the nonzeros of G_j at columns a P + b, in increasing column order. It is
-built by enumerating exactly those nonzeros, one dimension at a time
-(``triple_moment_stack``).
+nonzeros only, pair-major (``GalerkinStack``): one CSR matrix with a row per
+pair (a, b) at which some G_j is nonzero and a column per mode j, the form
+that both its contractions and the block-sparse stochastic-factor systems
+read. It is built by enumerating exactly those nonzeros, one dimension at a
+time (``triple_moment_stack``).
 """
 
 from __future__ import annotations
@@ -199,62 +200,44 @@ def univariate_triple_tensor(fam: OrthoPolyFamily, A: int, B: int, C: int) -> np
     return np.where(rule, values, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalerkinStack:
     """Matrices G_j[a, b] = E[psi_{m_j} psi_a psi_b] of J modes over P basis
-    functions, by their nonzeros.
+    functions, by their nonzeros, stored once by pair.
 
-    ``by_mode`` is a (J, P*P) CSR matrix: row j holds the nonzeros of G_j at
-    columns a P + b, in increasing order. The other properties are views of
-    it, made once: ``by_pair`` is its (P*P, J) transpose, ``by_entry`` the
-    (J, nnz) matrix with entry e of ``by_mode`` in column e, ``pairs`` the
-    (a, b) of each entry, and ``blocks`` the block-sparse pattern of the
-    pairs at which some G_j is nonzero.
+    The n pairs (a, b) at which some G_j is nonzero come in increasing
+    a P + b order. ``values`` is the (n, J) CSR matrix with G_j[a, b] in row
+    k, column j for the k-th pair (``a[k]``, ``b[k]``). ``indptr`` and ``b``
+    are the block-row pointers and block columns of a BSR matrix over P
+    block rows with those pairs as its blocks, and ``diag`` holds the
+    position of each pair (a, a). Every pair (a, a) must be present for
+    ``diag`` to be meaningful; it is when mode 0 is the constant, as in every
+    ``random_field`` expansion, since then G_0 = I.
+
+    ``values @ C.reshape(J, -1)`` gives the blocks of sum_j G_j (x) C_j in
+    that BSR order, whatever the size of C_j, and ``values_t @ X`` sums the
+    rows of X (one per pair) weighted by each G_j.
     """
 
     P: int
-    by_mode: sp.csr_matrix
+    values: sp.csr_matrix
+    a: np.ndarray
+    b: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray
 
     @cached_property
-    def by_pair(self) -> sp.csc_matrix:
-        return self.by_mode.T
-
-    @cached_property
-    def by_entry(self) -> sp.csr_matrix:
-        G = self.by_mode
-        return sp.csr_matrix((G.data, np.arange(G.nnz), G.indptr), shape=(G.shape[0], G.nnz))
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.divmod(self.by_mode.indices, self.P)
-
-    @cached_property
-    def blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
-        """``(values, indptr, indices, diag)`` of the n pairs (a, b) at which
-        some G_j is nonzero, in increasing a P + b order: ``values`` is the
-        (n, J) matrix with G_j[a, b] in row k, column j for the k-th pair,
-        ``indptr`` and ``indices`` the block-row pointers and block columns
-        b of a BSR matrix over P block rows with those pairs as its blocks,
-        and ``diag`` the position of each pair (a, a). Every pair (a, a) must
-        be present; it is when mode 0 is the constant, as in every
-        ``random_field`` expansion, since then G_0 = I.
-
-        ``values @ C.reshape(J, -1)`` gives the blocks of sum_j G_j (x) C_j
-        in that BSR order, whatever the size of C_j.
-        """
-        G, P = self.by_mode, self.P
-        pair = np.unique(G.indices)
-        # by_mode with its columns renumbered by pair is the (J, n) transpose
-        values = sp.csr_matrix(
-            (G.data, np.searchsorted(pair, G.indices), G.indptr), shape=(G.shape[0], pair.size)
-        ).T.tocsr()
-        a, b = np.divmod(pair, P)
-        diag = np.searchsorted(pair, np.arange(P) * (P + 1))
-        return values, np.searchsorted(a, np.arange(P + 1)), b, diag
+    def values_t(self) -> sp.csc_matrix:
+        """``values.T``, a (J, n) CSC matrix on the same arrays, made once:
+        scipy's transpose costs about 25 us, as much as a product with it on
+        the desk profiles."""
+        return self.values.T
 
     def dense(self) -> np.ndarray:
         """The (J, P, P) array of the matrices."""
-        return self.by_mode.toarray().reshape(-1, self.P, self.P)
+        out = np.zeros((self.values.shape[1], self.P, self.P))
+        out[:, self.a, self.b] = self.values_t.toarray()
+        return out
 
 
 def _prefix_tree(indices: np.ndarray) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
@@ -308,7 +291,8 @@ def triple_moment_stack(
     (once for a, once for b) together, one dimension at a time, keeps only
     the triples whose univariate moments so far are all nonzero, so the
     work follows the stack's nonzeros. Each value is the product of its
-    univariate moments from the first dimension to the last. The rows of
+    univariate moments from the first dimension to the last, and the
+    triples are sorted once into the stack's pair-major order. The rows of
     ``idx_modes`` must be distinct.
     """
     idx_modes = np.asarray(idx_modes, dtype=np.intp)
@@ -331,8 +315,11 @@ def triple_moment_stack(
         j, a, b = j[keep], a[keep], b[keep]
         value = value[src[keep]] * moment[keep]
     j = row_j[j]
-    col = row_ab[a] * P + row_ab[b]
-    order = np.argsort(j * (P * P) + col)
-    indptr = np.zeros(J + 1, dtype=np.intp)
-    np.cumsum(np.bincount(j, minlength=J), out=indptr[1:])
-    return GalerkinStack(P, sp.csr_matrix((value[order], col[order], indptr), shape=(J, P * P)))
+    pair = row_ab[a] * P + row_ab[b]
+    order = np.argsort(pair * J + j)
+    pairs, count = np.unique(pair, return_counts=True)
+    rows = np.append(0, np.cumsum(count))
+    values = sp.csr_matrix((value[order], j[order], rows), shape=(pairs.size, J))
+    a, b = np.divmod(pairs, P)
+    diag = np.searchsorted(pairs, np.arange(P) * (P + 1))
+    return GalerkinStack(P, values, a, b, np.searchsorted(a, np.arange(P + 1)), diag)

@@ -325,15 +325,16 @@ def _build_field(
 
 
 def _assemble_modes(
-    mesh: Mesh, pc_field: RandomFieldPC, kind: str, nu: float | None
+    mesh: Mesh, pc_field: RandomFieldPC, kind: str, nu: float | None, dof_map: np.ndarray
 ) -> ModeStack:
-    """One stiffness mode per field coefficient, all in one call; the constant
-    shift is folded into the mean (index-0) mode since psi_0 = 1."""
+    """One stiffness mode per field coefficient, all in one call, on the free
+    dofs of ``dof_map``; the constant shift is folded into the mean (index-0)
+    mode since psi_0 = 1."""
     coeffs = pc_field.coeff_fields.copy()
     coeffs[0] += pc_field.shift
     if kind == KIND_DIFFUSION:
-        return fem2d.assemble_diffusion_mode(mesh, coeffs)
-    return fem2d.assemble_elasticity_mode(mesh, coeffs, nu)
+        return fem2d.assemble_diffusion_mode(mesh, coeffs, dof_map)
+    return fem2d.assemble_elasticity_mode(mesh, coeffs, nu, dof_map)
 
 
 def _finish(
@@ -355,9 +356,9 @@ def _finish(
     )
     reduced = []
     for mesh, pc_field, f, iface, dn in zip(meshes, fields, loads, (iface1, iface2), dirichlet):
-        modes = _assemble_modes(mesh, pc_field, kind, nu)
-        prob = fem2d.make_subdomain_problem(mesh, ncomp, modes, f, iface)
-        reduced.append(fem2d.apply_dirichlet(prob, dn) if dn.size else prob)
+        dof_map = fem2d.dirichlet_map(mesh, ncomp, dn, iface)
+        modes = _assemble_modes(mesh, pc_field, kind, nu, dof_map)
+        reduced.append(fem2d.make_subdomain_problem(mesh, ncomp, modes, f, iface, dof_map))
     idx = (
         build_index_set(fields[0].n_dims, int(config["pc"]["p1"])),
         build_index_set(fields[1].n_dims, int(config["pc"]["p2"])),

@@ -22,6 +22,7 @@ from .feti import SolverError, block_values, pcg
 from .feti import _band_positions, _band_solve, _band_write, _primal_band
 from .pc_basis import (
     LEGENDRE,
+    MultiIndexSet,
     build_index_set,
     eval_multivariate_batch,
     family,

@@ -15,8 +15,10 @@ Gaussian kernel by its broadcast formula and the KL eigenproblem solved
 for all n pairs by a dense solve, the shifted-lognormal coefficients with
 their factorial weights formed row by row, the Boolean extractor matrix of a
 sub-domain's interface dofs (the library keeps only the dof list), a
-sub-domain's unreduced mean stiffness and interface dofs (the problem keeps
-only the reduced ones), the
+sub-domain's unreduced stiffness modes, load and interface dofs (the
+problem keeps only the ones on its free dofs) and the same sub-domain with
+its fixed dofs taken out after assembly, by a copy of the mode data, which
+the assembly on the free dofs is checked against, the
 per-sample sparse solves the Monte-Carlo oracle is checked against and the
 pairwise merge of two of its accumulators, stiffness modes assembled one
 at a time (a COO assembly per mode, stacked on their shared pattern) and
@@ -404,24 +406,58 @@ def extractor(sub: fem2d.SubdomainProblem) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(k.size), (sub.iface, k)), shape=(sub.n_dofs, k.size))
 
 
-def unreduced_mean_subdomain(
-    problem: problems.CoupledProblem, side: int
-) -> fem2d.SubdomainProblem:
-    """Sub-domain ``side`` before Dirichlet elimination, with its mean
-    stiffness mode only, its unreduced load and its unreduced interface
-    dofs: the matched node pairs without the Dirichlet nodes."""
+def unreduced_subdomain(problem: problems.CoupledProblem, side: int) -> fem2d.SubdomainProblem:
+    """Sub-domain ``side`` before Dirichlet elimination: its stiffness modes
+    assembled on all its dofs, its unreduced load and its unreduced
+    interface dofs (the matched node pairs without the Dirichlet nodes)."""
     meshes = [sub.mesh for sub in problem.sub]
     ids1, ids2 = fem2d.interface_nodes(*meshes)
     free = ~(np.isin(ids1, problem.dirichlet_nodes[0]) | np.isin(ids2, problem.dirichlet_nodes[1]))
     iface = fem2d.build_interface_extractors(meshes[0], ids1[free], ids2[free], problem.ncomp)[side]
     field = problem.fields[side]
-    mean = field.coeff_fields[0] + field.shift
+    coeffs = field.coeff_fields.copy()
+    coeffs[0] += field.shift
     mesh = meshes[side]
-    if problem.kind == problems.KIND_DIFFUSION:
-        modes = fem2d.assemble_diffusion_mode(mesh, mean)
-    else:
-        modes = fem2d.assemble_elasticity_mode(mesh, mean, problem.config["field"]["nu"])
+    modes = assemble_modes(problem, mesh, coeffs)
     return fem2d.make_subdomain_problem(mesh, problem.ncomp, modes, problem.f_full[side], iface)
+
+
+def take_entries(stack: fem2d.ModeStack, sel, rows, cols, n: int) -> fem2d.ModeStack:
+    """The entries ``sel`` of ``stack``, in row-major order of their new
+    ``rows`` and ``cols``, on an n x n pattern, copied out of its data."""
+    indptr = np.append(0, np.cumsum(np.bincount(rows[sel], minlength=n)))
+    return fem2d.ModeStack(
+        indptr.astype(stack.indptr.dtype),
+        cols[sel].astype(stack.indices.dtype),
+        stack.data.take(sel, axis=1),
+    )
+
+
+def restrict_modes(stack: fem2d.ModeStack, keep: np.ndarray) -> fem2d.ModeStack:
+    """The rows and columns ``keep`` of every mode: entry (a, b) of the
+    result is entry (keep[a], keep[b])."""
+    new = np.full(stack.n, -1, dtype=np.intp)
+    new[keep] = np.arange(keep.size)
+    rows, cols = new[stack.rows], new[stack.indices]
+    sel = np.flatnonzero((rows >= 0) & (cols >= 0))
+    return take_entries(stack, sel[np.lexsort((cols[sel], rows[sel]))], rows, cols, keep.size)
+
+
+def restrict_subdomain(sub: fem2d.SubdomainProblem, nodes: np.ndarray) -> fem2d.SubdomainProblem:
+    """An unreduced sub-domain with the dofs of ``nodes`` eliminated after
+    assembly: its modes restricted by a copy (``restrict_modes``), its load
+    and interface dofs taken to the kept dofs."""
+    keep = np.setdiff1d(np.arange(sub.n_dofs), fem2d.node_dofs(nodes, sub.ncomp))
+    return fem2d.SubdomainProblem(
+        mesh=sub.mesh,
+        ncomp=sub.ncomp,
+        modes=restrict_modes(sub.modes, keep),
+        f=sub.f[keep],
+        iface=np.searchsorted(keep, sub.iface),
+        R=np.zeros((keep.size, 0)),
+        floating=False,
+        free_dofs=sub.free_dofs[keep],
+    )
 
 
 def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
@@ -438,17 +474,19 @@ def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
             raise ValueError("stiffness modes must share one sparsity pattern")
     stack = fem2d.ModeStack(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
     live = np.flatnonzero(stack.data.any(axis=0))
-    return stack._entries(live, stack.rows, stack.indices, stack.n)
+    return take_entries(stack, live, stack.rows, stack.indices, stack.n)
 
 
 def take_stack_modes(
-    mesh: fem2d.Mesh, modes, ke: np.ndarray, dofs: np.ndarray, n: int
+    mesh: fem2d.Mesh, modes, ke: np.ndarray, dofs: np.ndarray, dof_map: np.ndarray
 ) -> fem2d.ModeStack:
     """``fem2d._stack_modes`` by the full product ``coeffs @ N`` on every
-    pattern entry, the entries that are zero in every mode then taken out
-    of the (F-ordered) product by a strided copy."""
+    pattern entry of all n dofs, the entries that are zero in every mode
+    then taken out of the (F-ordered) product by a strided copy, and the
+    fixed dofs of ``dof_map`` last (``restrict_modes``)."""
     coeffs = fem2d._nodal_modes(mesh, modes)
     T, k = dofs.shape
+    n = dof_map.size
     keys = np.repeat(dofs, k, axis=1).astype(np.int64) * n + np.tile(dofs, (1, k))
     keys, entry = np.unique(keys, return_inverse=True)
     N = sp.csr_matrix(
@@ -465,7 +503,10 @@ def take_stack_modes(
     live = np.flatnonzero(data.any(axis=0))
     rows, cols = np.divmod(keys[live], n)
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
-    return fem2d.ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1))
+    stack = fem2d.ModeStack(
+        indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1)
+    )
+    return restrict_modes(stack, np.flatnonzero(dof_map >= 0))
 
 
 def coo_diffusion_mode(mesh: fem2d.Mesh, coeff_mode: np.ndarray | float) -> sp.csr_matrix:

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
@@ -305,7 +306,7 @@ def test_factor_matrix_matches_einsum():
             dense = G.dense()
             for r in range(1, 5):
                 rng = np.random.default_rng(r)
-                C = rng.standard_normal((G.by_mode.shape[0], r, r))
+                C = rng.standard_normal((G.values.shape[1], r, r))
                 S = rng.standard_normal((r, r))
                 want = oracles.factor_matrix(dense, C, S)
                 got = arr._factor_matrix(G, C, S)
@@ -328,12 +329,13 @@ def test_factor_blocks_match_einsum(profile_problem):
     r = 3
     for G in feti.galerkin_mode_matrices(profile_problem("beam")):
         rng = np.random.default_rng(G.P)
-        C = rng.standard_normal((G.by_mode.shape[0], r, r))
+        C = rng.standard_normal((G.values.shape[1], r, r))
         S = rng.standard_normal((r, r))
         want = oracles.factor_matrix(G.dense(), C, S)
         # the oracle orders the unknowns (l, a), the blocks (a, l)
         want = want.reshape(r, G.P, r, G.P).transpose(1, 0, 3, 2).reshape(r * G.P, -1)
-        got = arr._factor_blocks(G, C, S).toarray()
+        blocks = arr._factor_blocks(G, C, S)
+        got = sp.bsr_matrix((blocks, G.b, G.indptr), shape=(G.P * r, G.P * r)).toarray()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 

@@ -323,7 +323,8 @@ def test_run_pcpg_zero_factor_exit_3(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "--config", str(path), "--out-dir", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "block operator is singular: the leading minor" in err
+    assert err.startswith("error:")
+    assert "block operator is not positive definite (leading minor of order" in err
     assert not (out / "solution.json").exists()
 
 

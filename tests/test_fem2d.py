@@ -182,6 +182,29 @@ def test_mode_stack_equals_take_assembly(profile_problem, profile, side, monkeyp
     np.testing.assert_array_equal(stack.data, ref.data)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_free_dof_stack_equals_restricted_full_stack(profile_problem, profile, side):
+    # each sub-domain is assembled on its free dofs alone: bit for bit its
+    # assembly on all dofs with the fixed rows and columns copied out after
+    prob = profile_problem(profile)
+    sub, nodes = prob.sub[side], prob.dirichlet_nodes[side]
+    full = oracles.unreduced_subdomain(prob, side)
+    ref = oracles.restrict_subdomain(full, nodes) if nodes.size else full
+    for got, want in (
+        (sub.modes.indptr, ref.modes.indptr),
+        (sub.modes.indices, ref.modes.indices),
+        (sub.modes.data, ref.modes.data),
+        (sub.f, ref.f),
+        (sub.iface, ref.iface),
+        (sub.free_dofs, ref.free_dofs),
+        (sub.R, ref.R),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert sub.floating == ref.floating == (nodes.size == 0)
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_mode_stack_data_c_contiguous(profile_problem, profile):
     for sub in profile_problem(profile).sub:
@@ -311,9 +334,20 @@ def test_monolithic_restriction_is_continuous():
     assert np.abs(gap).max() < 1e-10
 
 
+def _clamp(p, nodes):
+    """``p`` with the dofs of ``nodes`` fixed: its unit-coefficient modes
+    assembled on the free dofs of the Dirichlet dof map."""
+    dof_map = fem2d.dirichlet_map(p.mesh, p.ncomp, nodes, p.iface)
+    if p.ncomp == 1:
+        modes = fem2d.assemble_diffusion_mode(p.mesh, 1.0, dof_map)
+    else:
+        modes = fem2d.assemble_elasticity_mode(p.mesh, 1.0, 0.3, dof_map)
+    return fem2d.make_subdomain_problem(p.mesh, p.ncomp, modes, p.f, p.iface, dof_map)
+
+
 def test_apply_dirichlet_clamps_and_unfloats():
     p1, _ = _two_square_problems(ncomp=2)
-    clamped = fem2d.apply_dirichlet(p1, p1.mesh.nodes_on_side("left"))
+    clamped = _clamp(p1, p1.mesh.nodes_on_side("left"))
     assert not clamped.floating
     assert clamped.R.shape[1] == 0
     assert clamped.n_dofs == p1.n_dofs - 2 * len(p1.mesh.nodes_on_side("left"))
@@ -324,14 +358,21 @@ def test_apply_dirichlet_clamps_and_unfloats():
 def test_apply_dirichlet_protects_interface():
     p1, _ = _two_square_problems()
     with pytest.raises(ValueError, match="interface"):
-        fem2d.apply_dirichlet(p1, p1.mesh.nodes_on_side("right"))
+        _clamp(p1, p1.mesh.nodes_on_side("right"))
 
 
 def test_apply_dirichlet_all_dofs_rejected():
     p1, _ = _two_square_problems()
     every = np.arange(p1.mesh.n_nodes)
     with pytest.raises(ValueError):
-        fem2d.apply_dirichlet(p1, every)
+        _clamp(p1, every)
+
+
+def test_subdomain_refuses_modes_off_its_free_dofs():
+    p1, _ = _two_square_problems()
+    dof_map = fem2d.dirichlet_map(p1.mesh, 1, p1.mesh.nodes_on_side("left"), p1.iface)
+    with pytest.raises(ValueError, match="free dofs"):
+        fem2d.make_subdomain_problem(p1.mesh, 1, p1.modes, p1.f, p1.iface, dof_map)
 
 
 def test_unit_square_laplace_pd_after_dirichlet():
@@ -339,7 +380,7 @@ def test_unit_square_laplace_pd_after_dirichlet():
     K = fem2d.assemble_diffusion_mode(mesh, 1.0)
     f = fem2d.assemble_load(mesh, body=1.0)
     prob = fem2d.make_subdomain_problem(mesh, 1, K, f, np.array([], dtype=np.intp))
-    fixed = fem2d.apply_dirichlet(prob, mesh.nodes_on_side("left"))
+    fixed = _clamp(prob, mesh.nodes_on_side("left"))
     np.linalg.cholesky(fixed.K_modes[0].toarray())
 
 

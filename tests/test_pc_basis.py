@@ -295,8 +295,15 @@ def test_triple_moment_stack_equals_dense_product():
             idx = pcb.build_index_set(d, p)
             modes = pcb.build_index_set(d, q).indices
             G = pcb.triple_moment_stack(fam, modes, idx)
-            assert G.P == len(idx) and G.by_mode.shape == (len(modes), len(idx) ** 2)
-            assert G.by_mode.has_canonical_format and np.all(G.by_mode.data != 0.0)
+            assert G.P == len(idx) and G.values.shape == (G.a.size, len(modes))
+            assert G.values.has_canonical_format and np.all(G.values.data != 0.0)
+            # one row per pair (a, b) with a nonzero, pairs in increasing a P + b
+            # order inside the P x P matrix, and the BSR pointers of the pairs
+            pair = G.a * G.P + G.b
+            assert np.all(np.diff(pair) > 0) and np.all((G.b >= 0) & (G.b < G.P))
+            assert np.all(np.diff(G.values.indptr) > 0)
+            np.testing.assert_array_equal(G.indptr, np.searchsorted(G.a, np.arange(G.P + 1)))
+            np.testing.assert_array_equal(pair[G.diag], np.arange(G.P) * (G.P + 1))
             dense = G.dense()
             stored = dense != 0.0
             expected = oracles.dense_triple_moment_stack(fam, modes, idx)
@@ -311,7 +318,7 @@ def test_triple_moment_stack_rows_without_nonzeros():
     modes = pcb.build_index_set(2, 3).indices
     G = pcb.triple_moment_stack(fam, modes, idx)
     empty = modes.sum(axis=1) > 2
-    np.testing.assert_array_equal(np.diff(G.by_mode.indptr) > 0, ~empty)
+    np.testing.assert_array_equal(np.bincount(G.values.indices, minlength=len(modes)) > 0, ~empty)
     expected = oracles.dense_triple_moment_stack(fam, modes, idx)
     np.testing.assert_allclose(G.dense(), expected, rtol=0.0, atol=1e-14)
     assert pcb.triple_moment_stack(fam, modes[:0], idx).dense().shape == (0, len(idx), len(idx))

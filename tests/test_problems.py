@@ -258,7 +258,7 @@ def test_beam_reaction_resultant():
     # clamp reaction balances the applied traction: R = (0, +0.1*length)
     prob = beam_desk(sigma1=0.0, sigma2=0.0)
     u1, _, lam = _dense_saddle_solve(prob)
-    full = oracles.unreduced_mean_subdomain(prob, 0)
+    full = oracles.unreduced_subdomain(prob, 0)
     u1_full = np.zeros(full.n_dofs)
     u1_full[prob.sub[0].free_dofs] = u1
     r = full.K_modes[0] @ u1_full - full.f
