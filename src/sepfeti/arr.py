@@ -556,6 +556,10 @@ def residual_norm(
         bases.append(max(needed, key=len))
     r = solution.rank
     sq = {i: np.empty(n) for i in loaded}
+    # one design matrix y per loaded side, its column of ones set once
+    ys = {i: np.empty((min(batch_size, n), 1 + r + n_field[i] * r)) for i in loaded}
+    for y in ys.values():
+        y[:, 0] = 1.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         psi = [eval_multivariate_batch(fam, bases[g], xi[g][start:stop]) for g in (0, 1)]
@@ -563,11 +567,12 @@ def residual_norm(
             psi[1][:, : n_sol[1]] @ solution.phi2.T
         )
         for i, B in operators.items():
-            y = np.empty((stop - start, 1 + r + n_field[i] * r))
-            y[:, 0] = 1.0
+            y = ys[i][: stop - start]
             y[:, 1 : 1 + r] = c
-            Z = psi[i][:, : n_field[i], None] * c[:, None, :]
-            y[:, 1 + r :] = Z.reshape(stop - start, -1)
+            # Psi (x) c straight into the last J r columns, read as (n, J, r)
+            Z = y[:, 1 + r :].reshape(stop - start, n_field[i], r)
+            assert np.shares_memory(Z, y)
+            np.einsum("nj,nl->njl", psi[i][:, : n_field[i]], c, out=Z)
             R = y @ B
             sq[i][start:stop] = np.einsum("nm,nm->n", R, R)
     per: dict[int, tuple[float, float]] = {}

@@ -52,6 +52,21 @@ class GaussianKernel:
         out /= -self.corr_len**2
         return np.multiply(self.sigma**2, np.exp(out, out=out), out=out)
 
+    def lattice_factors(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel on the mesh nodes as its two 1-D factors (sigma^2 E_y, E_x).
+
+        The kernel factors as sigma^2 exp(-dx^2 / l^2) exp(-dy^2 / l^2), and
+        node (ix, iy) of a mesh is entry iy (nx + 1) + ix of the lattice
+        xs x ys, so ``matrix(mesh.nodes)`` is sigma^2 E_y (x) E_x, with E_x
+        (nx + 1 square) and E_y (ny + 1 square) the 1-D factors on the
+        lattice coordinates, and C v = (sigma^2 E_y) V E_x^T for v read as
+        the (ny + 1, nx + 1) array V.
+        """
+        xs = mesh.nodes[: mesh.nx + 1, 0]
+        ys = mesh.nodes[:: mesh.nx + 1, 1]
+        ex, ey = (np.exp(-np.square(t[:, None] - t[None, :]) / self.corr_len**2) for t in (xs, ys))
+        return self.sigma**2 * ey, ex
+
 
 @dataclass(frozen=True)
 class KLBasis:
@@ -78,25 +93,24 @@ _LANCZOS_MIN_NODES = 500
 """Smallest mesh, in nodes, whose KL eigenproblem ``discretize_kl`` solves
 by implicitly restarted Lanczos (ARPACK) instead of the dense subset driver.
 
-Per call, dense vs Lanczos, on one core of an Intel Xeon with one BLAS
-thread (medians of 5 calls above 400 nodes, of 21 below; the profiles' own
-kernels and truncations d, and sigma = 0.5, corr_len = 1/3 on the 0.05
-lattice meshes of height 1):
+Per call, dense vs Lanczos (on the factored kernel product), on one core
+of an Intel Xeon with one BLAS thread (medians of 5 calls above 400 nodes,
+of 21 below; the profiles' own kernels and truncations d, and sigma = 0.5,
+corr_len = 1/3 on the 0.05 lattice meshes of height 1):
 
 | mesh | n | d | dense | Lanczos |
 |---|---|---|---|---|
-| full ``lshape``, side 1 | 861 | 4 | 121 ms | 30 ms |
-| full ``lshape``, side 2 | 861 | 6 | 119 ms | 43 ms |
-| 1.5 x 1 | 651 | 4 and 6 | 57 and 59 ms | 29 and 31 ms |
-| 1.2 x 1 | 525 | 4 and 6 | 29 and 30 ms | 16 and 15 ms |
-| 1 x 1 | 441 | 4 and 6 | 22 and 20 ms | 12 and 11 ms |
-| full ``beam``, side 1 | 286 | 9 | 8.8 ms | 5.9 ms |
-| full ``beam``, side 2 | 286 | 11 | 9.0 ms | 9.4 ms |
-| desk profiles | 45 and 66 | 2 | 0.6 to 1.0 ms | 2.8 to 4.3 ms |
+| full ``lshape``, side 1 | 861 | 4 | 103 ms | 5.9 ms |
+| full ``lshape``, side 2 | 861 | 6 | 103 ms | 9.2 ms |
+| 1.5 x 1 | 651 | 4 and 6 | 46 and 46 ms | 6.2 and 7.2 ms |
+| 1.2 x 1 | 525 | 4 and 6 | 23 and 25 ms | 5.6 and 5.1 ms |
+| 1 x 1 | 441 | 4 and 6 | 16 and 16 ms | 4.9 and 4.8 ms |
+| full ``beam``, side 1 | 286 | 9 | 6.8 ms | 3.2 ms |
+| full ``beam``, side 2 | 286 | 11 | 6.8 ms | 5.5 ms |
+| desk profiles | 45 and 66 | 2 | 0.4 to 0.6 ms | 1.7 to 2.8 ms |
 
-Lanczos wins from about 400 nodes on. The cut lies above the full ``beam``
-meshes, where the two tie, so every desk and ``beam`` mesh keeps the dense
-solve and its bits.
+Lanczos wins from the full ``beam`` meshes on. The cut stays above them,
+so every desk and ``beam`` mesh keeps the dense solve and its bits.
 """
 
 
@@ -111,13 +125,16 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     Only those d pairs are computed, by one of two routes:
 
     * from ``_LANCZOS_MIN_NODES`` nodes on, when ARPACK's Lanczos basis of
-      2d + 1 vectors fits below n, by ARPACK (``eigsh``, largest algebraic,
+      2d + 1 vectors fits below n and sigma > 0 (a zero operator leaves
+      ARPACK no start vector), by ARPACK (``eigsh``, largest algebraic,
       tol = 0) on the operator x -> M (C (M x)) with the mass matrix as the
       inner product, started from the all-ones vector so that reruns repeat
-      their bits; each step costs one dense kernel product, O(n^2);
-    * otherwise by LAPACK's subset driver on the dense A = M C M (two
-      sparse-dense products): the O(n^3) reduction to tridiagonal form plus
-      O(n^2 d) for the pairs.
+      their bits; C is applied through its lattice factors
+      (``GaussianKernel.lattice_factors``) as (sigma^2 E_y) X E_x^T, so each
+      step costs O(n (nx + ny)) and no n x n array is formed;
+    * otherwise by LAPACK's subset driver on the dense A = M C M (the kernel
+      matrix and two sparse-dense products): the O(n^3) reduction to
+      tridiagonal form plus O(n^2 d) for the pairs.
 
     The two routes agree to rounding: eigenvalues within 1e-15 of the
     largest, modes within 1e-13 (``_LANCZOS_MIN_NODES`` gives the times).
@@ -128,11 +145,17 @@ def discretize_kl(kernel: GaussianKernel, mesh: Mesh, n_modes: int) -> KLBasis:
     M = mass_matrix(mesh)
     if n_modes == 0:
         return KLBasis(eigenvalues=np.empty(0), modes=np.empty((0, n)), mass=M)
-    C = kernel.matrix(mesh.nodes)
-    if n >= _LANCZOS_MIN_NODES and 2 * n_modes + 1 < n:
-        op = spla.LinearOperator((n, n), matvec=lambda x: M @ (C @ (M @ x)), dtype=float)
+    if kernel.sigma > 0.0 and n >= _LANCZOS_MIN_NODES and 2 * n_modes + 1 < n:
+        ey, ex = kernel.lattice_factors(mesh)
+        lattice = (mesh.ny + 1, mesh.nx + 1)
+
+        def apply(x):
+            return M @ (ey @ (M @ x).reshape(lattice) @ ex.T).ravel()
+
+        op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
         tau, vecs = spla.eigsh(op, k=n_modes, M=M, which="LA", tol=0, v0=np.ones(n))
     else:
+        C = kernel.matrix(mesh.nodes)
         # C is symmetric, so M C M = M (M C)^T: two sparse-dense products
         A = M @ (M @ C).T
         A = 0.5 * (A + A.T)

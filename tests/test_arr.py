@@ -573,8 +573,10 @@ def test_residual_se_scaling():
 def test_residual_matches_full_length_formula(example, rank, compressed):
     """The span form (a thin-QR factor when the 1 + r + J r spanning vectors
     are fewer than the dofs, the vectors themselves otherwise) against the
-    residual formed at full length per sample. lshape-desk loads one side,
-    beam-desk both, the second one floating."""
+    residual formed at full length per sample, and bit for bit against the
+    span form with a fresh design matrix per batch and side, through a
+    short last batch (3000 samples in batches of 700). lshape-desk loads
+    one side, beam-desk both, the second one floating."""
     cfg = problems.profile_config(f"{example}-desk")
     cfg["solver"]["max_sweeps"] = 3
     prob = problems.build_from_config(cfg)
@@ -592,6 +594,7 @@ def test_residual_matches_full_length_formula(example, rank, compressed):
     ]
     for a, b in pairs:
         assert abs(a - b) <= 1e-12 * abs(b)
+    assert got == oracles.residual_norm_span(prob, sol, n_samples=3000, seed=22, batch_size=700)
 
 
 # ---------------------------------------------------------------------------

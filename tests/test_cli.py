@@ -287,6 +287,18 @@ def test_compare_missing_file_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_zero_variance_full_lshape_exit_0(tmp_path):
+    # a zero-variance field on the 861-node meshes, whose KL otherwise
+    # takes the Lanczos route
+    path = tmp_path / "zero.json"
+    path.write_text(
+        json.dumps({"field": {"sigma1": 0.0}, "solver": {"rank_max": 1, "max_sweeps": 1}})
+    )
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "solution.json").exists()
+
+
 def test_run_solver_error_exit_3(tmp_path, desk_config, capsys, monkeypatch):
     from sepfeti import arr, feti
 

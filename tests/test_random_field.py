@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,61 @@ def test_dense_route_below_cut(profile, monkeypatch):
     forbid(monkeypatch, scipy.sparse.linalg, "eigsh")
     prob = problems.build_from_config(problems.profile_config(profile))
     assert max(sub.mesh.n_nodes for sub in prob.sub) < random_field._LANCZOS_MIN_NODES
+
+
+LATTICES = [
+    f"{profile}-{side}"
+    for profile in ("lshape-desk", "beam-desk", "lshape", "beam")
+    for side in (1, 2)
+]
+
+
+@pytest.mark.parametrize("lattice", LATTICES + ["525-node"])
+def test_lattice_factors_apply_kernel_matrix(lattice):
+    # every sub-domain lattice of the four profiles and the 525-node mesh:
+    # C = sigma^2 E_y (x) E_x, so (sigma^2 E_y) V E_x^T is the dense kernel
+    # product up to rounding
+    if lattice == "525-node":
+        mesh, kernel = above_cut_mesh(), random_field.GaussianKernel(sigma=0.5, corr_len=0.1)
+    else:
+        profile, side = lattice.rsplit("-", 1)
+        _, mesh, kernel = profile_kernel(profile, int(side))
+    ey, ex = kernel.lattice_factors(mesh)
+    assert ey.shape == (mesh.ny + 1,) * 2 and ex.shape == (mesh.nx + 1,) * 2
+    C = kernel.matrix(mesh.nodes)
+    v = np.random.default_rng(mesh.n_nodes).standard_normal(mesh.n_nodes)
+    got = (ey @ v.reshape(mesh.ny + 1, mesh.nx + 1) @ ex.T).ravel()
+    bound = 1e-15 * np.linalg.norm(C, 2) * np.linalg.norm(v)
+    assert np.abs(got - C @ v).max() <= bound
+
+
+def test_lanczos_route_forms_no_kernel_matrix(monkeypatch):
+    # full lshape, side 2, on the factored product alone: no n x n array
+    # (test_leading_pairs_match_dense_solve checks the pairs)
+    cfg, mesh, kernel = profile_kernel("lshape", 2)
+    d = int(cfg["field"]["d2"])
+    forbid(monkeypatch, random_field.GaussianKernel, "matrix")
+    n = mesh.n_nodes
+    assert n >= random_field._LANCZOS_MIN_NODES
+    tracemalloc.start()
+    try:
+        kl = random_field.discretize_kl(kernel, mesh, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kl.modes.shape == (d, n)
+    assert peak < n * n * 8
+
+
+def test_zero_variance_above_cut():
+    # sigma = 0 on the full lshape mesh: the zero operator would give ARPACK
+    # a zero start vector, so the subset driver takes the call
+    _, mesh, _ = profile_kernel("lshape", 1)
+    kernel = random_field.GaussianKernel(sigma=0.0, corr_len=0.5)
+    kl = random_field.discretize_kl(kernel, mesh, 4)
+    np.testing.assert_array_equal(kl.eigenvalues, 0.0)
+    gram = kl.modes @ (kl.mass @ kl.modes.T)
+    assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
 
 def test_lshape_rebuild_repeats_bits_across_kl_calls():
