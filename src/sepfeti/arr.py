@@ -252,11 +252,12 @@ def deterministic_update(
 
 
 def _quadratic_forms(modes: ModeStack, U: np.ndarray) -> np.ndarray:
-    """Q[j, l, m] = U[l] . K_j U[m] for every mode, as one product of the
-    stacked mode values with the entrywise factor products."""
+    """Q[j, l, m] = U[l] . K_j U[m] for every mode: the entrywise factor
+    products times the stack's basis, then summed into the modes by its map
+    (``ModeStack.lift``)."""
     r = U.shape[0]
     pairs = U[:, modes.rows][:, None, :] * U[None, :, modes.indices]
-    return (pairs.reshape(r * r, -1) @ modes.data.T).T.reshape(-1, r, r)
+    return modes.lift((pairs.reshape(r * r, -1) @ modes.basis.T).T).reshape(-1, r, r)
 
 
 def _factor_forms(
@@ -345,8 +346,6 @@ def _factor_cg(
         inv_chol = np.linalg.inv(np.linalg.cholesky(blocks[G.diag]))
     except np.linalg.LinAlgError:
         raise _factor_error(_SINGULAR) from None
-    if not b.any():  # the minimizer is zero, where ``pcg`` returns its start
-        return np.zeros_like(b)
     A = sp.bsr_matrix((blocks, G.b, G.indptr), shape=(P * r, P * r))
     M = sp.bsr_matrix(
         (inv_chol.transpose(0, 2, 1) @ inv_chol, np.arange(P), np.arange(P + 1)),
@@ -600,16 +599,27 @@ def _residual_operator(
     when k < M, the k x k factor R^T of B^T = Q R instead, for which
     |y R^T| = |y B| for every y."""
     sub = problem.sub[i]
+    modes = sub.modes
     U, sign = ((solution.u1, 1.0), (solution.u2, -1.0))[i]
     r, M = U.shape
-    k = 1 + r + len(sub.K_modes) * r
+    J = modes.n_modes
+    k = 1 + r + J * r
     B = np.zeros((k, M))
     B[0] = sub.f
     B[1 : 1 + r, sub.iface] = sign * solution.lam
-    # One sparse product per mode: forming the rows from the stacked mode
-    # data in one product needs a (J*r, nnz) intermediate and is slower.
-    for j, K in enumerate(sub.K_modes):
-        B[1 + r + j * r : 1 + r + (j + 1) * r] = -(K @ U.T).T
+    # K_j U[l] for every mode j and factor l, from two products with the
+    # stack's factors: column p of S holds stored entry p's factor values
+    # U[l, column of p] at the rows l M + (row of p)
+    nnz = modes.indices.size
+    S = sp.csc_matrix(
+        (
+            U[:, modes.indices].T.ravel(),
+            (np.arange(r) * M + modes.rows[:, None]).ravel(),
+            np.arange(0, r * nnz + 1, r),
+        ),
+        shape=(r * M, nnz),
+    )
+    np.negative(modes.lift((S @ modes.basis.T).T), out=B[1 + r :].reshape(J, r * M))
     if k >= M:
         return B
     # B^T is Fortran-ordered, so LAPACK factors it in place; mode="raw"

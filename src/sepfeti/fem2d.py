@@ -3,12 +3,13 @@
 Provides meshes whose interface nodes are bit-identical across neighbouring
 sub-domain meshes (coordinates are computed from one global integer lattice),
 stiffness assembly for scalar diffusion and plane-strain elasticity (all PC
-modes of a coefficient at once, as one product with a fixed per-element
-operator, on the free dofs only: a clamped sub-domain's fixed dofs never
-enter the product), consistent loads, Dirichlet elimination as a dof map
-(-1 at a fixed dof, the free dofs numbered in order), the interface dofs of
-both sides and rigid-body modes, plus the bandwidth-reducing ordering of a
-sparsity pattern and the positions of its entries in LAPACK band storage.
+modes of a coefficient at once, kept as the product of their table at the
+mesh nodes with one fixed node-to-pattern operator, on the free dofs only:
+a clamped sub-domain's fixed dofs never enter it), consistent loads,
+Dirichlet elimination as a dof map (-1 at a fixed dof, the free dofs
+numbered in order), the interface dofs of both sides and rigid-body modes,
+plus the bandwidth-reducing ordering of a sparsity pattern and the positions
+of its entries in LAPACK band storage.
 """
 
 from __future__ import annotations
@@ -148,20 +149,26 @@ def _stack_modes(
     mesh: Mesh, modes: np.ndarray | float, ke: np.ndarray, dofs: np.ndarray, dof_map: np.ndarray
 ) -> ModeStack:
     """Stiffness modes sum_e c_j(centroid of e) ke[e] for every coefficient
-    mode c_j, in one product, on the free dofs of ``dof_map``.
+    mode c_j, on the free dofs of ``dof_map``, as the factorization
+    ``data = coeffs @ N`` (``ModeStack``).
 
     ``ke`` (T, k, k) holds the element matrices for a unit coefficient,
     ``dofs`` (T, k) their dofs among n, and ``dof_map`` (n,) the free dof
     number of each, -1 at a fixed dof. The centroid value is the mean of the
     three vertex values, so mode j's entries are ``c_j @ N`` for one fixed
     sparse (n_nodes, nnz) operator N. Two kinds of pattern entries are
-    dropped from N before the product: those whose column of N is zero (on
-    structured meshes, up to a quarter of them), so the pattern does not
-    depend on the coefficients, and those in a row or column of a fixed dof.
-    Free dofs keep their order, so the stack is bit for bit the one on all n
-    dofs with the fixed rows and columns taken out. The product comes out
-    with each entry's J values contiguous, and one transpose copy, in blocks
-    of entries that stay in cache, makes the C-ordered (J, nnz) ``data``.
+    dropped from N: those whose column of N is zero (on structured meshes,
+    up to a quarter of them), so the pattern does not depend on the
+    coefficients, and those in a row or column of a fixed dof. Free dofs
+    keep their order, so the stack is bit for bit the one on all n dofs
+    with the fixed rows and columns taken out.
+
+    The stack keeps the (J, n_nodes) table ``coeffs`` (itself, not a copy)
+    and N, so each weighted sum of the modes costs J n_nodes + nnz(N)
+    instead of J nnz, and their (J, nnz) product is formed only when asked
+    for (``ModeStack.data``). Where that does not pay (``_nodal_pays``: few
+    modes, or a small mesh), the build forms the product once and keeps
+    the trivial factorization.
     """
     coeffs = _nodal_modes(mesh, modes)
     T, k = dofs.shape
@@ -184,18 +191,17 @@ def _stack_modes(
     N.eliminate_zeros()  # a zero term leaves every sum of the product as it is
     count = np.bincount(N.indices, minlength=keys.size)
     live = np.flatnonzero(count)
-    # N without its dead columns, transposed: the same arrays read as CSC
-    NT = sp.csc_matrix(
+    # N without its dead columns
+    basis = sp.csr_matrix(
         (N.data, (np.cumsum(count > 0) - 1)[N.indices], N.indptr),
-        shape=(live.size, mesh.n_nodes),
+        shape=(mesh.n_nodes, live.size),
     )
     rows, cols = rows[live], cols[live]
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=np.count_nonzero(dof_map >= 0))))
-    values = NT @ coeffs.T  # (nnz, J)
-    data = np.empty(values.shape[::-1])
-    for lo in range(0, live.size, 256):
-        data[:, lo : lo + 256] = values[lo : lo + 256].T
-    return ModeStack(indptr.astype(np.int32), cols.astype(np.int32), data)
+    stack = ModeStack(indptr.astype(np.int32), cols.astype(np.int32), coeffs, basis)
+    if not _nodal_pays(*coeffs.shape, live.size, basis.nnz):
+        stack = ModeStack(stack.indptr, stack.indices, None, stack.data)
+    return stack
 
 
 def assemble_diffusion_mode(
@@ -383,18 +389,93 @@ def band_ordering(
     return perm, inv, int(np.abs(inv[rows] - inv[cols]).max(initial=0))
 
 
+_NODAL_MIN_GAIN = 8.0
+"""How many times nnz(N) the J (nnz - n_nodes) multiply-adds that the nodal
+factorization saves on each weighted sum must be for ``_stack_modes`` to
+keep it (``_nodal_pays``). A nonzero of the sparse N costs from 6 to 19
+multiply-adds of the dense products, by the sizes below, and the nodal
+form adds a fixed 20 us per call (SciPy's sparse product), which the cut
+of 8 leaves to stacks that are small anyway.
+
+Per ``ModeStack.contract`` call with k weight rows, trivial vs nodal
+factorization, on one core of an Intel Xeon with one BLAS thread:
+
+| profile | side | J | n_nodes | nnz | nnz(N) | J (nnz - n_nodes) / nnz(N) | k = 1 | k = 100 |
+|---|---|---|---|---|---|---|---|---|
+| ``lshape-desk`` | 1 | 15 | 45 | 174 | 739 | 2.6 | 1.1 vs 19.7 us | 0.007 vs 0.041 ms |
+| ``lshape-desk`` | 2 | 15 | 45 | 154 | 663 | 2.5 | 1.0 vs 19.0 us | 0.007 vs 0.040 ms |
+| ``beam-desk`` | 1 | 3 | 66 | 1 250 | 5 100 | 0.7 | 1.7 vs 23.0 us | 0.036 vs 0.161 ms |
+| ``beam-desk`` | 2 | 3 | 66 | 1 380 | 5 560 | 0.7 | 1.6 vs 23.9 us | 0.040 vs 0.182 ms |
+| full ``beam`` | 1 | 10 | 286 | 6 170 | 25 940 | 2.3 | 8.7 vs 35.8 us | 0.37 vs 0.94 ms |
+| full ``beam`` | 2 | 12 | 286 | 6 420 | 26 840 | 2.7 | 8.3 vs 36.4 us | 0.40 vs 0.96 ms |
+| full ``lshape`` | 1 | 210 | 861 | 4 078 | 18 435 | 36.7 | 232 vs 58 us | 2.39 vs 1.18 ms |
+| full ``lshape`` | 2 | 924 | 861 | 3 978 | 18 055 | 159.5 | 1 077 vs 276 us | 9.3 vs 2.87 ms |
+
+The nearest sides to the cut, full ``beam`` side 2 and full ``lshape``
+side 1, lie a factor of 3 and 4.6 from it.
+"""
+
+
+def _nodal_pays(J: int, n_nodes: int, nnz: int, nnz_N: int) -> bool:
+    """Whether J modes on ``n_nodes`` nodes and nnz pattern entries, the
+    product of a (J, n_nodes) table with a sparse N of nnz(N) nonzeros,
+    are cheaper to contract as that product than as its (J, nnz) values."""
+    return J * (nnz - n_nodes) > _NODAL_MIN_GAIN * nnz_N
+
+
 @dataclass(frozen=True, eq=False)
 class ModeStack(SparsePattern):
-    """J stiffness modes stored once: mode j is ``matrix(data[j])``.
+    """J stiffness modes stored once, as the factorization
+    ``data = map @ basis``: mode j is ``matrix(data[j])``.
 
-    A weighted sum of the modes is a product with the (J, nnz) ``data``.
+    On the nodal factorization ``map`` is the (J, n_nodes) table of the
+    coefficient modes at the mesh nodes and ``basis`` the sparse (n_nodes,
+    nnz) operator N of ``_stack_modes``. On the trivial one ``map`` is None,
+    standing for the identity I_J, and ``basis`` is the (J, nnz) ``data``.
+    Every product with the modes goes through ``nodal`` (weights @ map) or
+    ``lift`` (map @ values), so one code path serves both.
     """
 
-    data: np.ndarray
+    map: np.ndarray | None
+    basis: np.ndarray | sp.csr_matrix
 
-    def contract(self, weights: np.ndarray) -> np.ndarray:
-        """Values of the sums weighted by the rows of ``weights`` (k, J)."""
-        return weights @ self.data
+    @property
+    def n_modes(self) -> int:
+        return (self.basis if self.map is None else self.map).shape[0]
+
+    def nodal(self, weights: np.ndarray) -> np.ndarray:
+        """``weights`` (k, J) on the rows of ``basis``: weights @ map."""
+        return weights if self.map is None else weights @ self.map
+
+    def lift(self, values) -> np.ndarray:
+        """``values`` (rows of ``basis``, n), dense or sparse, summed into
+        the J modes: map @ values. On the nodal factorization the product
+        comes out with each column's J sums contiguous, so it is formed for
+        blocks of 32 modes, whose sums stay in cache, each copied into its
+        rows of the C-ordered (J, n) result."""
+        if self.map is None:
+            return values
+        out = np.empty((self.n_modes, values.shape[1]))
+        for lo in range(0, self.n_modes, 32):
+            out[lo : lo + 32] = (values.T @ self.map[lo : lo + 32].T).T
+        return out
+
+    def contract(self, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Values of the sums weighted by the rows of ``weights`` (k, J),
+        written into ``out`` (k, nnz) when it is given."""
+        if sp.issparse(self.basis):  # SciPy's sparse product makes its own array
+            values = self.nodal(weights) @ self.basis
+            if out is None:
+                return values
+            out[...] = values
+            return out
+        return np.matmul(self.nodal(weights), self.basis, out=out)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The C-ordered (J, nnz) mode values, on the nodal factorization
+        formed on first use."""
+        return self.lift(self.basis)
 
     @cached_property
     def views(self) -> list[sp.csr_matrix]:
@@ -421,6 +502,10 @@ class SubdomainProblem:
 
     @property
     def K_modes(self) -> list[sp.csr_matrix]:
+        """The modes as CSR matrices sharing ``modes.data``. The solvers and
+        oracles never read them, as on the nodal factorization they form
+        the (J, nnz) product; the benchmark harness (mode counts and bytes)
+        and the tests do."""
         return self.modes.views
 
     @property

@@ -9,9 +9,12 @@ blocks are expectation-weighted sums of the sub-domain stiffness modes:
 The extractor C_i is Boolean: its column k picks the one dof ``iface[k]``
 of sub-domain i (``fem2d.SubdomainProblem``), so Chat_i scatters W lambda
 into those dofs and Chat_i^T gathers them, with no matrix stored. Each
-sub-domain stores its modes once, as a (J, nnz) data array on one sparsity
-pattern (``fem2d.ModeStack``), so the values of all blocks of ``Khat_i``
-come from one (r*r, J) x (J, nnz) product (``block_values``).
+sub-domain stores its modes once, on one sparsity pattern, as the
+factorization map @ basis of their (J, nnz) values (``fem2d.ModeStack``:
+on full ``lshape`` the (J, n_nodes) coefficient table at the mesh nodes
+times one sparse node-to-pattern operator, elsewhere the identity times
+the values), so the values of all blocks of ``Khat_i`` come from the
+(r*r, J) weights times map, then times basis (``block_values``).
 The system is solved by one of two routes.
 
 The direct route (``direct_saddle_solve``) drops the multiplier. W is
@@ -421,7 +424,10 @@ def pcg(
     start = np.zeros_like(b) if x is None else x
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return start, []
+        # no scale for the stopping test: the part of the start that no
+        # step changes (steps stay in the range of ``project``), which is
+        # a feasible PCPG start itself and the exact solution 0 of plain CG
+        return start - project(start), []
     w = project(b if x is None else b - apply_A(x))
     x, p, num_old, residuals = start, None, 0.0, []
     rel = np.linalg.norm(w) / bnorm

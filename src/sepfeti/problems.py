@@ -446,7 +446,7 @@ class MergedModes(SparsePattern):
         """Rows of ``weights`` (k, J) applied to the J merged modes."""
         out = np.zeros((self.indices.size, weights.shape[0]))
         for stack, pos, cols in zip(self.sides, self.positions, self.columns):
-            out[pos] += stack.data.T @ weights[:, cols].T  # scatter whole rows
+            out[pos] += stack.basis.T @ stack.nodal(weights[:, cols]).T  # scatter whole rows
         return np.ascontiguousarray(out.T)
 
 

@@ -125,8 +125,8 @@ def solve_monolithic_sg(
     fam = family(mono.family_kind)
     G = triple_moment_stack(fam, mono.field_indices, idx).dense()
     lay = problem.primal_layout
-    mean_band = _primal_band(lay, [sub.modes.data[:1] for sub in problem.sub])
-    mean_solve = _band_solve(lay, mean_band, "mean stiffness")
+    mean_modes = [sub.modes.contract(np.eye(1, sub.modes.n_modes)) for sub in problem.sub]
+    mean_solve = _band_solve(lay, _primal_band(lay, mean_modes), "mean stiffness")
     coeffs = _sg_solve_core(mono.modes, G, mono.f, mean_solve)
     return MonolithicSGSolution(idx_set=idx, coeffs=coeffs)
 
@@ -160,10 +160,14 @@ def monte_carlo_reference(
     the direct route's merged layout (``CoupledProblem.primal_layout``, one
     factor), solved by one banded Cholesky (``feti._band_solve``). The band
     positions, the band and the chunk of sample values are made once per
-    call. A sample with n merged dofs and half-bandwidth b costs O(n b^2):
-    n, b = 72, 6 (``lshape-desk``), 240, 13 (``beam-desk``), 1 100, 25
-    (``beam``) and 1 640, 22 (``lshape``). Mean and squared deviations
-    accumulate over the samples.
+    call. The sample values come ``_MC_CHUNK`` samples at a time from one
+    weighted sum of each side's stack (``ModeStack.contract``): on the
+    nodal factorization each sample's nodal field psi @ map, then one
+    sparse product, J n_nodes + nnz(N) per sample instead of J nnz. A
+    sample with n merged dofs and half-bandwidth b costs O(n b^2) to
+    solve: n, b = 72, 6 (``lshape-desk``), 240, 13 (``beam-desk``),
+    1 100, 25 (``beam``) and 1 640, 22 (``lshape``). Mean and squared
+    deviations accumulate over the samples.
 
     The Cholesky does not pivot: a sample that is not positive definite
     raises ``SolverError`` naming its germ value (``sepfeti reference``
@@ -187,15 +191,15 @@ def monte_carlo_reference(
     f = problem.merged_load[None]
     mean, m2 = np.zeros(lay.n), np.zeros(lay.n)
     # one band and one chunk of sample values per call, written over by
-    # every sample and chunk
+    # every sample and chunk (fresh arrays would take fresh pages)
     ab = np.empty((lay.b + 1, lay.n), order="F")
     chunk = min(n_samples, _MC_CHUNK)
-    values = [np.empty((chunk, sub.modes.data.shape[1])) for sub in problem.sub]
+    values = [np.empty((chunk, sub.modes.indices.size)) for sub in problem.sub]
     for n in range(n_samples):
         if n % _MC_CHUNK == 0:
             for sub, psi, out in zip(problem.sub, Psi, values):
                 weights = psi[n : n + _MC_CHUNK]
-                np.matmul(weights, sub.modes.data, out=out[: len(weights)])
+                sub.modes.contract(weights, out=out[: len(weights)])
         _band_write(ab, positions, [side[n % _MC_CHUNK] for side in values])
         try:
             u = _band_solve(lay, ab, "sample system")(f)[0]

@@ -431,7 +431,8 @@ def take_entries(stack: fem2d.ModeStack, sel, rows, cols, n: int) -> fem2d.ModeS
     return fem2d.ModeStack(
         indptr.astype(stack.indptr.dtype),
         cols[sel].astype(stack.indices.dtype),
-        stack.data.take(sel, axis=1),
+        map=None,
+        basis=stack.data.take(sel, axis=1),
     )
 
 
@@ -474,9 +475,64 @@ def mode_stack_from_modes(modes: list[sp.spmatrix]) -> fem2d.ModeStack:
             and np.array_equal(K.indices, csr[0].indices)
         ):
             raise ValueError("stiffness modes must share one sparsity pattern")
-    stack = fem2d.ModeStack(csr[0].indptr, csr[0].indices, np.stack([K.data for K in csr]))
+    stack = fem2d.ModeStack(
+        csr[0].indptr, csr[0].indices, map=None, basis=np.stack([K.data for K in csr])
+    )
     live = np.flatnonzero(stack.data.any(axis=0))
     return take_entries(stack, live, stack.rows, stack.indices, stack.n)
+
+
+def product_stack_modes(
+    mesh: fem2d.Mesh, modes, ke: np.ndarray, dofs: np.ndarray, dof_map: np.ndarray
+) -> fem2d.ModeStack:
+    """``fem2d._stack_modes`` by the direct (J, nnz) product of the
+    coefficient table with N on the live entries of the free dofs, formed
+    whole and transposed in blocks of entries, kept as the trivial
+    factorization whatever the sizes."""
+    coeffs = fem2d._nodal_modes(mesh, modes)
+    T, k = dofs.shape
+    n = dof_map.size
+    keys = np.repeat(dofs, k, axis=1).astype(np.int64) * n + np.tile(dofs, (1, k))
+    keys, entry = np.unique(keys, return_inverse=True)
+    rows, cols = (dof_map[i] for i in np.divmod(keys, n))
+    N = sp.csr_matrix(
+        (
+            np.tile(ke.reshape(T, k * k) / 3.0, (1, 3)).ravel(),
+            (
+                np.repeat(mesh.triangles, k * k, axis=1).ravel(),
+                np.tile(entry.reshape(T, k * k), (1, 3)).ravel(),
+            ),
+        ),
+        shape=(mesh.n_nodes, keys.size),
+    )
+    N.data[((rows < 0) | (cols < 0))[N.indices]] = 0.0
+    N.eliminate_zeros()
+    count = np.bincount(N.indices, minlength=keys.size)
+    live = np.flatnonzero(count)
+    NT = sp.csc_matrix(
+        (N.data, (np.cumsum(count > 0) - 1)[N.indices], N.indptr),
+        shape=(live.size, mesh.n_nodes),
+    )
+    rows, cols = rows[live], cols[live]
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=np.count_nonzero(dof_map >= 0))))
+    values = NT @ coeffs.T  # (nnz, J)
+    data = np.empty(values.shape[::-1])
+    for lo in range(0, live.size, 256):
+        data[:, lo : lo + 256] = values[lo : lo + 256].T
+    return fem2d.ModeStack(indptr.astype(np.int32), cols.astype(np.int32), map=None, basis=data)
+
+
+def residual_rows(problem: problems.CoupledProblem, solution, i: int) -> np.ndarray:
+    """The rows B of ``arr._residual_operator`` (R_i = y B) before any QR:
+    the load, the multiplier scattered with side i's sign, then -K_j U[l]
+    by one sparse product per materialised mode, at row j r + l."""
+    sub = problem.sub[i]
+    U, sign = ((solution.u1, 1.0), (solution.u2, -1.0))[i]
+    r, M = U.shape
+    lam = np.zeros((r, M))
+    lam[:, sub.iface] = sign * solution.lam
+    KU = [-(K @ U.T).T for K in sub.K_modes]
+    return np.vstack([sub.f[None], lam, *KU])
 
 
 def take_stack_modes(
@@ -506,7 +562,7 @@ def take_stack_modes(
     rows, cols = np.divmod(keys[live], n)
     indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
     stack = fem2d.ModeStack(
-        indptr.astype(np.int32), cols.astype(np.int32), data.take(live, axis=1)
+        indptr.astype(np.int32), cols.astype(np.int32), map=None, basis=data.take(live, axis=1)
     )
     return restrict_modes(stack, np.flatnonzero(dof_map >= 0))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -367,6 +368,20 @@ def test_cg_factor_updates_never_increase_energy(profile_problem):
     sol.phi2[:] = arr.stochastic_update_phi2(prob, sol)
     pi2 = arr.energy(prob, sol)
     assert pi2 <= pi1 + 1e-12 * abs(pi1)
+
+
+def test_cg_factor_updates_without_load_give_zeros(profile_problem):
+    # no load makes the factor systems' right-hand sides zero: their CG
+    # solves return exact zeros, though they start from nonzero factors
+    prob, sol = beam_cg_state(profile_problem, seed=12)
+    unloaded = dataclasses.replace(
+        prob, sub=tuple(dataclasses.replace(s, f=np.zeros_like(s.f)) for s in prob.sub)
+    )
+    updates = (arr.stochastic_update_phi1, arr.stochastic_update_phi2)
+    for update, phi in zip(updates, (sol.phi1, sol.phi2)):
+        assert phi.any()
+        got = update(unloaded, sol)
+        assert got.shape == phi.shape and not got.any()
 
 
 def test_cg_degenerate_factors_rejected(profile_problem):

@@ -267,13 +267,20 @@ def test_pcpg_nonconvergence_reports_trace():
     assert "1" in str(err.value)
 
 
-def test_pcg_zero_rhs_returns_start():
+def test_pcg_zero_rhs_gives_zeros():
+    # A x = 0 has the solution 0, from any start, with no application of
+    # the operator or the preconditioner
     never = lambda v: pytest.fail("no operator or preconditioner application expected")
-    x, residuals = feti.pcg(never, np.zeros((2, 3)), never, 1e-8, 10, "test solve")
-    assert residuals == [] and x.shape == (2, 3) and not x.any()
-    start = np.ones((2, 3))
-    x, residuals = feti.pcg(never, np.zeros((2, 3)), never, 1e-8, 10, "test solve", x=start)
-    assert residuals == [] and x is start
+    for start in (None, np.ones((2, 3)), np.arange(6.0).reshape(2, 3)):
+        x, residuals = feti.pcg(never, np.zeros((2, 3)), never, 1e-8, 10, "test solve", x=start)
+        assert residuals == [] and x.shape == (2, 3)
+        assert np.array_equal(x, np.zeros((2, 3))) and x is not start
+    # the projected iteration keeps the part of its start outside the
+    # projector's range, which no step changes: here the first row
+    drop_first = lambda v: np.vstack([np.zeros((1, 3)), v[1:]])
+    b, start = np.zeros((2, 3)), np.ones((2, 3))
+    x, residuals = feti.pcg(never, b, never, 1e-8, 10, "test solve", x=start, project=drop_first)
+    assert residuals == [] and np.array_equal(x, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 def test_pcg_indefinite_operator_loses_positivity():

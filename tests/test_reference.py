@@ -184,11 +184,15 @@ def test_mc_band_holds_merged_sample_matrix(profile_problem, name):
 
 @pytest.mark.parametrize("name", ["beam", "lshape"])
 def test_mc_full_profiles_match_per_sample_solves(profile_problem, name):
+    # full lshape weights its modes through the nodal factorization, the
+    # per-sample solves sum its materialised modes
     problem = profile_problem(name)
     acc = reference.monte_carlo_reference(problem, n_samples=6, seed=5)
     U = oracles.per_sample_solutions(problem, 6, 5)
     mean = U.mean(axis=0)
     assert np.abs(acc.mean - mean).max() <= 1e-11 * np.abs(mean).max()
+    # the std on the solution's scale, where the std itself is small
+    assert np.linalg.norm(acc.std - U.std(axis=0)) <= 1e-11 * np.linalg.norm(mean)
 
 
 def test_mc_singular_sample_raises():
@@ -196,9 +200,7 @@ def test_mc_singular_sample_raises():
     zero = dataclasses.replace(
         prob,
         sub=tuple(
-            dataclasses.replace(
-                s, modes=dataclasses.replace(s.modes, data=np.zeros_like(s.modes.data))
-            )
+            dataclasses.replace(s, modes=dataclasses.replace(s.modes, basis=0.0 * s.modes.basis))
             for s in prob.sub
         ),
     )
@@ -216,7 +218,7 @@ def test_mc_refuses_indefinite_sample(tmp_path, capsys, monkeypatch):
         prob,
         sub=(
             prob.sub[0],
-            dataclasses.replace(s2, modes=dataclasses.replace(s2.modes, data=-s2.modes.data)),
+            dataclasses.replace(s2, modes=dataclasses.replace(s2.modes, basis=-s2.modes.basis)),
         ),
     )
     xi = np.random.default_rng(1).standard_normal((3, oracles.d_total(prob)))

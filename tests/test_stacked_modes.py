@@ -1,15 +1,20 @@
 """Stacked stiffness modes against per-mode references.
 
-Every operator built from a sub-domain's ``ModeStack`` (one pattern, one
-(J, nnz) data array) is checked against the same operator built mode by
-mode from separately assembled CSR matrices: the modes themselves, the
-Kronecker sums sum_j H_j (x) K_j, the factored local solves, the energy,
-the stochastic-factor updates, the interface preconditioner, the merged
-monolithic modes and the Monte-Carlo oracle. Both desk problems are
-covered; the beam's second sub-domain floats.
+Every operator built from a sub-domain's ``ModeStack`` (one pattern, the
+(J, nnz) mode values factored as ``map @ basis``) is checked against the
+same operator built mode by mode from separately assembled CSR matrices:
+the modes themselves, the Kronecker sums sum_j H_j (x) K_j, the factored
+local solves, the energy, the stochastic-factor updates, the interface
+preconditioner, the merged monolithic modes and the Monte-Carlo oracle.
+Both desk problems are covered as built (the trivial factorization), and
+``lshape-desk`` also on the nodal factorization that full ``lshape`` is
+built on; the beam's second sub-domain floats. The last tests check both
+factorizations of all four profiles against the materialised modes.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,14 +22,29 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
-from sepfeti import arr, feti, problems, reference
+from sepfeti import arr, fem2d, feti, problems, reference
 
 PROFILES = ["lshape-desk", "beam-desk"]
 
 
-@pytest.fixture(scope="module", params=PROFILES)
+def build(name: str, nodal: bool = False) -> problems.CoupledProblem:
+    """A profile as built, or with every stack on the nodal factorization."""
+    with pytest.MonkeyPatch.context() as patch:
+        if nodal:
+            patch.setattr(fem2d, "_nodal_pays", lambda *sizes: True)
+        return problems.build_from_config(problems.profile_config(name))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, False) for name in PROFILES] + [("lshape-desk", True)],
+    ids=lambda case: case[0] + ("-nodal" if case[1] else ""),
+)
 def problem(request):
-    return problems.build_from_config(problems.profile_config(request.param))
+    name, nodal = request.param
+    prob = build(name, nodal)
+    assert all((sub.modes.map is not None) == nodal for sub in prob.sub)
+    return prob
 
 
 def random_ops(prob, rank, seed):
@@ -252,3 +272,96 @@ def test_band_solve_rejects_non_finite_solution(problem):
     B[0, -1] = np.nan
     with pytest.raises(feti.SolverError, match="second-block operator has a non-finite solution"):
         feti.apply_K2_pseudoinverse(ops, B, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the two factorizations of a stack, data = map @ basis
+
+FULL_PROFILES = ["lshape-desk", "beam-desk", "lshape", "beam"]
+
+# (J, n_nodes, nnz, nnz(N)) of each side's stack
+SIZES = {
+    "lshape-desk": ((15, 45, 174, 739), (15, 45, 154, 663)),
+    "beam-desk": ((3, 66, 1250, 5100), (3, 66, 1380, 5560)),
+    "beam": ((10, 286, 6170, 25940), (12, 286, 6420, 26840)),
+    "lshape": ((210, 861, 4078, 18435), (924, 861, 3978, 18055)),
+}
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("profile", FULL_PROFILES)
+def test_materialised_modes_equal_direct_product(profile_problem, profile, side, monkeypatch):
+    # each mode of the stack as built, materialised, against the (J, nnz)
+    # product of the coefficient table with N formed whole
+    prob = profile_problem(profile)
+    sub = prob.sub[side]
+    monkeypatch.setattr(fem2d, "_stack_modes", oracles.product_stack_modes)
+    dof_map = fem2d.dirichlet_map(sub.mesh, sub.ncomp, prob.dirichlet_nodes[side], sub.iface[:0])
+    nu = prob.config["field"]["nu"]
+    ref = problems._assemble_modes(sub.mesh, prob.fields[side], prob.kind, nu, dof_map)
+    np.testing.assert_array_equal(sub.modes.indptr, ref.indptr)
+    np.testing.assert_array_equal(sub.modes.indices, ref.indices)
+    assert sub.modes.data.shape == ref.data.shape
+    scale = np.abs(ref.data).max(axis=1, keepdims=True)
+    assert np.all(np.abs(sub.modes.data - ref.data) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("profile", FULL_PROFILES)
+def test_factorization_rule_pinned_by_sizes(profile_problem, profile):
+    # nodal on both full lshape sides, trivial on every other side
+    nodal = profile == "lshape"
+    for sub, sizes in zip(profile_problem(profile).sub, SIZES[profile]):
+        J, n_nodes, nnz, nnz_N = sizes
+        modes = sub.modes
+        assert (modes.n_modes, sub.mesh.n_nodes, modes.indices.size) == (J, n_nodes, nnz)
+        assert fem2d._nodal_pays(*sizes) == nodal
+        assert (modes.map is not None) == nodal
+        if nodal:
+            assert modes.map.shape == (J, n_nodes)
+            assert modes.basis.shape == (n_nodes, nnz) and modes.basis.nnz == nnz_N
+        else:
+            assert modes.basis is modes.data
+
+
+@pytest.mark.parametrize("profile", FULL_PROFILES)
+def test_both_factorizations_match_materialised_modes(profile_problem, profile):
+    # each profile on the nodal factorization and on the trivial one of its
+    # materialised modes: weighted sums, merged weighted sums, Q stacks and
+    # the residual operator against products with those modes
+    built = profile_problem(profile)
+    nodal = build(profile, nodal=True)
+    trivial = dataclasses.replace(
+        built,
+        sub=tuple(
+            dataclasses.replace(
+                s, modes=fem2d.ModeStack(s.modes.indptr, s.modes.indices, None, s.modes.data)
+            )
+            for s in built.sub
+        ),
+    )
+    rng = np.random.default_rng(31)
+    r = 2
+    sol = arr.SeparatedSolution(
+        u1=rng.standard_normal((r, built.sub[0].n_dofs)),
+        u2=rng.standard_normal((r, built.sub[1].n_dofs)),
+        lam=rng.standard_normal((r, built.sub[0].n_interface)),
+        phi1=np.zeros((r, len(built.idx_solution[0]))),
+        phi2=np.zeros((r, len(built.idx_solution[1]))),
+    )
+    merged_weights = rng.standard_normal((3, len(problems.as_monolithic(built).field_indices)))
+    merged = [problems.as_monolithic(p).modes.contract(merged_weights) for p in (nodal, trivial)]
+    assert rel_diff(merged[0], merged[1]) < 1e-13
+    for i, U in enumerate((sol.u1, sol.u2)):
+        data, views = built.sub[i].modes.data, built.sub[i].K_modes
+        W = rng.standard_normal((5, data.shape[0]))
+        Q = np.stack([U @ (K @ U.T) for K in views])
+        B = oracles.residual_rows(built, sol, i)
+        y = rng.standard_normal((7, B.shape[0]))
+        for prob in (nodal, trivial):
+            modes = prob.sub[i].modes
+            assert rel_diff(modes.contract(W), W @ data) < 1e-13
+            assert rel_diff(arr._quadratic_forms(modes, U), Q) < 1e-13
+            # |y op| = |y B| for every y, whether op is B or its QR triangle
+            op = arr._residual_operator(prob, sol, i)
+            got = np.linalg.norm(y @ op, axis=1)
+            assert rel_diff(got, np.linalg.norm(y @ B, axis=1)) < 1e-12
