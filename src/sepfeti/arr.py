@@ -47,7 +47,7 @@ from .feti import (
     pcpg_solve,
     recover_primal,
 )
-from .pc_basis import LEGENDRE, GalerkinStack, eval_multivariate_batch, family
+from .pc_basis import GalerkinStack, eval_multivariate_batch, family
 from .problems import CoupledProblem, check_solver_settings
 
 __all__ = [
@@ -177,14 +177,15 @@ def energy(
         ops = build_block_operators(
             problem, solution.phi1, solution.phi2, galerkin_mode_matrices(problem)
         )
-    U1, U2, lam = solution.u1, solution.u2, solution.lam
-    quad = sum(  # u . (Khat u) from the block values, without assembling Khat
-        float(np.sum(U[:, m.rows] * np.einsum("lmp,mp->lp", V, U[:, m.indices])))
-        for U, m, V in ((U1, ops.modes1, ops.V1), (U2, ops.modes2, ops.V2))
-    )
-    loads = float(ops.fw @ (U1 @ ops.f1)) + float(ops.fw @ (U2 @ ops.f2))
+    U, lam = (solution.u1, solution.u2), solution.lam
+    quad = loads = 0.0
+    for s, U_i, V in zip(ops.problem.sub, U, ops.V):
+        # u . (Khat u) from the block values, without assembling Khat
+        m = s.modes
+        quad += float(np.sum(U_i[:, m.rows] * np.einsum("lmp,mp->lp", V, U_i[:, m.indices])))
+        loads += float(ops.fw @ (U_i @ s.f))
     primal = 0.5 * quad - loads
-    coupling = _coupling(problem, ops, U1, U2, lam)
+    coupling = _coupling(problem, ops, *U, lam)
     return (primal, coupling) if terms else primal + coupling
 
 
@@ -368,45 +369,51 @@ def _factor_cg(
 
 
 def _factor_update(
-    Q_own: np.ndarray,
-    U_own: np.ndarray,
-    G_own: GalerkinStack,
-    f_own: np.ndarray,
-    phi_own: np.ndarray,
-    Q_other: np.ndarray,
-    U_other: np.ndarray,
-    T_other: np.ndarray,
-    phi_other: np.ndarray,
-    f_other: np.ndarray,
+    problem: CoupledProblem,
+    solution: SeparatedSolution,
+    own: int,
+    g_modes: tuple[GalerkinStack, GalerkinStack] | None,
+    quad: tuple[np.ndarray, np.ndarray] | None,
+    T_other: np.ndarray | None,
 ) -> np.ndarray:
-    """Galerkin update of one germ's stochastic factors (all else frozen).
+    """Galerkin update of germ ``own``'s stochastic factors (all else frozen).
 
     Minimizing the functional over the r factor vectors of one germ yields a
     symmetric positive-definite system of size r*P. The multiplier term is
     absent: the preceding deterministic update enforces interface continuity
     per factor (the coupling weights are nonsingular), and that property does
     not involve the factors being updated, so the coupling contribution
-    vanishes identically in the unknowns. ``T_other`` holds the other germ's
-    mode weights ``mode_weights(phi_other, G_other)``; ``phi_own`` holds the
-    germ's current factors.
+    vanishes identically in the unknowns. ``quad``, when given, holds the
+    stacks Q(u1), Q(u2) of ``_factor_forms``; ``T_other``, when given, holds
+    the other germ's mode weights ``mode_weights(phi_other, G_other)``.
 
     The system's blocks at the pairs of ``G_own`` come from one sparse
     product (``_factor_blocks``). Below ``_CG_MIN_SIZE`` unknowns they are
     scattered into a dense matrix (``_factor_matrix``), solved by one
     Cholesky factorization; from there on the system is solved by
-    block-Jacobi CG on them (``_factor_cg``), started from ``phi_own``.
-    From that start every CG iterate lowers the functional, so the update
-    never raises the energy.
+    block-Jacobi CG on them (``_factor_cg``), started from the germ's
+    current factors. From that start every CG iterate lowers the
+    functional, so the update never raises the energy.
     ``_CG_MIN_SIZE`` gives the measured per-call times of both solves.
     """
-    r = U_own.shape[0]
-    C = Q_own * (phi_other @ phi_other.T)
-    S = np.einsum("jlm,jlm->lm", Q_other, T_other)
-    b = np.zeros((r, G_own.P))
-    b[:, 0] = (U_own @ f_own + U_other @ f_other) * phi_other[:, 0]
-    if r * G_own.P >= _CG_MIN_SIZE:
-        return _factor_cg(G_own, C, S, b, phi_own)
-    A = _factor_matrix(G_own, C, S)
+    other = 1 - own
+    if g_modes is None:
+        g_modes = galerkin_mode_matrices(problem)
+    if quad is None:
+        quad = _factor_forms(problem, solution)
+    U, phi = (solution.u1, solution.u2), (solution.phi1, solution.phi2)
+    if T_other is None:
+        T_other = mode_weights(phi[other], g_modes[other])
+    G = g_modes[own]
+    r = U[own].shape[0]
+    C = quad[own] * (phi[other] @ phi[other].T)
+    S = np.einsum("jlm,jlm->lm", quad[other], T_other)
+    b = np.zeros((r, G.P))
+    s1, s2 = problem.sub
+    b[:, 0] = (U[0] @ s1.f + U[1] @ s2.f) * phi[other][:, 0]
+    if r * G.P >= _CG_MIN_SIZE:
+        return _factor_cg(G, C, S, b, phi[own])
+    A = _factor_matrix(G, C, S)
     try:
         x = sla.cho_solve(sla.cho_factor(A), b.ravel())
     except sla.LinAlgError:
@@ -423,22 +430,11 @@ def stochastic_update_phi1(
     quad: tuple[np.ndarray, np.ndarray] | None = None,
     T_other: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Updated first-germ factor coefficients minimizing the functional.
-    ``quad``, when given, holds the stacks Q(u1), Q(u2) of ``_factor_forms``,
-    which a caller running both updates forms once; ``T_other``, when given,
-    holds ``mode_weights(solution.phi2, g_modes[1])``, which block operators
-    built from the same phi2 already hold as ``T2``."""
-    if g_modes is None:
-        g_modes = galerkin_mode_matrices(problem)
-    if quad is None:
-        quad = _factor_forms(problem, solution)
-    if T_other is None:
-        T_other = mode_weights(solution.phi2, g_modes[1])
-    s1, s2 = problem.sub
-    return _factor_update(
-        quad[0], solution.u1, g_modes[0], s1.f, solution.phi1,
-        quad[1], solution.u2, T_other, solution.phi2, s2.f,
-    )
+    """Updated first-germ factor coefficients minimizing the functional
+    (``_factor_update``). ``T_other``, when given, holds
+    ``mode_weights(solution.phi2, g_modes[1])``, which block operators built
+    from the same phi2 already hold as ``T2``."""
+    return _factor_update(problem, solution, 0, g_modes, quad, T_other)
 
 
 def stochastic_update_phi2(
@@ -447,18 +443,9 @@ def stochastic_update_phi2(
     g_modes: tuple[GalerkinStack, GalerkinStack] | None = None,
     quad: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Updated second-germ factor coefficients minimizing the functional.
-    ``quad``, when given, holds the stacks Q(u1), Q(u2) of ``_factor_forms``,
-    which a caller running both updates forms once."""
-    if g_modes is None:
-        g_modes = galerkin_mode_matrices(problem)
-    if quad is None:
-        quad = _factor_forms(problem, solution)
-    s1, s2 = problem.sub
-    return _factor_update(
-        quad[1], solution.u2, g_modes[1], s2.f, solution.phi2,
-        quad[0], solution.u1, mode_weights(solution.phi1, g_modes[0]), solution.phi1, s1.f,
-    )
+    """Updated second-germ factor coefficients minimizing the functional
+    (``_factor_update``)."""
+    return _factor_update(problem, solution, 1, g_modes, quad, None)
 
 
 def normalize_factors(solution: SeparatedSolution) -> SeparatedSolution:
@@ -497,16 +484,6 @@ class ResidualEstimate:
     per_domain: dict[int, tuple[float, float]]
 
 
-def _sample_germs(problem: CoupledProblem, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    out = []
-    for fld in problem.fields:
-        if problem.family_kind == LEGENDRE:
-            out.append(rng.uniform(-1.0, 1.0, (n, fld.n_dims)))
-        else:
-            out.append(rng.standard_normal((n, fld.n_dims)))
-    return out[0], out[1]
-
-
 def residual_norm(
     problem: CoupledProblem,
     solution: SeparatedSolution,
@@ -541,7 +518,7 @@ def residual_norm(
     n = int(n_samples)
     rng = np.random.default_rng(seed)
     fam = family(problem.family_kind)
-    xi = _sample_germs(problem, n, rng)
+    xi = [fam.sample(rng, (n, fld.n_dims)) for fld in problem.fields]
     operators = {i: _residual_operator(problem, solution, i) for i in loaded}
     n_sol = [len(idx) for idx in problem.idx_solution]
     n_field = [len(fld.idx_set) for fld in problem.fields]

@@ -8,7 +8,10 @@ blocks are expectation-weighted sums of the sub-domain stiffness modes:
 
 The extractor C_i is Boolean: its column k picks the one dof ``iface[k]``
 of sub-domain i (``fem2d.SubdomainProblem``), so Chat_i scatters W lambda
-into those dofs and Chat_i^T gathers them, with no matrix stored. Each
+into those dofs and Chat_i^T gathers them, with no matrix stored. Both
+sides live in one record, ``BlockOperators``, indexed by side i = 0, 1 as
+``problem.sub`` is: every per-sub-domain step (block values, load, scatter,
+gather, local solve) is one code path run once per side. Each
 sub-domain stores its modes once, on one sparsity pattern, as the
 factorization map @ basis of their (J, nnz) values (``fem2d.ModeStack``:
 on full ``lshape`` the (J, n_nodes) coefficient table at the mesh nodes
@@ -63,7 +66,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fem2d import ModeStack, SparsePattern
+from .fem2d import SparsePattern
 from .pc_basis import GalerkinStack, family, triple_moment_stack
 from .problems import CoupledProblem, PrimalLayout
 
@@ -122,87 +125,60 @@ def galerkin_mode_matrices(problem: CoupledProblem) -> tuple[GalerkinStack, Gale
 
 @dataclass
 class BlockOperators:
-    """Weight matrices plus the stacked sparse modes of the block saddle system.
+    """Weight matrices of the block saddle system, one record for both sides.
 
-    ``H1[j]``/``H2[j]`` are the (r, r) expectation weights of stiffness mode
-    j, each germ's own mode weights (``mode_weights``) times the other
-    germ's Gram matrix; ``T2`` keeps the second germ's mode weights, which
-    the first germ's factor update reads. ``W`` weights the coupling blocks;
-    ``fw`` weights the load; ``apply_C1``/``apply_C2`` scatter W lambda into
-    a side's interface dofs and ``apply_C1T``/``apply_C2T`` gather W U from
-    them. The block values ``V1``/``V2`` and the banded factorizations
-    behind ``K1_solve``/``K2_solve`` are built on first use, on the band
-    layouts that ``problem`` builds once.
+    Side i (0 or 1, as in ``problem.sub``) has the (r, r) expectation
+    weights ``H[i][j]`` of its stiffness mode j, its own germ's mode weights
+    (``mode_weights``) times the other germ's Gram matrix; ``T2`` keeps the
+    second germ's mode weights, which the first germ's factor update reads.
+    ``W`` weights the coupling blocks and ``fw`` the load. Every side-indexed
+    operator reads side i's data from ``problem.sub[i]``: its load
+    ``fhat(i)``, ``scatter(i, lam)`` (Chat_i lambda) and ``gather(i, U)``
+    (Chat_i^T U). The block values ``V[i]`` and the banded factorization
+    behind ``local_solve(i)`` are built on first use, on the band layouts
+    that ``problem`` builds once. Only side 2 can float, so ``R2``,
+    ``floating`` and ``project_null2`` name it.
     """
 
     rank: int
     T2: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
+    H: tuple[np.ndarray, np.ndarray]
     W: np.ndarray
     fw: np.ndarray
-    modes1: ModeStack
-    modes2: ModeStack
-    f1: np.ndarray
-    f2: np.ndarray
-    R2: np.ndarray | None
     problem: CoupledProblem
 
     @property
-    def M1(self) -> int:
-        return self.f1.shape[0]
-
-    @property
-    def M2(self) -> int:
-        return self.f2.shape[0]
-
-    @property
-    def M_I(self) -> int:
-        return self.problem.sub[0].n_interface
+    def R2(self) -> np.ndarray | None:
+        s2 = self.problem.sub[1]
+        return s2.R if s2.floating else None
 
     @property
     def floating(self) -> bool:
-        return self.R2 is not None
+        return self.problem.sub[1].floating
 
-    @property
-    def fhat1(self) -> np.ndarray:
-        return self.fw[:, None] * self.f1[None, :]
-
-    @property
-    def fhat2(self) -> np.ndarray:
-        return self.fw[:, None] * self.f2[None, :]
+    def fhat(self, i: int) -> np.ndarray:
+        return self.fw[:, None] * self.problem.sub[i].f[None, :]
 
     @cached_property
-    def V1(self) -> np.ndarray:
-        return block_values(self.modes1, self.H1)
+    def V(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(block_values(s.modes, H) for s, H in zip(self.problem.sub, self.H))
 
-    @cached_property
-    def V2(self) -> np.ndarray:
-        return block_values(self.modes2, self.H2)
-
-    def apply_C1(self, lam: np.ndarray) -> np.ndarray:
-        return self._scatter(0, self.W @ lam)
-
-    def apply_C2(self, lam: np.ndarray) -> np.ndarray:
-        return self._scatter(1, self.W @ lam)
-
-    def apply_C1T(self, U: np.ndarray) -> np.ndarray:
-        return (self.W @ U)[:, self.problem.sub[0].iface]
-
-    def apply_C2T(self, U: np.ndarray) -> np.ndarray:
-        return (self.W @ U)[:, self.problem.sub[1].iface]
-
-    def _scatter(self, side: int, A: np.ndarray) -> np.ndarray:
-        """The (r, M) block that holds A on side ``side``'s interface dofs.
+    def scatter(self, i: int, lam: np.ndarray) -> np.ndarray:
+        """Chat_i lambda: the (r, M_i) block that holds W lambda on side i's
+        interface dofs.
 
         It is column-major: the floating side's BLAS products ``B @ R2``
         round according to the memory order of B, and the interface
         iteration's outputs are pinned to this order.
         """
-        sub = self.problem.sub[side]
-        out = np.zeros((A.shape[0], sub.n_dofs), order="F")
-        out[:, sub.iface] = A
+        sub = self.problem.sub[i]
+        out = np.zeros((lam.shape[0], sub.n_dofs), order="F")
+        out[:, sub.iface] = self.W @ lam
         return out
+
+    def gather(self, i: int, U: np.ndarray) -> np.ndarray:
+        """Chat_i^T U: W U on side i's interface dofs."""
+        return (self.W @ U)[:, self.problem.sub[i].iface]
 
     def project_null2(self, U: np.ndarray) -> np.ndarray:
         """Remove the rigid-body content of every second-block factor."""
@@ -211,19 +187,22 @@ class BlockOperators:
         return U - (U @ self.R2) @ self.R2.T
 
     @cached_property
-    def K1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        lay = self.problem.local_layouts[0]
-        return _band_solve(lay, _primal_band(lay, (self.V1,)), "first-block operator")
+    def _solves(self) -> list:
+        return [None, None]
 
-    @cached_property
-    def K2_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve with Khat_2, or, when the side floats, with the generalized
-        inverse that is zero at the pins its band drops (bordering Khat_2
-        with I (x) R2 instead would add dense columns to the factor)."""
-        lay = self.problem.local_layouts[1]
-        what = "pinned second-block operator" if self.floating else "second-block operator"
-        ab = _primal_band(lay, (self.V2,))
-        return _band_solve(lay, ab, what, dofs=np.flatnonzero(lay.maps[0] >= 0))
+    def local_solve(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Solve with Khat_i, factored on first use; a floating side 2 solves
+        with the generalized inverse that is zero at the pins its band drops
+        (bordering Khat_2 with I (x) R2 instead would add dense columns to
+        the factor)."""
+        if self._solves[i] is None:
+            lay = self.problem.local_layouts[i]
+            what = ("first", "pinned second" if self.floating else "second")[i]
+            self._solves[i] = _band_solve(
+                lay, _primal_band(lay, (self.V[i],)), f"{what}-block operator",
+                dofs=np.flatnonzero(lay.maps[0] >= 0),
+            )
+        return self._solves[i]
 
 
 def build_block_operators(
@@ -235,8 +214,8 @@ def build_block_operators(
     """Assemble the expectation weights for the given stochastic factors.
 
     ``phi1``/``phi2`` hold one row of PC coefficients per rank. Weights:
-    H1[j, l, l'] = E1[psi_j phi1^l phi1^l'] E2[phi2^l phi2^l'] (mirrored for
-    side 2), W[l, l'] = E1[phi1^l phi1^l'] E2[phi2^l phi2^l'], and
+    H[0][j, l, l'] = E1[psi_j phi1^l phi1^l'] E2[phi2^l phi2^l'] (mirrored
+    for H[1]), W[l, l'] = E1[phi1^l phi1^l'] E2[phi2^l phi2^l'], and
     fw[l] = E1[phi1^l] E2[phi2^l]; all exact by orthonormality.
     """
     phi1 = np.atleast_2d(np.asarray(phi1, dtype=float))
@@ -253,26 +232,19 @@ def build_block_operators(
     W1 = phi1 @ phi1.T
     W2 = phi2 @ phi2.T
     T2 = mode_weights(phi2, G2)
-    s2 = problem.sub[1]
     return BlockOperators(
         rank=phi1.shape[0],
         T2=T2,
-        H1=mode_weights(phi1, G1) * W2[None],
-        H2=T2 * W1[None],
+        H=(mode_weights(phi1, G1) * W2[None], T2 * W1[None]),
         W=W1 * W2,
         fw=phi1[:, 0] * phi2[:, 0],
-        modes1=problem.sub[0].modes,
-        modes2=s2.modes,
-        f1=problem.sub[0].f,
-        f2=s2.f,
-        R2=s2.R if s2.floating else None,
         problem=problem,
     )
 
 
 def apply_K1_inverse(ops: BlockOperators, B: np.ndarray) -> np.ndarray:
     """Solve Khat_1 X = B with the cached factorization."""
-    return ops.K1_solve(B)
+    return ops.local_solve(0)(B)
 
 
 def apply_K2_pseudoinverse(
@@ -292,7 +264,7 @@ def apply_K2_pseudoinverse(
                 f"|R2hat^T b| = {defect:.3e} violates the solvability condition"
             )
         B = ops.project_null2(B)
-    return ops.project_null2(ops.K2_solve(B))
+    return ops.project_null2(ops.local_solve(1)(B))
 
 
 @dataclass
@@ -332,19 +304,19 @@ class InterfaceProblem:
                 raise SolverError(
                     "interface null-space columns are linearly dependent"
                 ) from err
-            self.e = ops.fhat2 @ ops.R2
-        y2 = apply_K2_pseudoinverse(ops, ops.fhat2, check=False)
-        y1 = apply_K1_inverse(ops, ops.fhat1)
-        self.d = ops.apply_C2T(y2) - ops.apply_C1T(y1)
+            self.e = ops.fhat(1) @ ops.R2
+        y2 = apply_K2_pseudoinverse(ops, ops.fhat(1), check=False)
+        y1 = apply_K1_inverse(ops, ops.fhat(0))
+        self.d = ops.gather(1, y2) - ops.gather(0, y1)
 
     def _solve_SR(self, A: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve(self._SR, A.ravel()).reshape(A.shape)
 
     def apply_F(self, lam: np.ndarray) -> np.ndarray:
         ops = self.ops
-        y1 = apply_K1_inverse(ops, ops.apply_C1(lam))
-        y2 = apply_K2_pseudoinverse(ops, ops.apply_C2(lam), check=False)
-        return ops.apply_C1T(y1) + ops.apply_C2T(y2)
+        y1 = apply_K1_inverse(ops, ops.scatter(0, lam))
+        y2 = apply_K2_pseudoinverse(ops, ops.scatter(1, lam), check=False)
+        return ops.gather(0, y1) + ops.gather(1, y2)
 
     def apply_P(self, lam: np.ndarray) -> np.ndarray:
         """Orthogonal projector onto the complement of range(R2I)."""
@@ -357,7 +329,7 @@ class InterfaceProblem:
         """Feasible start R2I (R2I^T R2I)^{-1} e = the multiplier that makes
         the floating side's load compatible."""
         if self.C2I is None:
-            return np.zeros((self.ops.rank, self.ops.M_I))
+            return np.zeros((self.ops.rank, self.ops.problem.sub[0].n_interface))
         return self.ops.W @ self._solve_SR(self.e) @ self.C2I.T
 
     def alpha_from(self, lam: np.ndarray) -> np.ndarray:
@@ -381,7 +353,7 @@ def build_preconditioner(ops: BlockOperators) -> Callable[[np.ndarray], np.ndarr
     # the interface blocks KI_j = C_i^T K_j C_i are symmetric, so
     # sum_j (W H_j W) A KI_j = W (sum_j H_j (x) KI_j)(W A); with p the
     # interface dofs, KI_j A is the rows p of K_j applied to A placed at p
-    sides = [(s.modes, V, s.iface) for s, V in zip(ops.problem.sub, (ops.V1, ops.V2))]
+    sides = [(s.modes, V, s.iface) for s, V in zip(ops.problem.sub, ops.V)]
     W = ops.W
 
     def apply(lam: np.ndarray) -> np.ndarray:
@@ -468,7 +440,7 @@ def pcpg_solve(
     Convergence criterion: |w_k| / |d| < eps with w the projected residual.
     """
     if max_iters is None:
-        max_iters = 10 * ip.ops.rank * ip.ops.M_I
+        max_iters = 10 * ip.ops.rank * ip.ops.problem.sub[0].n_interface
     lam, residuals = pcg(
         ip.apply_F, ip.d, ip.precond, eps, max_iters, "interface iteration",
         x=ip.lambda_init(), project=ip.apply_P,
@@ -481,8 +453,8 @@ def recover_primal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Back-substitute the converged multiplier into the primal factors."""
     ops = ip.ops
-    u1 = apply_K1_inverse(ops, ops.fhat1 + ops.apply_C1(lam))
-    u2 = apply_K2_pseudoinverse(ops, ops.fhat2 - ops.apply_C2(lam), check=False)
+    u1 = apply_K1_inverse(ops, ops.fhat(0) + ops.scatter(0, lam))
+    u2 = apply_K2_pseudoinverse(ops, ops.fhat(1) - ops.scatter(1, lam), check=False)
     alpha = ip.alpha_from(lam)
     if ops.floating:
         u2 = u2 + alpha @ ops.R2.T
@@ -529,11 +501,6 @@ def _primal_band(lay: PrimalLayout, values: Sequence[np.ndarray]) -> np.ndarray:
     r = values[0].shape[0]
     ab = np.empty((r * (lay.b + 1), r * lay.n), order="F")
     return _band_write(ab, _band_positions(lay, r), values)
-
-
-def _primal_load(ops: BlockOperators) -> np.ndarray:
-    """The (r, n) load fw (x) f of ``direct_saddle_solve`` on the merged dofs."""
-    return np.outer(ops.fw, ops.problem.merged_load)
 
 
 def _band_solve(
@@ -586,19 +553,20 @@ def direct_saddle_solve(ops: BlockOperators) -> tuple[np.ndarray, np.ndarray, np
     W lambda = C1^T (Khat_1 u1 - fhat1). Returns (u1, u2, lambda). A
     singular system (a zero stochastic factor, say) raises ``SolverError``.
     """
-    r = ops.rank
-    n = r * (ops.M1 + ops.M2 + ops.M_I)
+    s1, s2 = ops.problem.sub
+    n = ops.rank * (s1.n_dofs + s2.n_dofs + s1.n_interface)
     if n > _DIRECT_SIZE_CAP:
         raise SolverError(
             f"direct saddle solve of size {n} exceeds the cap {_DIRECT_SIZE_CAP}; "
             'set solver.det_update to "pcpg" for the interface iteration'
         )
     lay = ops.problem.primal_layout
-    ab = _primal_band(lay, (ops.V1, ops.V2))
-    u = _band_solve(lay, ab, "block saddle system")(_primal_load(ops))
-    u1, u2 = u[:, : ops.M1], u[:, lay.maps[1]]
+    # the load fw (x) f on the merged dofs
+    load = np.outer(ops.fw, ops.problem.merged_load)
+    u = _band_solve(lay, _primal_band(lay, ops.V), "block saddle system")(load)
+    u1, u2 = u[:, : s1.n_dofs], u[:, lay.maps[1]]
     # side 1's equilibrium at interface dof p1_k: (Khat_1 u1 - fhat1)[p1_k]
     # = (W lambda)[k]
-    p1 = ops.problem.sub[0].iface
-    Wlam = apply_blocks(ops.modes1, ops.V1, u1, p1) - np.outer(ops.fw, ops.f1[p1])
+    p1 = s1.iface
+    Wlam = apply_blocks(s1.modes, ops.V[0], u1, p1) - np.outer(ops.fw, s1.f[p1])
     return u1, u2, np.linalg.solve(ops.W, Wlam)

@@ -76,6 +76,13 @@ class OrthoPolyFamily:
             out *= scale[:, None]
         return out
 
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draws of shape ``shape`` from the family's measure: U(-1, 1) for
+        Legendre, the standard normal for Hermite."""
+        if self.kind == HERMITE:
+            return rng.standard_normal(shape)
+        return rng.uniform(-1.0, 1.0, shape)
+
     def gauss_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n-point Gauss rule with weights normalized to the probability measure."""
         if n < 1:

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from .feti import SolverError, block_values, pcg
 from .feti import _band_positions, _band_solve, _band_write, _primal_band
 from .pc_basis import (
-    LEGENDRE,
     MultiIndexSet,
     build_index_set,
     eval_multivariate_batch,
@@ -179,11 +178,8 @@ def monte_carlo_reference(
         raise ValueError("need at least one sample")
     d1, d2 = (fld.n_dims for fld in problem.fields)
     rng = np.random.default_rng(seed)
-    if problem.family_kind == LEGENDRE:
-        xi = rng.uniform(-1.0, 1.0, (n_samples, d1 + d2))
-    else:
-        xi = rng.standard_normal((n_samples, d1 + d2))
     fam = family(problem.family_kind)
+    xi = fam.sample(rng, (n_samples, d1 + d2))
     germs = zip(problem.fields, np.hsplit(xi, [d1]))
     Psi = [eval_multivariate_batch(fam, fld.idx_set, x) for fld, x in germs]
     lay = problem.primal_layout

@@ -641,7 +641,8 @@ def kron_reference(H: np.ndarray, modes: list[sp.spmatrix]) -> sp.csr_matrix:
 
 def block_operators(ops: feti.BlockOperators) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Khat_1 and Khat_2 of ``ops`` by ``kron_reference`` on the stacked modes."""
-    return kron_reference(ops.H1, ops.modes1.views), kron_reference(ops.H2, ops.modes2.views)
+    K1hat, K2hat = (kron_reference(H, s.modes.views) for H, s in zip(ops.H, ops.problem.sub))
+    return K1hat, K2hat
 
 
 def factorize(A: sp.spmatrix, what: str):
@@ -673,7 +674,8 @@ def saddle_solve_superlu(
     factor, say) raises ``SolverError``.
     """
     r = ops.rank
-    n = r * (ops.M1 + ops.M2 + ops.M_I)
+    s1, s2 = ops.problem.sub
+    n = r * (s1.n_dofs + s2.n_dofs + s1.n_interface)
     if n > feti._DIRECT_SIZE_CAP:
         raise feti.SolverError(
             f"direct saddle solve of size {n} exceeds the cap {feti._DIRECT_SIZE_CAP}; "
@@ -682,12 +684,12 @@ def saddle_solve_superlu(
     C1, C2 = (sp.kron(sp.csr_matrix(ops.W), extractor(s)) for s in ops.problem.sub)
     K1hat, K2hat = block_operators(ops)
     A = sp.bmat([[K1hat, None, -C1], [None, K2hat, C2], [-C1.T, C2.T, None]], format="csc")
-    b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(r * ops.M_I)])
+    b = np.concatenate([ops.fhat(0).ravel(), ops.fhat(1).ravel(), np.zeros(r * s1.n_interface)])
     x = factorize(A, "block saddle system")(b)
-    n1, n2 = r * ops.M1, r * ops.M2
-    u1 = x[:n1].reshape(r, ops.M1)
-    u2 = x[n1 : n1 + n2].reshape(r, ops.M2)
-    return u1, u2, x[n1 + n2 :].reshape(r, ops.M_I)
+    n1, n2 = r * s1.n_dofs, r * s2.n_dofs
+    u1 = x[:n1].reshape(r, s1.n_dofs)
+    u2 = x[n1 : n1 + n2].reshape(r, s2.n_dofs)
+    return u1, u2, x[n1 + n2 :].reshape(r, s1.n_interface)
 
 
 def d_total(problem: problems.CoupledProblem) -> int:
@@ -874,7 +876,7 @@ def residual_norm(
     n = int(n_samples)
     rng = np.random.default_rng(seed)
     fam = pcb.family(problem.family_kind)
-    xi = arr._sample_germs(problem, n, rng)
+    xi = [fam.sample(rng, (n, fld.n_dims)) for fld in problem.fields]
     a1 = pcb.eval_multivariate_batch(fam, problem.idx_solution[0], xi[0])
     a2 = pcb.eval_multivariate_batch(fam, problem.idx_solution[1], xi[1])
     c = (a1 @ solution.phi1.T) * (a2 @ solution.phi2.T)
@@ -926,7 +928,7 @@ def residual_norm_span(
     n = int(n_samples)
     rng = np.random.default_rng(seed)
     fam = pcb.family(problem.family_kind)
-    xi = arr._sample_germs(problem, n, rng)
+    xi = [fam.sample(rng, (n, fld.n_dims)) for fld in problem.fields]
     operators = {i: arr._residual_operator(problem, solution, i) for i in loaded}
     n_sol = [len(idx) for idx in problem.idx_solution]
     n_field = [len(fld.idx_set) for fld in problem.fields]
@@ -980,7 +982,8 @@ def sample_probe(
     """
     side, dofs = stats.probe_dofs(problem)
     rng = np.random.default_rng(seed)
-    xi1, xi2 = arr._sample_germs(problem, int(n_samples), rng)
+    fam = pcb.family(problem.family_kind)
+    xi1, xi2 = (fam.sample(rng, (int(n_samples), fld.n_dims)) for fld in problem.fields)
     vals = evaluate_separated(problem, solution, xi1, xi2)[side][:, dofs]
     if vals.shape[1] == 1:
         return vals[:, 0]

@@ -114,12 +114,12 @@ def unit_factors(problem, rank, seed):
 def dense_saddle_multiplier(ops):
     """Oracle: assemble the full block saddle system densely and solve it."""
     K1 = sum(
-        np.kron(ops.H1[j], ops.modes1.views[j].toarray())
-        for j in range(len(ops.modes1.views))
+        np.kron(ops.H[0][j], ops.problem.sub[0].modes.views[j].toarray())
+        for j in range(len(ops.problem.sub[0].modes.views))
     )
     K2 = sum(
-        np.kron(ops.H2[j], ops.modes2.views[j].toarray())
-        for j in range(len(ops.modes2.views))
+        np.kron(ops.H[1][j], ops.problem.sub[1].modes.views[j].toarray())
+        for j in range(len(ops.problem.sub[1].modes.views))
     )
     C1, C2 = (np.kron(ops.W, oracles.extractor(s).toarray()) for s in ops.problem.sub)
     n1, n2, m = K1.shape[0], K2.shape[0], C1.shape[1]
@@ -130,7 +130,7 @@ def dense_saddle_multiplier(ops):
     A[n1 : n1 + n2, n1 + n2 :] = C2
     A[n1 + n2 :, :n1] = -C1.T
     A[n1 + n2 :, n1 : n1 + n2] = C2.T
-    b = np.concatenate([ops.fhat1.ravel(), ops.fhat2.ravel(), np.zeros(m)])
+    b = np.concatenate([ops.fhat(0).ravel(), ops.fhat(1).ravel(), np.zeros(m)])
     x = np.linalg.solve(A, b)
     return x[n1 + n2 :].reshape(ops.rank, -1)
 
@@ -238,7 +238,7 @@ def test_criterion_05_interface_solver_correctness(lshape_problem, beam_problem)
     phi1, phi2 = unit_factors(beam_problem, rank=3, seed=[99, 5])
     ops = feti.build_block_operators(beam_problem, phi1, phi2)
     rng = np.random.default_rng([99, 6])
-    probe = rng.standard_normal((3, ops.M2))
+    probe = rng.standard_normal((3, ops.problem.sub[1].n_dofs))
     _, K2hat = oracles.block_operators(ops)
     probe_out = np.abs(oracles.apply_Khat(K2hat, probe)).max() / np.abs(probe).max()
     for k in range(R2.shape[1]):
@@ -248,14 +248,15 @@ def test_criterion_05_interface_solver_correctness(lshape_problem, beam_problem)
 
     # projector identities on the floating interface problem
     ip = feti.build_interface_problem(ops)
-    lam = rng.standard_normal((3, ops.M_I))
-    mu = rng.standard_normal((3, ops.M_I))
+    n_interface = ops.problem.sub[0].n_interface
+    lam = rng.standard_normal((3, n_interface))
+    mu = rng.standard_normal((3, n_interface))
     scale = np.abs(lam).max()
     P_lam = ip.apply_P(lam)
     np.testing.assert_allclose(ip.apply_P(P_lam), P_lam, atol=1e-12 * scale)
     lhs = float((P_lam * mu).sum())
     rhs = float((lam * ip.apply_P(mu)).sum())
-    assert lhs == pytest.approx(rhs, abs=1e-12 * scale * np.abs(mu).max() * ops.M_I)
+    assert lhs == pytest.approx(rhs, abs=1e-12 * scale * np.abs(mu).max() * n_interface)
     null_image = ops.W @ rng.standard_normal((3, R2.shape[1])) @ ip.C2I.T
     assert np.abs(ip.apply_P(null_image)).max() <= 1e-12 * max(
         np.abs(null_image).max(), 1.0
@@ -270,7 +271,7 @@ def test_criterion_05_interface_solver_correctness(lshape_problem, beam_problem)
     for prob in (lshape_problem, beam_problem):
         f1, f2 = unit_factors(prob, rank=3, seed=[99, 5])
         small_ops = feti.build_block_operators(prob, f1, f2)
-        assert small_ops.M_I <= 12 and small_ops.rank <= 3
+        assert small_ops.problem.sub[0].n_interface <= 12 and small_ops.rank <= 3
         lam_dense = dense_saddle_multiplier(small_ops)
         lam_pcpg, _ = feti.pcpg_solve(
             feti.build_interface_problem(small_ops), eps=1e-10
@@ -368,7 +369,8 @@ def test_criterion_08_statistics_consistency(
         mean = stats.separated_mean(solution)
         var = stats.separated_variance(solution)
         rng = np.random.default_rng(2468)
-        xi1, xi2 = arr._sample_germs(problem, n, rng)
+        fam = pc_basis.family(problem.family_kind)
+        xi1, xi2 = (fam.sample(rng, (n, fld.n_dims)) for fld in problem.fields)
         fields = oracles.evaluate_separated(problem, solution, xi1, xi2)[:2]
         for side, samples in enumerate(fields):
             mc_mean = samples.mean(axis=0)

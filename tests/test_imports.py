@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -68,3 +69,17 @@ def test_every_annotation_resolves(name):
     assert objects
     for obj in objects:
         typing.get_type_hints(obj)
+
+
+def test_span_tracer_names_resolve():
+    # the benchmark's span tracer wraps each (module, attribute) pair of its
+    # PATCHES by name, so a renamed library function would otherwise fail
+    # only a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.PATCHES
+    for module_name, attr, _ in spans.PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

@@ -77,32 +77,33 @@ def test_band_holds_permuted_primal_matrix(profile_problem, name, rank, swap):
     ops = operators(problem, rank, seed=48)
     lay, r = problem.primal_layout, rank
     dof1, dof2 = lay.maps
-    np.testing.assert_array_equal(dof1, np.arange(ops.M1))
     s1, s2 = problem.sub
+    np.testing.assert_array_equal(dof1, np.arange(s1.n_dofs))
     np.testing.assert_array_equal(dof2[s2.iface], s1.iface)
     # the primal matrix in the rank-major order of Khat: each side's dofs
     # mapped to the merged dofs
-    Q1 = sp.eye(ops.M1, lay.n, format="csr")
-    Q2 = sp.csr_matrix((np.ones(ops.M2), (np.arange(ops.M2), dof2)), shape=(ops.M2, lay.n))
+    Q1 = sp.eye(s1.n_dofs, lay.n, format="csr")
+    m2 = s2.n_dofs
+    Q2 = sp.csr_matrix((np.ones(m2), (np.arange(m2), dof2)), shape=(m2, lay.n))
     E1, E2 = (sp.kron(sp.identity(r), Q, format="csr") for Q in (Q1, Q2))
-    K1hat, K2hat = reference.kron_sum(ops.modes1, ops.V1), reference.kron_sum(ops.modes2, ops.V2)
+    K1hat, K2hat = (reference.kron_sum(s.modes, V) for s, V in zip(problem.sub, ops.V))
     A = E1.T @ K1hat @ E1 + E2.T @ K2hat @ E2
-    f = E1.T @ ops.fhat1.ravel() + E2.T @ ops.fhat2.ravel()
+    f = E1.T @ ops.fhat(0).ravel() + E2.T @ ops.fhat(1).ravel()
     order = band_order(lay, r, np.arange(lay.n), lay.n)
     permuted = A[order][:, order]
-    ab = feti._primal_band(lay, (ops.V1, ops.V2))
+    ab = feti._primal_band(lay, ops.V)
     kd = ab.shape[0] - 1
     assert kd == r * (lay.b + 1) - 1
     rows, cols = permuted.nonzero()
     assert np.abs(rows - cols).max() <= kd
     np.testing.assert_array_equal(unpack(ab, permuted.shape), sp.triu(permuted).toarray())
     # fw[l] (f1 + f2) against fw[l] f1 + fw[l] f2 on the interface
-    rhs = feti._primal_load(ops)
+    rhs = np.outer(ops.fw, ops.problem.merged_load)
     np.testing.assert_allclose(rhs.ravel(), f, rtol=0, atol=1e-15 * np.abs(f).max())
 
     # the two local bands: each side's Khat, the floating side without the
     # rows and columns of its pinned dofs
-    sides = zip(problem.local_layouts, (ops.V1, ops.V2), (ops.H1, ops.H2))
+    sides = zip(problem.local_layouts, ops.V, ops.H)
     for side, (local, V, H) in enumerate(sides):
         dmap, = local.maps
         kept = np.flatnonzero(dmap >= 0)
@@ -133,23 +134,23 @@ def test_direct_route_bit_for_bit(profile_problem):
         ops = operators(profile_problem(name), rank, seed=50)
         u1, u2, lam = feti.direct_saddle_solve(ops)
         lay = ops.problem.primal_layout
-        b = feti._primal_load(ops)[:, lay.perm].T.reshape(-1, 1)
-        _, x, info = dpbsv(feti._primal_band(lay, (ops.V1, ops.V2)), b)
+        b = np.outer(ops.fw, ops.problem.merged_load)[:, lay.perm].T.reshape(-1, 1)
+        _, x, info = dpbsv(feti._primal_band(lay, ops.V), b)
         assert info == 0
         u = x.reshape(lay.n, rank)[lay.inv].T
-        assert np.array_equal(u1, u[:, : ops.M1]), name
+        assert np.array_equal(u1, u[:, : ops.problem.sub[0].n_dofs]), name
         assert np.array_equal(u2, u[:, lay.maps[1]]), name
         p1 = ops.problem.sub[0].iface
-        m = ops.modes1
+        m = ops.problem.sub[0].modes
         lo, length = m.indptr[p1], np.diff(m.indptr)[p1]
         starts = np.append(0, np.cumsum(length)[:-1])
         e = np.repeat(lo - starts, length) + np.arange(length.sum())
-        Ku = np.einsum("lme,me->le", ops.V1[:, :, e], u1[:, m.indices[e]])
-        Wlam = np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.f1[p1])
+        Ku = np.einsum("lme,me->le", ops.V[0][:, :, e], u1[:, m.indices[e]])
+        Wlam = np.add.reduceat(Ku, starts, axis=1) - np.outer(ops.fw, ops.problem.sub[0].f[p1])
         assert np.array_equal(lam, np.linalg.solve(ops.W, Wlam)), name
         # the same rows of the whole product, to rounding
         np.testing.assert_allclose(
-            feti.apply_blocks(m, ops.V1, u1, np.arange(m.n))[:, p1],
+            feti.apply_blocks(m, ops.V[0], u1, np.arange(m.n))[:, p1],
             np.add.reduceat(Ku, starts, axis=1),
             rtol=1e-13, atol=1e-13 * np.abs(Ku).max(),
         )
@@ -162,7 +163,8 @@ def test_direct_route_refuses_systems_over_the_size_cap(profile_problem):
     problem = profile_problem("beam-desk")
     rank = 152
     ops = operators(problem, rank, seed=49)
-    assert rank * (ops.M1 + ops.M2 + ops.M_I) == 40_128 > feti._DIRECT_SIZE_CAP
+    s1, s2 = problem.sub
+    assert rank * (s1.n_dofs + s2.n_dofs + s1.n_interface) == 40_128 > feti._DIRECT_SIZE_CAP
     remedy = 'exceeds the cap 40000; set solver.det_update to "pcpg"'
     with pytest.raises(feti.SolverError, match=remedy):
         feti.direct_saddle_solve(ops)

@@ -125,13 +125,12 @@ def test_interface_dofs_pair_one_node_and_component(profile_problem, one_sided_c
     ops = feti.build_block_operators(
         prob, *(rng.standard_normal((3, len(idx))) for idx in prob.idx_solution)
     )
-    lam = rng.standard_normal((3, ops.M_I))
-    sides = ((ops.apply_C1, ops.apply_C1T), (ops.apply_C2, ops.apply_C2T))
-    for s, (apply_C, apply_CT) in zip(prob.sub, sides):
+    lam = rng.standard_normal((3, ops.problem.sub[0].n_interface))
+    for i, s in enumerate(prob.sub):
         C = oracles.extractor(s)
         U = rng.standard_normal((3, s.n_dofs))
-        assert np.array_equal(apply_C(lam), (C @ (ops.W @ lam).T).T)
-        assert np.array_equal(apply_CT(U), (C.T @ (ops.W @ U).T).T)
+        assert np.array_equal(ops.scatter(i, lam), (C @ (ops.W @ lam).T).T)
+        assert np.array_equal(ops.gather(i, U), (C.T @ (ops.W @ U).T).T)
 
 
 @pytest.mark.parametrize("name", ["lshape-desk", "beam-desk", "lshape", "beam"])

@@ -106,8 +106,8 @@ def test_stacked_assembly_equals_per_mode_coo_assembly(problem):
 @pytest.mark.parametrize("rank", [1, 3])
 def test_kron_sum_equals_kronecker_reference(problem, rank):
     ops = random_ops(problem, rank, seed=rank)
-    for modes, V, H, side in ((ops.modes1, ops.V1, ops.H1, 0), (ops.modes2, ops.V2, ops.H2, 1)):
-        Khat = reference.kron_sum(modes, V)
+    for side, (s, V, H) in enumerate(zip(ops.problem.sub, ops.V, ops.H)):
+        Khat = reference.kron_sum(s.modes, V)
         ref = oracles.kron_reference(H, oracles.per_mode_assembly(problem, side))
         assert Khat.has_canonical_format
         assert rel_diff(Khat.toarray(), ref.toarray()) < 1e-13
@@ -116,12 +116,12 @@ def test_kron_sum_equals_kronecker_reference(problem, rank):
 def test_factored_local_solves_equal_dense_kronecker_solves(problem):
     ops = random_ops(problem, 3, seed=7)
     rng = np.random.default_rng(7)
-    K1 = oracles.kron_reference(ops.H1, oracles.per_mode_assembly(problem, 0)).toarray()
-    K2 = oracles.kron_reference(ops.H2, oracles.per_mode_assembly(problem, 1)).toarray()
-    b1 = rng.standard_normal((3, ops.M1))
+    K1 = oracles.kron_reference(ops.H[0], oracles.per_mode_assembly(problem, 0)).toarray()
+    K2 = oracles.kron_reference(ops.H[1], oracles.per_mode_assembly(problem, 1)).toarray()
+    b1 = rng.standard_normal((3, ops.problem.sub[0].n_dofs))
     x1 = np.linalg.solve(K1, b1.ravel())
     assert rel_diff(feti.apply_K1_inverse(ops, b1).ravel(), x1) < 1e-10
-    b2 = ops.project_null2(rng.standard_normal((3, ops.M2))).ravel()
+    b2 = ops.project_null2(rng.standard_normal((3, ops.problem.sub[1].n_dofs))).ravel()
     if ops.floating:
         # the solution without rigid-body content: K2 bordered by I (x) R2
         R2hat = np.kron(np.eye(3), ops.R2)
@@ -131,7 +131,7 @@ def test_factored_local_solves_equal_dense_kronecker_solves(problem):
     else:
         R2hat = np.zeros((b2.size, 0))
         x2 = np.linalg.solve(K2, b2)
-    got = feti.apply_K2_pseudoinverse(ops, b2.reshape(3, ops.M2)).ravel()
+    got = feti.apply_K2_pseudoinverse(ops, b2.reshape(3, ops.problem.sub[1].n_dofs)).ravel()
     assert rel_diff(got, x2) < 1e-10
     assert rel_diff(K2 @ got, b2) < 1e-10
     assert np.abs(R2hat.T @ got).max(initial=0.0) < 1e-12 * np.abs(got).max()
@@ -154,17 +154,17 @@ def test_energy_quadratic_form_equals_assembled_blocks(problem):
     ops = random_ops(problem, 3, seed=17)
     rng = np.random.default_rng(17)
     sol = arr.SeparatedSolution(
-        u1=rng.standard_normal((3, ops.M1)),
-        u2=rng.standard_normal((3, ops.M2)),
-        lam=np.zeros((3, ops.M_I)),
+        u1=rng.standard_normal((3, ops.problem.sub[0].n_dofs)),
+        u2=rng.standard_normal((3, ops.problem.sub[1].n_dofs)),
+        lam=np.zeros((3, ops.problem.sub[0].n_interface)),
         phi1=np.zeros((3, len(problem.idx_solution[0]))),
         phi2=np.zeros((3, len(problem.idx_solution[1]))),
     )
     quad = 0.0
-    for U, H, side in ((sol.u1, ops.H1, 0), (sol.u2, ops.H2, 1)):
+    for U, H, side in ((sol.u1, ops.H[0], 0), (sol.u2, ops.H[1], 1)):
         K = oracles.kron_reference(H, oracles.per_mode_assembly(problem, side))
         quad += U.ravel() @ (K @ U.ravel())
-    loads = ops.fw @ (sol.u1 @ ops.f1) + ops.fw @ (sol.u2 @ ops.f2)
+    loads = ops.fw @ (sol.u1 @ ops.problem.sub[0].f) + ops.fw @ (sol.u2 @ ops.problem.sub[1].f)
     assert arr.energy(problem, sol, ops=ops) == pytest.approx(0.5 * quad - loads, rel=1e-12)
 
 
@@ -205,7 +205,7 @@ def test_preconditioner_equals_per_mode_reference(problem):
     ops = random_ops(problem, 3, seed=13)
     Winv2 = 0.5 * scipy.linalg.pinvh(ops.W @ ops.W)
     terms = []
-    for H, side in ((ops.H1, 0), (ops.H2, 1)):
+    for H, side in ((ops.H[0], 0), (ops.H[1], 1)):
         A = np.einsum("ab,jbc,cd->jad", ops.W, H, ops.W)
         C = oracles.extractor(problem.sub[side])
         per_mode = oracles.per_mode_assembly(problem, side)
@@ -217,7 +217,7 @@ def test_preconditioner_equals_per_mode_reference(problem):
         return Winv2 @ B
 
     precond = feti.build_preconditioner(ops)
-    lam = np.random.default_rng(13).standard_normal((3, ops.M_I))
+    lam = np.random.default_rng(13).standard_normal((3, ops.problem.sub[0].n_interface))
     assert rel_diff(precond(lam), reference_apply(lam)) < 1e-12
 
 
@@ -264,11 +264,11 @@ def test_direct_saddle_solve_rejects_zero_factor():
 
 def test_band_solve_rejects_non_finite_solution(problem):
     ops = random_ops(problem, 2, seed=29)
-    B = np.zeros((2, ops.M1))
+    B = np.zeros((2, ops.problem.sub[0].n_dofs))
     B[1, 0] = np.nan
     with pytest.raises(feti.SolverError, match="first-block operator has a non-finite solution"):
         feti.apply_K1_inverse(ops, B)
-    B = np.zeros((2, ops.M2))
+    B = np.zeros((2, ops.problem.sub[1].n_dofs))
     B[0, -1] = np.nan
     with pytest.raises(feti.SolverError, match="second-block operator has a non-finite solution"):
         feti.apply_K2_pseudoinverse(ops, B, check=False)
