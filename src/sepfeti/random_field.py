@@ -210,30 +210,33 @@ def lognormal_pc_coefficients(
     """Hermite coefficients of shift + exp(G) with Gaussian germ G.
 
     G(x, xi) = mean_log + sum_j sqrt(tau_j) g_j(x) xi_j.  The coefficient on
-    multi-index i is exp(mean_log + var[G](x)/2) / sqrt(i!) *
-    prod_j (sqrt(tau_j) g_j(x))^{i_j}, kept for all |i|_1 <= order.
+    multi-index a is exp(mean_log + var[G](x)/2) / sqrt(a!) *
+    prod_j (sqrt(tau_j) g_j(x))^{a_j}, kept for all |a|_1 <= order. Each
+    row but the first is formed once, from its parent a - e_k with k the
+    last dimension in which a is nonzero: c_a = c_{a - e_k} sg_k / sqrt(a_k)
+    with sg_k = sqrt(tau_k) g_k. The parent has degree |a| - 1, so it comes
+    earlier in the graded order, and one pass over the degrees fills the
+    table.
     """
     idx_set = build_index_set(kl.n_modes, order)
-    sg = np.sqrt(kl.eigenvalues)[:, None] * kl.modes  # (d, n)
-    mean_field = np.exp(mean_log + kl.pointwise_variance() / 2.0)
     idx = idx_set.indices
-    # prod_j sg[j]^{i_j} for every multi-index, all nodes at once, from a
-    # table of the integer powers sg^k, k <= order
-    table = np.empty((order + 1,) + sg.shape)
-    table[0] = 1.0
-    for k in range(1, order + 1):
-        table[k] = table[k - 1] * sg
-    powers = np.ones((idx.shape[0], sg.shape[1]))
-    for j in range(kl.n_modes):
-        powers *= table[idx[:, j], j]
-    # i! = prod_j i_j! <= order! is exact in int64 up to order 20 (Python
-    # integers above), and sqrt rounds correctly: 1 / sqrt of the exact i!
-    fact = np.array(
-        [math.factorial(k) for k in range(order + 1)],
-        dtype=np.int64 if order <= 20 else object,
-    )
-    inv_sqrt_fact = 1.0 / np.sqrt(fact[idx].prod(axis=1).astype(float))
-    coeff = mean_field[None, :] * powers * inv_sqrt_fact[:, None]
+    P, d = idx.shape
+    sg = np.sqrt(kl.eigenvalues)[:, None] * kl.modes  # (d, n)
+    row_of = {a: i for i, a in enumerate(map(tuple, idx.tolist()))}
+    k = d - 1 - np.argmax(idx[:, ::-1] > 0, axis=1)
+    parent = idx.copy()
+    parent[np.arange(P), k] -= 1
+    up = np.array([0] + [row_of[a] for a in map(tuple, parent[1:].tolist())])
+    # step[m - 1, k] = sg_k / sqrt(m) for every degree m a dimension reaches
+    step = sg[None] / np.sqrt(np.arange(1.0, order + 1.0))[:, None, None]
+    m = idx[np.arange(P), k] - 1
+    coeff = np.empty((P, sg.shape[1]))
+    coeff[0] = np.exp(mean_log + kl.pointwise_variance() / 2.0)
+    # the first row of each degree
+    start = np.searchsorted(idx.sum(axis=1), np.arange(order + 2))
+    for g in range(1, order + 1):
+        a = slice(start[g], start[g + 1])
+        coeff[a] = coeff[up[a]] * step[m[a], k[a]]
     return RandomFieldPC(
         kind=LOGNORMAL_SHIFTED, idx_set=idx_set, coeff_fields=coeff, shift=shift
     )

@@ -349,7 +349,7 @@ def test_lognormal_mean_coefficient_pointwise():
 
 
 def test_lognormal_power_table_matches_float_powers():
-    # the integer-power table against the float powers it replaced
+    # the coefficients against float powers and factorials, entry by entry
     kl, _ = make_kl(sigma=0.5, corr_len=1.0 / 3.0, d=6)
     pc = random_field.lognormal_pc_coefficients(kl, mean_log=1.0, shift=0.28, order=6)
     idx = pc.idx_set.indices
@@ -362,19 +362,26 @@ def test_lognormal_power_table_matches_float_powers():
     np.testing.assert_allclose(pc.coeff_fields, expected, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("side", [1, 2])
-def test_lognormal_factorial_table_matches_row_products(side):
-    # the full lshape index sets (d = 4 and 6, order 6): the integer table's
-    # weights give the row-by-row factorial products' coefficients bit for bit
-    cfg, mesh, kernel = profile_kernel("lshape", side)
-    fld = cfg["field"]
-    kl = random_field.discretize_kl(kernel, mesh, int(fld[f"d{side}"]))
-    order = 2 * int(cfg["pc"][f"p{side}"])
-    args = (kl, float(fld["mean"]), float(fld["shift"]), order)
+@pytest.mark.parametrize("case", ["lshape-1", "lshape-2", "order-22"])
+def test_lognormal_coefficients_match_row_products(case):
+    # each row formed from its parent against the powers and factorials
+    # formed row by row: the full lshape index sets (d = 4 and 6, order 6)
+    # and an order past 20, where 22! overflows int64
+    if case == "order-22":
+        kl, _ = make_kl(sigma=0.5, corr_len=2.0 / 3.0, d=2)
+        args, size = (kl, 0.3, 0.0, 22), 276
+    else:
+        side = int(case[-1])
+        cfg, mesh, kernel = profile_kernel("lshape", side)
+        fld = cfg["field"]
+        kl = random_field.discretize_kl(kernel, mesh, int(fld[f"d{side}"]))
+        order = 2 * int(cfg["pc"][f"p{side}"])
+        args, size = (kl, float(fld["mean"]), float(fld["shift"]), order), (210, 924)[side - 1]
     pc = random_field.lognormal_pc_coefficients(*args)
     ref = oracles.lognormal_pc_coefficients_loop(*args)
-    assert len(pc.idx_set) == (210, 924)[side - 1]
-    np.testing.assert_array_equal(pc.coeff_fields, ref.coeff_fields)
+    assert len(pc.idx_set) == size
+    scale = np.abs(ref.coeff_fields).max()
+    np.testing.assert_allclose(pc.coeff_fields, ref.coeff_fields, rtol=0, atol=1e-15 * scale)
 
 
 def test_lognormal_zero_field():
